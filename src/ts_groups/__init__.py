@@ -23,7 +23,7 @@ from .cancellation import (  # noqa: F401
     pieces,
     satisfies_small_cancellation,
 )
-from .trees import PlaneTernaryTree, Ray, enumerate_simple_paths  # noqa: F401
+from .trees import PlaneTernaryTree, enumerate_simple_paths  # noqa: F401
 from .sequences import (  # noqa: F401
     InadmissibleEngine,
     LabeledTree,
@@ -32,7 +32,7 @@ from .sequences import (  # noqa: F401
     label_tree_three_letters,
     squarefree_ternary,
 )
-from .groups import Ball, GroupOracle, Limits, ball, length, make_oracle  # noqa: F401
+from .groups import Ball, GroupOracle, Limits, make_oracle  # noqa: F401
 from .tours import (  # noqa: F401
     ClosedPath,
     RelatedSet,

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from typing import Optional
@@ -41,16 +40,17 @@ from .testers import (
     PropertySpec,
     SearchBudget,
     XiParams,
+    _replay_witness,
     burnside_pipeline,
     construct_xi,
     test_property,
     verify_product_aperiodicity,
 )
-from .toursupport import run_experiment_parallel
 from .tours import (
     RelatedSet,
     SamplerConfig,
     folner_traversal_demo,
+    revise,
     tsp_exact,
     tsp_heuristic,
     ts_lambda_experiment,
@@ -58,16 +58,6 @@ from .tours import (
 from .forests import build_forest_p, build_forest_p10, verify_forest
 from .trees import PlaneTernaryTree
 from .words import format_word, parse_word
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    options: dict
-    seed: Optional[int] = None
-
-    def to_dict(self):
-        return {"subcommand": self.subcommand, "seed": self.seed, **self.options}
 
 
 def limits_from_env() -> Limits:
@@ -81,12 +71,12 @@ def limits_from_env() -> Limits:
     return Limits(ball_elements=cap, frontier=cap * 10)
 
 
-def emit_report(config: RunConfig, payload: dict, out: Optional[str], fmt: str,
-                started: float, csv_rows=None):
+def emit_report(config: dict, payload: dict, started: float, out: Optional[str] = None,
+                fmt: str = "json", csv_rows=None):
     report = {
         "schema": 1,
         "version": __version__,
-        "config": config.to_dict(),
+        "config": config,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_seconds": round(time.perf_counter() - started, 3),
         **payload,
@@ -121,6 +111,44 @@ def cli_errors(fn):
             sys.exit(exc.exit_code)
 
     return wrapper
+
+
+def reporting(subcommand: str):
+    """Decorator for the commands that emit a report.
+
+    The command returns a dict with ``config`` (the echo of its inputs),
+    ``payload`` and optionally ``out``, ``fmt``, ``csv_rows`` (passed on
+    to `emit_report`) and ``failure``: an error raised only after the
+    report is out, so a failed check still leaves its evidence.  The
+    config echo always carries ``subcommand`` and ``seed`` (null for
+    commands without one).
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def command(*args, **kwargs):
+            started = time.perf_counter()
+            run = fn(*args, **kwargs)
+            failure = run.pop("failure", None)
+            config = {"subcommand": subcommand, "seed": None, **run.pop("config")}
+            emit_report(config, run.pop("payload"), started, **run)
+            if failure is not None:
+                raise failure
+
+        return cli_errors(command)
+
+    return decorate
+
+
+def _property_spec(family, n, r, oracle, xi) -> PropertySpec:
+    """The spec a CLI family stands for: P' is Pn' at n=1, P10 and P10'
+    are Pn' at n=10, and Pn' takes its n from the caller."""
+    if family == "P":
+        return PropertySpec("P", r=r, oracle=oracle, xi=xi)
+    n = {"P'": 1, "P10": 10, "P10'": 10}.get(family, n)
+    if n is None:
+        raise ConfigurationError("family Pn' needs --n")
+    return PropertySpec("Pn'", r=r, oracle=oracle, xi=xi, n=n)
 
 
 def _read_elements(oracle, path):
@@ -215,26 +243,23 @@ def tree_label(mode, seed, vertices, tree_file, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")
-@cli_errors
+@reporting("tsp")
 def tsp_cmd(descriptor, set_file, exact, seed, out, fmt):
     """Solve the closed tour over a point-set file."""
-    started = time.perf_counter()
     oracle = make_oracle(descriptor)
     pts = _read_elements(oracle, set_file)
     rset = RelatedSet(oracle, None, pts)
     tour = tsp_exact(rset) if exact else tsp_heuristic(rset, seed)
-    config = RunConfig("tsp", {"group": descriptor, "set": set_file, "exact": exact}, seed)
-    emit_report(
-        config,
-        {
+    return {
+        "config": {"group": descriptor, "set": set_file, "exact": exact, "seed": seed},
+        "payload": {
             "L": tour.length,
             "kind": tour.kind,
             "order": [oracle.format_element(g) for g in tour.order],
         },
-        out,
-        fmt,
-        started,
-    )
+        "out": out,
+        "fmt": fmt,
+    }
 
 
 # -- experiment --------------------------------------------------------------
@@ -258,11 +283,10 @@ def experiment():
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@cli_errors
+@reporting("experiment ts-lambda")
 def experiment_ts_lambda(descriptor, xi_text, lam, samples, seed, style, max_size,
                          lprime, jobs, out, fmt):
     """Sample related sets and test L(S) >= lambda |S|."""
-    started = time.perf_counter()
     oracle = make_oracle(descriptor)
     xi = oracle.parse_element(xi_text)
     Fraction(lam)  # validates
@@ -271,17 +295,21 @@ def experiment_ts_lambda(descriptor, xi_text, lam, samples, seed, style, max_siz
         compute_lprime=lprime,
     )
     if jobs > 1:
-        report = run_experiment_parallel(descriptor, xi_text, lam, config, jobs)
+        # imported here: a serial run should not pay for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            report = ts_lambda_experiment(oracle, xi, lam, config, pool.map)
     else:
         report = ts_lambda_experiment(oracle, xi, lam, config)
-    run_config = RunConfig(
-        "experiment ts-lambda",
-        {"group": descriptor, "xi": xi_text, "lambda": str(lam), "style": style,
-         "samples": samples, "max_size": max_size, "jobs": jobs},
-        seed,
-    )
-    emit_report(run_config, report.to_dict(), out, fmt, started,
-                csv_rows=report.per_sample)
+    return {
+        "config": {"group": descriptor, "xi": xi_text, "lambda": str(lam), "style": style,
+                   "samples": samples, "max_size": max_size, "jobs": jobs, "seed": seed},
+        "payload": report.to_dict(),
+        "out": out,
+        "fmt": fmt,
+        "csv_rows": report.per_sample,
+    }
 
 
 # -- forest ------------------------------------------------------------------
@@ -296,8 +324,6 @@ def _load_revised(descriptor, set_file, xi_text):
     oracle = make_oracle(descriptor)
     xi = _xi_argument(oracle, xi_text)
     pts = _read_elements(oracle, set_file)
-    from .tours import revise
-
     return oracle, xi, revise(RelatedSet(oracle, xi, pts))
 
 
@@ -311,21 +337,19 @@ def _load_revised(descriptor, set_file, xi_text):
               default="exact", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("forest build")
 def forest_build(mode, r, descriptor, set_file, xi_text, tour_kind, seed, out):
     """Build a forest over a related set and emit forest.json."""
-    started = time.perf_counter()
     oracle, xi, rset = _load_revised(descriptor, set_file, xi_text)
     tour = tsp_exact(rset) if tour_kind == "exact" else tsp_heuristic(rset, seed)
     build = build_forest_p if mode == "P" else build_forest_p10
     fo = build(rset, r, tour)
-    config = RunConfig(
-        "forest build",
-        {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
-         "tour": tour_kind},
-        seed,
-    )
-    emit_report(config, fo.to_dict(oracle), out, "json", started)
+    return {
+        "config": {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
+                   "tour": tour_kind, "seed": seed},
+        "payload": fo.to_dict(oracle),
+        "out": out,
+    }
 
 
 @forest.command("verify")
@@ -339,7 +363,7 @@ def forest_build(mode, r, descriptor, set_file, xi_text, tour_kind, seed, out):
               default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("forest verify")
 def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind,
                   seed, out):
     """Re-check every forest invariant.
@@ -349,7 +373,6 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     compared against the stored trees, and re-verified.  The inputs can
     also be given explicitly through the options.
     """
-    started = time.perf_counter()
     stored = None
     if forest_json is not None:
         with open(forest_json) as fh:
@@ -381,14 +404,14 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
             stored.get(k) == rebuilt[k]
             for k in ("mode", "r", "trees", "census", "certified_bound")
         )
-    config = RunConfig(
-        "forest verify",
-        {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text},
-        seed,
-    )
-    emit_report(config, payload, out, "json", started)
-    if not rep.ok or (stored is not None and not payload["matches_stored"]):
-        raise InternalInvariantError("forest verification failed")
+    failed = not rep.ok or (stored is not None and not payload["matches_stored"])
+    return {
+        "config": {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
+                   "seed": seed},
+        "payload": payload,
+        "out": out,
+        "failure": InternalInvariantError("forest verification failed") if failed else None,
+    }
 
 
 # -- property ----------------------------------------------------------------
@@ -414,11 +437,10 @@ def property_group():
               help="overrides --samples and the exhaustion threshold")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("property test")
 def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
                   samples, budget, seed, out):
     """Search for counterexamples to an alternating-product property."""
-    started = time.perf_counter()
     oracle = make_oracle(descriptor)
     if xi_from_lemma4:
         if not descriptor.startswith("free:"):
@@ -428,13 +450,7 @@ def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
         xi = _xi_argument(oracle, xi_text)
     else:
         raise ConfigurationError("give --xi or --xi-from-lemma4")
-    if family == "P":
-        spec = PropertySpec("P", r=r, oracle=oracle, xi=xi)
-    else:
-        n_val = {"P'": 1, "P10": 10, "P10'": 10}.get(family, n_ap)
-        if n_val is None:
-            raise ConfigurationError("family Pn' needs --n")
-        spec = PropertySpec("Pn'", r=r, oracle=oracle, xi=xi, n=n_val)
+    spec = _property_spec(family, n_ap, r, oracle, xi)
     env_cap = limits_from_env().ball_elements
     if budget is not None:
         samples = budget
@@ -446,14 +462,14 @@ def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
         ball_limit=min(SearchBudget().ball_limit, env_cap),
     )
     verdict = test_property(spec, search)
-    config = RunConfig(
-        "property test",
-        {"family": family, "r": r, "group": descriptor,
-         "xi": oracle.format_element(xi) if not xi_from_lemma4 else "<constructed>",
-         "k_max": k_max, "samples": samples},
-        seed,
-    )
-    emit_report(config, verdict.to_dict(), out, "json", started)
+    return {
+        "config": {"family": family, "n": spec.n if spec.family == "Pn'" else None,
+                   "r": r, "group": descriptor,
+                   "xi": oracle.format_element(xi) if not xi_from_lemma4 else "<constructed>",
+                   "k_max": k_max, "samples": samples, "seed": seed},
+        "payload": verdict.to_dict(),
+        "out": out,
+    }
 
 
 # -- xi ----------------------------------------------------------------------
@@ -470,18 +486,21 @@ def xi():
 @click.option("--out", type=click.Path(), default="xi.word", show_default=True,
               help="word file to write")
 @click.option("--report", "report_out", type=click.Path(), default=None)
-@cli_errors
+@reporting("xi construct")
 def xi_construct(seed, desk_scale, out, report_out):
     """Construct the marker word and verify its contract."""
-    started = time.perf_counter()
     params = XiParams.desk() if desk_scale else XiParams()
     rep = construct_xi(seed, params)
     if out:
         with open(out, "w") as fh:
             fh.write(format_word(rep.word) + "\n")
         click.echo(f"wrote {out} ({rep.n} letters)")
-    config = RunConfig("xi construct", {"desk_scale": desk_scale}, seed)
-    emit_report(config, rep.to_dict(), report_out, "json" if report_out else "text", started)
+    return {
+        "config": {"desk_scale": desk_scale, "seed": seed},
+        "payload": rep.to_dict(),
+        "out": report_out,
+        "fmt": "json" if report_out else "text",
+    }
 
 
 # -- lemma5 ------------------------------------------------------------------
@@ -498,11 +517,10 @@ def lemma5():
 @click.option("--eps", "eps_text", required=True, help='sign string like "+-+"')
 @click.option("--desk-scale", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("lemma5 verify")
 def lemma5_verify(xi_file, xs_file, eps_text, desk_scale, out):
     """Check that the alternating product of the word files is
     500-aperiodic (50 at desk scale)."""
-    started = time.perf_counter()
     xi_word = _read_word(xi_file)
     with open(xs_file) as fh:
         xs = [parse_word(ln.strip(), 2) for ln in fh if ln.strip()]
@@ -519,11 +537,12 @@ def lemma5_verify(xi_file, xs_file, eps_text, desk_scale, out):
     ok, analysis = verify_product_aperiodicity(
         xi_word, xs, eps, bound=bound, max_x_len=max_x, check_xi=not desk_scale
     )
-    config = RunConfig("lemma5 verify", {"xi": xi_file, "xs": xs_file, "eps": eps_text,
-                                          "desk_scale": desk_scale})
-    emit_report(config, {"aperiodic": ok, "analysis": analysis}, out, "json", started)
-    if not ok:
-        raise PreconditionError("product failed the aperiodicity bound")
+    return {
+        "config": {"xi": xi_file, "xs": xs_file, "eps": eps_text, "desk_scale": desk_scale},
+        "payload": {"aperiodic": ok, "analysis": analysis},
+        "out": out,
+        "failure": None if ok else PreconditionError("product failed the aperiodicity bound"),
+    }
 
 
 # -- burnside ----------------------------------------------------------------
@@ -539,15 +558,17 @@ def burnside():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--desk-scale", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("burnside pipeline")
 def burnside_cmd(samples, seed, desk_scale, out):
     """Marker word + sampled product verification + constant chain."""
-    started = time.perf_counter()
     rep = burnside_pipeline(samples=samples, seed=seed, desk_scale=desk_scale)
-    config = RunConfig("burnside pipeline", {"samples": samples, "desk_scale": desk_scale}, seed)
-    emit_report(config, rep.to_dict(), out, "json", started)
-    if not rep.ok:
-        raise InternalInvariantError("a pipeline stage failed; see the report")
+    return {
+        "config": {"samples": samples, "desk_scale": desk_scale, "seed": seed},
+        "payload": rep.to_dict(),
+        "out": out,
+        "failure": None if rep.ok else InternalInvariantError(
+            "a pipeline stage failed; see the report"),
+    }
 
 
 # -- folner ------------------------------------------------------------------
@@ -563,10 +584,9 @@ def folner():
 @click.option("--xi", "xi_text", required=True, help='e.g. "3,0"')
 @click.option("--group", "descriptor", default="abelian:2", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-@cli_errors
+@reporting("folner demo")
 def folner_demo(box_text, xi_text, descriptor, out):
     """Spanning-tree traversal of a box and its ratio chain."""
-    started = time.perf_counter()
     oracle = make_oracle(descriptor)
     box = []
     for part in box_text.split(","):
@@ -574,8 +594,11 @@ def folner_demo(box_text, xi_text, descriptor, out):
         box.append((int(lo), int(hi)))
     xi_el = oracle.parse_element(xi_text)
     rep = folner_traversal_demo(oracle, box, xi_el)
-    config = RunConfig("folner demo", {"box": box_text, "xi": xi_text, "group": descriptor})
-    emit_report(config, rep.to_dict(), out, "json", started)
+    return {
+        "config": {"box": box_text, "xi": xi_text, "group": descriptor},
+        "payload": rep.to_dict(),
+        "out": out,
+    }
 
 
 # -- replay ------------------------------------------------------------------
@@ -600,14 +623,7 @@ def replay(report_file):
             xi_el = construct_xi(config.get("seed") or 0).word
         else:
             xi_el = oracle.parse_element(config["xi"])
-        fam = config["family"]
-        if fam == "P":
-            spec = PropertySpec("P", r=config["r"], oracle=oracle, xi=xi_el)
-        else:
-            n_val = {"P'": 1, "P10'": 10}.get(fam, config.get("n", 1))
-            spec = PropertySpec("Pn'", r=config["r"], oracle=oracle, xi=xi_el, n=n_val)
-        from .testers import _replay_witness
-
+        spec = _property_spec(config["family"], config.get("n"), config["r"], oracle, xi_el)
         if not _replay_witness(spec, witness):
             raise InternalInvariantError("stored witness failed replay")
         click.echo("witness replayed: ok")

@@ -16,13 +16,19 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from .words import Alphabet, Word, format_word, parse_word, reduce
+from .errors import (
+    ConfigurationError,
+    InternalInvariantError,
+    MalformedInputError,
+    ResourceLimitError,
+)
+from .words import Alphabet, Word, format_word, parse_word
 
 __all__ = ["Limits", "Ball", "GroupOracle", "FreeOracle", "AbelianOracle",
-           "ProductOracle", "F2xZOracle", "make_oracle", "length", "ball"]
+           "ProductOracle", "F2xZOracle", "make_oracle"]
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,12 @@ class Ball:
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def _members(self):
+        return frozenset(self.elements)
+
     def __contains__(self, g):
-        return g in set(self.elements)
+        return g in self._members
 
 
 class GroupOracle:
@@ -444,13 +454,3 @@ def make_oracle(descriptor: str) -> GroupOracle:
             raise ConfigurationError(f"f2xz descriptor must be f2xz:n=N, got {d!r}")
         return F2xZOracle(int(arg[2:]))
     raise ConfigurationError(f"unknown group descriptor {descriptor!r}")
-
-
-def length(oracle: GroupOracle, g) -> int:
-    """Exact Cayley length of g in the oracle's metric."""
-    return oracle.length(g)
-
-
-def ball(oracle: GroupOracle, r: int, limits: Limits = Limits()) -> Ball:
-    """Exact ball of radius r centered at the identity."""
-    return oracle.ball(r, limits)

@@ -12,6 +12,7 @@ on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
@@ -434,7 +435,7 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
     out["end_density"] = {"pass": ok, "detail": f"window {w} over both end zones"}
     ok = True
     for u in range(0, n - params.global_window):
-        lo_idx = _first_at_least(flips, u)
+        lo_idx = bisect.bisect_left(flips, u)
         if lo_idx >= len(flips) or flips[lo_idx] > u + params.global_window:
             ok = False
             break
@@ -444,8 +445,6 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
     }
     ok = True
     dw = params.density_window
-    import bisect
-
     for u in range(0, n - dw):
         nb = bisect.bisect_right(bset, u + dw) - bisect.bisect_left(bset, u)
         nd = bisect.bisect_right(flips, u + dw) - bisect.bisect_left(flips, u)
@@ -459,17 +458,9 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
     return out
 
 
-def _first_at_least(sorted_list, value):
-    import bisect
-
-    return bisect.bisect_left(sorted_list, value)
-
-
 def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     """Greedy selection with pairwise distinct gaps: small gaps inside
     both end zones, coarse gaps through the middle."""
-    import bisect
-
     dense_hi = params.end_zone_a + params.end_window + 20
     dense_lo = n - params.end_zone_b_lo - params.end_window - 20
     small = (max(8, params.end_window // 3), params.end_window - 3)

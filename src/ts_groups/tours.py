@@ -534,6 +534,10 @@ class SamplerConfig:
     exact_cap: int = EXACT_SOLVER_CAP
     compute_lprime: bool = False
 
+    def __post_init__(self):
+        if self.max_size < 2:
+            raise MalformedInputError(f"max_size must be >= 2, got {self.max_size}")
+
 
 def sample_related_set(oracle: GroupOracle, xi, config: SamplerConfig, index: int) -> RelatedSet:
     """Seeded revised related set; the sampler is the desk-scale
@@ -625,31 +629,43 @@ class ExperimentReport:
         }
 
 
-def ts_lambda_experiment(oracle: GroupOracle, xi, lam, config: SamplerConfig) -> ExperimentReport:
+def _experiment_sample(oracle: GroupOracle, xi, config: SamplerConfig, index: int):
+    """One sample of the lambda experiment: its per-sample row and the
+    elements of its related set.  A pure function of its arguments, so
+    samples may run in any order or process."""
+    rset = sample_related_set(oracle, xi, config, index)
+    tour = tsp_exact(rset, cap=config.exact_cap)
+    row = {"size": rset.size, "L": tour.length, "ratio": str(Fraction(tour.length, rset.size))}
+    if config.compute_lprime:
+        row["Lprime"] = l_prime(rset, cap=config.exact_cap).value
+    return row, rset.elements
+
+
+def ts_lambda_experiment(oracle: GroupOracle, xi, lam, config: SamplerConfig,
+                         map=map) -> ExperimentReport:
     """Sample related sets, solve them exactly, and report the minimum
-    of L(S)/|S| against the target lambda, with every violating set."""
+    of L(S)/|S| against the target lambda, with every violating set.
+
+    ``map`` runs the samples; pass an executor's ``map`` to spread them
+    over workers.  It must return results in sample order, as the
+    builtin does.
+    """
     lam = Fraction(str(lam))
+    samples = map(_experiment_sample, itertools.repeat(oracle), itertools.repeat(xi),
+                  itertools.repeat(config), range(config.samples))
     per_sample = []
     violations = []
-    min_ratio: Optional[Fraction] = None
-    for i in range(config.samples):
-        rset = sample_related_set(oracle, xi, config, i)
-        tour = tsp_exact(rset, cap=config.exact_cap)
-        ratio = Fraction(tour.length, rset.size)
-        row = {"size": rset.size, "L": tour.length, "ratio": str(ratio)}
-        if config.compute_lprime:
-            row["Lprime"] = l_prime(rset, cap=config.exact_cap).value
+    for row, elements in samples:
         per_sample.append(row)
-        if min_ratio is None or ratio < min_ratio:
-            min_ratio = ratio
-        if Fraction(tour.length) < lam * rset.size:
+        if Fraction(row["L"]) < lam * row["size"]:
             violations.append(
                 {
-                    "size": rset.size,
-                    "L": tour.length,
-                    "elements": [oracle.format_element(g) for g in rset.elements],
+                    "size": row["size"],
+                    "L": row["L"],
+                    "elements": [oracle.format_element(g) for g in elements],
                 }
             )
+    min_ratio = min((Fraction(row["ratio"]) for row in per_sample), default=None)
     return ExperimentReport(
         oracle=oracle.descriptor,
         xi=oracle.format_element(xi),

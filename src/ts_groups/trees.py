@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import MalformedInputError
 
-__all__ = ["PlaneTernaryTree", "Ray", "enumerate_simple_paths"]
+__all__ = ["PlaneTernaryTree", "enumerate_simple_paths"]
 
 
 @dataclass
@@ -178,17 +178,6 @@ class PlaneTernaryTree:
             if tree.level(v) != lvl:
                 raise MalformedInputError(f"level mismatch for vertex {v}")
         return tree
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Finite ray: vertices 0..length along a line."""
-
-    length: int
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise MalformedInputError("ray length must be >= 0")
 
 
 def enumerate_simple_paths(tree: PlaneTernaryTree) -> Iterator[Tuple[int, ...]]:

@@ -265,11 +265,7 @@ _NUMPY_CUTOVER = 256
 
 
 def _tokens_of(seq) -> Sequence:
-    if isinstance(seq, Word):
-        return seq.letters
-    if isinstance(seq, str):
-        return seq
-    return seq
+    return seq.letters if isinstance(seq, Word) else seq
 
 
 def _encode(tokens) -> np.ndarray:

@@ -272,13 +272,44 @@ def test_parallel_experiment_matches_sequential(runner, tmp_path):
         out = tmp_path / name
         args = [
             "experiment", "ts-lambda", "--group", "free:2",
-            "--xi", "a b a B a b A b a", "--lambda", "2", "--samples", "4",
+            "--xi", "abaB", "--lambda", "2", "--samples", "4",
             "--seed", "5", "--jobs", jobs, "--out", str(out),
         ]
         assert invoke(runner, args).exit_code == 0
         data = json.loads(out.read_text())
-        outs.append((data["per_sample"], data["min_ratio"], data["violations"]))
+        del data["generated_at"], data["elapsed_seconds"], data["config"]["jobs"]
+        outs.append(data)
+    assert outs[0]["xi"] == "a b a B"
     assert outs[0] == outs[1]
+
+
+def test_experiment_max_size_below_two_is_malformed(runner):
+    result = runner.invoke(
+        main,
+        ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--samples", "1",
+         "--max-size", "1"],
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("family, n_args, n", [("P10", [], 10), ("Pn'", ["--n", "3"], 3)])
+def test_property_replay_keeps_family_aperiodicity(runner, tmp_path, family, n_args, n):
+    out = tmp_path / "prop.json"
+    args = [
+        "property", "test", "--family", family, *n_args, "--r", "3",
+        "--group", "abelian:1", "--xi", "1", "--k-max", "2", "--out", str(out),
+    ]
+    assert invoke(runner, args).exit_code == 0
+    data = json.loads(out.read_text())
+    assert data["config"]["n"] == n
+    # x-sequence (-1, -1) is a square: n-aperiodic for n >= 2, not 1-aperiodic
+    data["witness"] = {"k": 2, "eps": [1, 1], "xs": ["-1", "-1"], "length": 0}
+    out.write_text(json.dumps(data))
+    assert invoke(runner, ["replay", str(out)]).exit_code == 0
+    data["witness"]["length"] = 1
+    out.write_text(json.dumps(data))
+    assert runner.invoke(main, ["replay", str(out)]).exit_code == 5
 
 
 def test_tree_label_from_file(runner, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ts_groups.errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from ts_groups.groups import Limits, ball, length, make_oracle
+from ts_groups.groups import Limits, make_oracle
 from ts_groups.tours import random_element
 from ts_groups.words import Word, parse_word
 
@@ -28,15 +28,15 @@ def test_descriptor_parsing():
 
 
 def test_basic_lengths():
-    assert length(FREE2, FREE2.parse_element("a b a")) == 3
-    assert length(AB2, (3, -4)) == 7
-    assert length(PROD, (parse_word("a b", 2), (5,))) == 7
+    assert FREE2.length(FREE2.parse_element("a b a")) == 3
+    assert AB2.length((3, -4)) == 7
+    assert PROD.length((parse_word("a b", 2), (5,))) == 7
 
 
 def test_ball_sizes():
-    assert len(ball(FREE2, 1)) == 5
-    assert len(ball(FREE2, 2)) == 17
-    assert len(ball(AB2, 2)) == 13
+    assert len(FREE2.ball(1)) == 5
+    assert len(FREE2.ball(2)) == 17
+    assert len(AB2.ball(2)) == 13
 
 
 def test_free_ball_matches_closed_form():
@@ -44,11 +44,11 @@ def test_free_ball_matches_closed_form():
         oracle = make_oracle(f"free:{rank}")
         for r in range(4):
             expected = sum(oracle.sphere_count(i) for i in range(r + 1))
-            assert len(ball(oracle, r)) == expected
+            assert len(oracle.ball(r)) == expected
 
 
 def test_ball_membership_is_exact():
-    b = ball(AB2, 3)
+    b = AB2.ball(3)
     for g in b.elements:
         assert AB2.length(g) <= 3
     assert (4, 0) not in b
@@ -56,7 +56,7 @@ def test_ball_membership_is_exact():
 
 def test_ball_budget():
     with pytest.raises(ResourceLimitError):
-        ball(FREE2, 10, Limits(ball_elements=100))
+        FREE2.ball(10, Limits(ball_elements=100))
 
 
 def test_element_parse_format_round_trip():
@@ -136,7 +136,7 @@ def test_f2xz_z_example():
 
 def test_f2xz_subadditive_on_ball():
     oracle = make_oracle("f2xz:n=2")
-    b = ball(oracle, 4)
+    b = oracle.ball(4)
     els = list(b.elements)[:40]
     for g in els:
         for h in els:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ts_groups.errors import MalformedInputError
-from ts_groups.trees import PlaneTernaryTree, Ray, enumerate_simple_paths
+from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 
 
 def test_single_vertex():
@@ -80,9 +80,3 @@ def test_serialize_parse_round_trip():
 def test_parse_rejects_bad_level():
     with pytest.raises(MalformedInputError):
         PlaneTernaryTree.parse("0 - 0\n1 0 2\n")
-
-
-def test_ray_type():
-    assert Ray(5).length == 5
-    with pytest.raises(MalformedInputError):
-        Ray(-1)
