@@ -280,7 +280,7 @@ def experiment():
               default="mixed", show_default=True)
 @click.option("--max-size", type=int, default=12, show_default=True)
 @click.option("--lprime", is_flag=True, help="also compute the credited cost")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 @reporting("experiment ts-lambda")
@@ -289,7 +289,10 @@ def experiment_ts_lambda(descriptor, xi_text, lam, samples, seed, style, max_siz
     """Sample related sets and test L(S) >= lambda |S|."""
     oracle = make_oracle(descriptor)
     xi = oracle.parse_element(xi_text)
-    Fraction(lam)  # validates
+    try:
+        Fraction(lam)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInputError(f"bad --lambda value {lam!r}") from None
     config = SamplerConfig(
         samples=samples, seed=seed, max_size=max_size, style=style,
         compute_lprime=lprime,
@@ -591,7 +594,10 @@ def folner_demo(box_text, xi_text, descriptor, out):
     box = []
     for part in box_text.split(","):
         lo, _, hi = part.partition(":")
-        box.append((int(lo), int(hi)))
+        try:
+            box.append((int(lo), int(hi)))
+        except ValueError:
+            raise MalformedInputError(f"bad --box range {part!r}; expected lo:hi") from None
     xi_el = oracle.parse_element(xi_text)
     rep = folner_traversal_demo(oracle, box, xi_el)
     return {

@@ -145,6 +145,15 @@ class FreeOracle(GroupOracle):
     def length(self, g: Word) -> int:
         return len(g)
 
+    def distance(self, g: Word, h: Word) -> int:
+        # g^-1 h cancels exactly the longest common prefix of g and h
+        common = 0
+        for a, b in zip(g.letters, h.letters):
+            if a != b:
+                break
+            common += 1
+        return len(g) + len(h) - 2 * common
+
     def generators(self):
         return [Word((a,), self.rank) for a in self.alphabet.letters()]
 
@@ -415,7 +424,7 @@ class F2xZOracle(GroupOracle):
         if "|" not in text:
             raise MalformedInputError("f2xz element must look like '<word>|<int>'")
         w, t = text.rsplit("|", 1)
-        return (parse_word(w.strip(), 2), int(t))
+        return (parse_word(w.strip(), 2), _parse_int(t, text))
 
     def format_element(self, g) -> str:
         return f"{format_word(g[0])}|{g[1]}"
@@ -436,6 +445,13 @@ def _split_prod_args(body: str):
     raise ConfigurationError(f"cannot split product descriptor {body!r}")
 
 
+def _parse_int(text: str, context: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInputError(f"bad integer {text!r} in {context!r}") from None
+
+
 def make_oracle(descriptor: str) -> GroupOracle:
     """Build an oracle from a descriptor string such as ``free:2``,
     ``abelian:3``, ``f2xz:n=4`` or ``prod(free:2,abelian:1)``."""
@@ -445,12 +461,12 @@ def make_oracle(descriptor: str) -> GroupOracle:
         l, r = _split_prod_args(m.group(1))
         return ProductOracle(make_oracle(l), make_oracle(r))
     if d.startswith("free:"):
-        return FreeOracle(int(d.split(":", 1)[1]))
+        return FreeOracle(_parse_int(d.split(":", 1)[1], d))
     if d.startswith("abelian:"):
-        return AbelianOracle(int(d.split(":", 1)[1]))
+        return AbelianOracle(_parse_int(d.split(":", 1)[1], d))
     if d.startswith("f2xz:"):
         arg = d.split(":", 1)[1]
         if not arg.startswith("n="):
             raise ConfigurationError(f"f2xz descriptor must be f2xz:n=N, got {d!r}")
-        return F2xZOracle(int(arg[2:]))
+        return F2xZOracle(_parse_int(arg[2:], d))
     raise ConfigurationError(f"unknown group descriptor {descriptor!r}")

@@ -11,12 +11,15 @@ negative; for a single point the degenerate length-0 path gives -1.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import (
     DegenerateXiError,
@@ -85,6 +88,18 @@ class RelatedSet:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def distances(self) -> Tuple[Tuple[int, ...], ...]:
+        """Oracle distances between the elements, computed once per set
+        and over unordered pairs: every oracle's generating set is
+        symmetric, so d(g, h) = |g^-1 h| = d(h, g)."""
+        pts = self.elements
+        distance = self.oracle.distance
+        D = [[0] * len(pts) for _ in pts]
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            D[i][j] = D[j][i] = distance(pts[i], pts[j])
+        return tuple(map(tuple, D))
 
     def neighbor_map(self) -> Dict[object, object]:
         """Pair partner of each paired element."""
@@ -212,12 +227,6 @@ class Tour:
             raise MalformedInputError(f"unknown tour kind {self.kind!r}")
 
 
-def _distance_matrix(rset: RelatedSet):
-    pts = rset.elements
-    o = rset.oracle
-    return [[o.distance(a, b) for b in pts] for a in pts]
-
-
 def tour_of_order(rset: RelatedSet, order, kind) -> Tour:
     o = rset.oracle
     total = sum(
@@ -226,8 +235,27 @@ def tour_of_order(rset: RelatedSet, order, kind) -> Tour:
     return Tour(tuple(order), total, kind)
 
 
+@functools.lru_cache(maxsize=EXACT_SOLVER_CAP)
+def _held_karp_layers(n: int):
+    """Index arrays of the Held-Karp table for n points, one triple per
+    popcount layer.  The table keeps only the masks that hold point 0,
+    row mask >> 1; each (target row, new last point j) pair of a layer
+    comes with its source row, the target without j."""
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    popcount = bits.sum(1)
+    layers = []
+    for k in range(1, n):
+        rows = np.flatnonzero(popcount == k)
+        at, bit = np.nonzero(bits[rows])
+        tgt = rows[at]
+        layers.append((tgt, bit + 1, tgt ^ (1 << bit)))
+    return tuple(layers)
+
+
 def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
-    """Optimal closed tour by dynamic programming over subsets."""
+    """Optimal closed tour by dynamic programming over subsets (Held-Karp),
+    one popcount layer at a time.  Ties go to the smallest previous
+    point, since argmin takes the first minimum."""
     n = rset.size
     if n > cap:
         raise ResourceLimitError(
@@ -236,42 +264,31 @@ def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     pts = rset.elements
     if n == 1:
         return Tour((pts[0],), 0, "exact")
-    D = _distance_matrix(rset)
-    INF = float("inf")
-    size = 1 << n
-    dp = [[INF] * n for _ in range(size)]
-    par = [[-1] * n for _ in range(size)]
-    dp[1][0] = 0
-    for mask in range(1, size):
-        if not mask & 1:
-            continue
-        row = dp[mask]
-        for last in range(n):
-            c = row[last]
-            if c == INF or not (mask >> last) & 1:
-                continue
-            Dl = D[last]
-            for j in range(1, n):
-                if (mask >> j) & 1:
-                    continue
-                m2 = mask | (1 << j)
-                c2 = c + Dl[j]
-                if c2 < dp[m2][j]:
-                    dp[m2][j] = c2
-                    par[m2][j] = last
-    full = size - 1
-    best, best_last = INF, -1
-    for last in range(1, n):
-        c = dp[full][last] + D[last][0]
-        if c < best:
-            best, best_last = c, last
+    # int32 distances keep the per-layer step array small; sums are int64
+    D = np.array(rset.distances, dtype=np.int32)
+    # unreachable states stay far above any tour, with room to add to them
+    dp = np.full((1 << (n - 1), n), np.iinfo(np.int64).max // 2, dtype=np.int64)
+    par = np.zeros((1 << (n - 1), n), dtype=np.int8)
+    dp[0, 0] = 0
+    for tgt, j, src in _held_karp_layers(n):
+        # D is symmetric, so row j holds the step from every last point to j
+        cand = np.take(dp, src, axis=0)
+        cand += np.take(D, j, axis=0)
+        prev = cand.argmin(1)
+        dp[tgt, j] = np.take_along_axis(cand, prev[:, None], 1)[:, 0]
+        par[tgt, j] = prev
+    full = (1 << (n - 1)) - 1
+    closing = dp[full, 1:] + D[1:, 0]
+    last = int(closing.argmin()) + 1
+    best = int(closing[last - 1])
     order = []
-    mask, last = full, best_last
-    while last != -1:
+    row = full
+    while last:
         order.append(pts[last])
-        mask, last = mask ^ (1 << last), par[mask][last]
+        row, last = row ^ (1 << (last - 1)), int(par[row, last])
+    order.append(pts[0])
     order.reverse()
-    return Tour(tuple(order), int(best), "exact")
+    return Tour(tuple(order), best, "exact")
 
 
 def tsp_heuristic(rset: RelatedSet, seed: int = 0) -> Tour:
@@ -281,7 +298,7 @@ def tsp_heuristic(rset: RelatedSet, seed: int = 0) -> Tour:
     n = len(pts)
     if n == 1:
         return Tour((pts[0],), 0, "heuristic-upper")
-    D = _distance_matrix(rset)
+    D = rset.distances
     rng = random.Random(seed)
     start = rng.randrange(n)
     order = [start]
@@ -310,7 +327,7 @@ def _mst_edges(rset: RelatedSet):
     """Prim's algorithm on the complete oracle-metric graph."""
     pts = rset.elements
     n = len(pts)
-    D = _distance_matrix(rset)
+    D = rset.distances
     in_tree = [False] * n
     best = [float("inf")] * n
     parent = [-1] * n

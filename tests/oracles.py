@@ -71,3 +71,47 @@ def bfs_lengths(oracle, depth):
                 dist[h] = dist[g] + 1
                 frontier.append(h)
     return dist
+
+
+def held_karp_reference(D):
+    """Optimal closed tour over the distance matrix D by the plain
+    dynamic program over subsets: (length, visiting order as indices
+    from 0).  Ties go to the smallest previous point."""
+    n = len(D)
+    if n == 1:
+        return 0, [0]
+    INF = float("inf")
+    size = 1 << n
+    dp = [[INF] * n for _ in range(size)]
+    par = [[-1] * n for _ in range(size)]
+    dp[1][0] = 0
+    for mask in range(1, size):
+        if not mask & 1:
+            continue
+        row = dp[mask]
+        for last in range(n):
+            c = row[last]
+            if c == INF or not (mask >> last) & 1:
+                continue
+            Dl = D[last]
+            for j in range(1, n):
+                if (mask >> j) & 1:
+                    continue
+                m2 = mask | (1 << j)
+                c2 = c + Dl[j]
+                if c2 < dp[m2][j]:
+                    dp[m2][j] = c2
+                    par[m2][j] = last
+    full = size - 1
+    best, best_last = INF, -1
+    for last in range(1, n):
+        c = dp[full][last] + D[last][0]
+        if c < best:
+            best, best_last = c, last
+    order = []
+    mask, last = full, best_last
+    while last != -1:
+        order.append(last)
+        mask, last = mask ^ (1 << last), par[mask][last]
+    order.reverse()
+    return int(best), order

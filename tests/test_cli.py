@@ -346,3 +346,18 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
     out.write_text(json.dumps(data))
     result = runner.invoke(main, ["forest", "verify", str(out)])
     assert result.exit_code == 5
+
+
+@pytest.mark.parametrize("args", [
+    ["experiment", "ts-lambda", "--group", "free:x", "--xi", "a", "--lambda", "1"],
+    ["experiment", "ts-lambda", "--group", "abelian:x", "--xi", "1", "--lambda", "1"],
+    ["experiment", "ts-lambda", "--group", "f2xz:n=x", "--xi", "a|0", "--lambda", "1"],
+    ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "abc", "--samples", "1"],
+    ["folner", "demo", "--box", "0:x", "--xi", "1,0"],
+    ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--jobs", "0"],
+    ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--jobs", "-1"],
+], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg"])
+def test_malformed_input_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output

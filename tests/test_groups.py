@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ts_groups.errors import ConfigurationError, MalformedInputError, ResourceLimitError
 from ts_groups.groups import Limits, make_oracle
 from ts_groups.tours import random_element
-from ts_groups.words import Word, parse_word
+from ts_groups.words import Alphabet, Word, parse_word, reduce
 
 from oracles import bfs_lengths
 
@@ -25,6 +27,28 @@ def test_descriptor_parsing():
         make_oracle("f2xz:4")
     with pytest.raises(ConfigurationError):
         make_oracle("f2xz:n=0")
+    for bad in ("free:x", "abelian:x", "f2xz:n=x", "abelian:"):
+        with pytest.raises(MalformedInputError):
+            make_oracle(bad)
+
+
+def test_f2xz_element_bad_integer_is_malformed():
+    with pytest.raises(MalformedInputError):
+        make_oracle("f2xz:n=2").parse_element("a|q")
+
+
+_FREE3_WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(
+    lambda letters: reduce(letters, Alphabet(3)))
+
+
+@given(u=_FREE3_WORDS, v=_FREE3_WORDS)
+@example(u=Word((), 3), v=Word((), 3))
+@example(u=Word((), 3), v=Word((1, 2, -3), 3))
+@example(u=Word((2, 1), 3), v=Word((2, 1), 3))
+def test_free_distance_closed_form(u, v):
+    oracle = make_oracle("free:3")
+    assert oracle.distance(u, v) == len(~u * v)
+    assert oracle.distance(u, u) == 0
 
 
 def test_basic_lengths():

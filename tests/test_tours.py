@@ -1,8 +1,12 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ts_groups.errors import (
     DegenerateXiError,
@@ -28,9 +32,9 @@ from ts_groups.tours import (
     tsp_heuristic,
     xi_boundary,
 )
-from ts_groups.words import first_aperiodic_word, parse_word
+from ts_groups.words import Alphabet, first_aperiodic_word, parse_word, reduce
 
-from oracles import brute_tour_length
+from oracles import brute_tour_length, held_karp_reference
 
 FREE2 = make_oracle("free:2")
 AB2 = make_oracle("abelian:2")
@@ -174,6 +178,62 @@ def test_exact_deterministic():
     pts = tuple({random_element(AB2, rng, 5) for _ in range(9)})
     rset = RelatedSet(AB2, None, pts)
     assert tsp_exact(rset).order == tsp_exact(rset).order
+
+
+def _oracle_matrix(oracle, pts):
+    return tuple(tuple(oracle.distance(a, b) for b in pts) for a in pts)
+
+
+def _assert_matches_reference(rset):
+    length, order = held_karp_reference(_oracle_matrix(rset.oracle, rset.elements))
+    tour = tsp_exact(rset)
+    assert tour.length == length
+    assert tour.order == tuple(rset.elements[i] for i in order)
+
+
+# small coordinates and short words make many distances tie
+_FREE_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(
+    lambda letters: reduce(letters, Alphabet(2)))
+_ELEMENTS = {
+    "free:2": _FREE_WORDS,
+    "abelian:2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    "f2xz:n=2": st.tuples(_FREE_WORDS, st.integers(-1, 1)),
+}
+
+
+@pytest.mark.parametrize("descriptor", sorted(_ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_matches_held_karp_reference(descriptor, data):
+    pts = data.draw(st.lists(_ELEMENTS[descriptor], min_size=2, max_size=10, unique=True))
+    _assert_matches_reference(RelatedSet(make_oracle(descriptor), None, tuple(pts)))
+
+
+def test_exact_matches_held_karp_reference_on_ties():
+    # grids and free balls: every tour has many optimal orders
+    _assert_matches_reference(RelatedSet(AB2, None, box(3, 3)))
+    _assert_matches_reference(RelatedSet(AB2, None, box(2, 5, -1, -2)))
+    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(1).elements))
+    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(2).elements[:10]))
+
+
+def _mix_oracles():
+    """The oracle list of the benchmark's oracle-mix workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MIX_ORACLES
+
+
+@pytest.mark.parametrize("descriptor", _mix_oracles())
+def test_set_distances_match_oracle(descriptor):
+    oracle = make_oracle(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(5):
+        pts = {random_element(oracle, rng, 4) for _ in range(rng.randint(1, 9))}
+        rset = RelatedSet(oracle, None, tuple(pts))
+        assert rset.distances == _oracle_matrix(oracle, rset.elements)
 
 
 # -- MST sandwich ---------------------------------------------------------------
