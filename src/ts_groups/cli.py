@@ -93,12 +93,51 @@ def emit_report(config: dict, payload: dict, started: float, out: Optional[str] 
         text = buf.getvalue()
     else:
         text = "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in report.items()) + "\n"
+    _write_or_echo(text, out)
+
+
+def _write_or_echo(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as fh:
+        with _user_file(out, "w") as fh:
             fh.write(text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
+
+
+def _user_file(path, mode="r"):
+    """open() for a file named on the command line; one that cannot be
+    opened is malformed input."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise MalformedInputError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
+class _StoredObject(dict):
+    """A JSON object read from a stored report; a missing key is malformed input."""
+
+    def __missing__(self, key):
+        raise MalformedInputError(f"stored report has no {key!r} field")
+
+
+def _load_report(path) -> dict:
+    """A stored report: a JSON object whose ``config`` echo is an object."""
+    with _user_file(path) as fh:
+        try:
+            report = json.load(fh, object_hook=_StoredObject)
+        except ValueError as exc:
+            raise MalformedInputError(f"{path!r} is not JSON: {exc}") from None
+    if not isinstance(report, dict) or not isinstance(report.get("config"), dict):
+        raise MalformedInputError(f"{path!r} is not a report: no config object")
+    return report
+
+
+def _parse_lambda(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise MalformedInputError(f"bad lambda value {text!r}") from None
 
 
 def cli_errors(fn):
@@ -152,20 +191,20 @@ def _property_spec(family, n, r, oracle, xi) -> PropertySpec:
 
 
 def _read_elements(oracle, path):
-    with open(path) as fh:
+    with _user_file(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     return tuple(oracle.parse_element(ln) for ln in lines)
 
 
 def _read_word(path, rank=2):
-    with open(path) as fh:
+    with _user_file(path) as fh:
         return parse_word(fh.read(), rank)
 
 
 def _xi_argument(oracle, text):
     """Accept either an element in text form or a path to a word file."""
     if os.path.exists(text):
-        with open(text) as fh:
+        with _user_file(text) as fh:
             return oracle.parse_element(fh.read().strip())
     return oracle.parse_element(text)
 
@@ -212,7 +251,7 @@ def tree():
 def tree_label(mode, seed, vertices, tree_file, out):
     """Label a tree and dump edges as TSV: edge_from edge_to token."""
     if tree_file:
-        with open(tree_file) as fh:
+        with _user_file(tree_file) as fh:
             t = PlaneTernaryTree.parse(fh.read())
     else:
         t = PlaneTernaryTree.random(vertices, seed)
@@ -225,12 +264,7 @@ def tree_label(mode, seed, vertices, tree_file, out):
         for child in sorted(labeled.edge_labels)
     ]
     text = "\n".join(lines) + ("\n" if lines else "")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text, nl=False)
+    _write_or_echo(text, out)
 
 
 # -- tsp ---------------------------------------------------------------------
@@ -289,10 +323,7 @@ def experiment_ts_lambda(descriptor, xi_text, lam, samples, seed, style, max_siz
     """Sample related sets and test L(S) >= lambda |S|."""
     oracle = make_oracle(descriptor)
     xi = oracle.parse_element(xi_text)
-    try:
-        Fraction(lam)
-    except (ValueError, ZeroDivisionError):
-        raise MalformedInputError(f"bad --lambda value {lam!r}") from None
+    _parse_lambda(lam)
     config = SamplerConfig(
         samples=samples, seed=seed, max_size=max_size, style=style,
         compute_lprime=lprime,
@@ -378,8 +409,7 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     """
     stored = None
     if forest_json is not None:
-        with open(forest_json) as fh:
-            stored = json.load(fh)
+        stored = _load_report(forest_json)
         cfg = stored["config"]
         mode = mode or cfg["mode"]
         r = r if r is not None else cfg["r"]
@@ -495,7 +525,7 @@ def xi_construct(seed, desk_scale, out, report_out):
     params = XiParams.desk() if desk_scale else XiParams()
     rep = construct_xi(seed, params)
     if out:
-        with open(out, "w") as fh:
+        with _user_file(out, "w") as fh:
             fh.write(format_word(rep.word) + "\n")
         click.echo(f"wrote {out} ({rep.n} letters)")
     return {
@@ -525,7 +555,7 @@ def lemma5_verify(xi_file, xs_file, eps_text, desk_scale, out):
     """Check that the alternating product of the word files is
     500-aperiodic (50 at desk scale)."""
     xi_word = _read_word(xi_file)
-    with open(xs_file) as fh:
+    with _user_file(xs_file) as fh:
         xs = [parse_word(ln.strip(), 2) for ln in fh if ln.strip()]
     eps = []
     for c in eps_text.strip():
@@ -615,9 +645,8 @@ def folner_demo(box_text, xi_text, descriptor, out):
 @cli_errors
 def replay(report_file):
     """Re-verify the witnesses stored in a report."""
-    with open(report_file) as fh:
-        report = json.load(fh)
-    config = report.get("config", {})
+    report = _load_report(report_file)
+    config = report["config"]
     sub = config.get("subcommand", "")
     if sub == "property test":
         witness = report.get("witness")
@@ -636,7 +665,7 @@ def replay(report_file):
     elif sub == "experiment ts-lambda":
         oracle = make_oracle(config["group"])
         xi_el = oracle.parse_element(config["xi"])
-        lam = Fraction(config["lambda"])
+        lam = _parse_lambda(config["lambda"])
         for v in report.get("violations", []):
             pts = tuple(oracle.parse_element(t) for t in v["elements"])
             rset = RelatedSet(oracle, xi_el, pts)

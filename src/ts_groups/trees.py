@@ -161,10 +161,11 @@ class PlaneTernaryTree:
         children: Dict[int, List[int]] = {}
         rows = []
         for line in text.strip().splitlines():
-            parts = line.split()
-            if len(parts) != 3:
-                raise MalformedInputError(f"bad tree line {line!r}")
-            rows.append((int(parts[0]), None if parts[1] == "-" else int(parts[1]), int(parts[2])))
+            try:
+                v, p, lvl = line.split()
+                rows.append((int(v), None if p == "-" else int(p), int(lvl)))
+            except ValueError:
+                raise MalformedInputError(f"bad tree line {line!r}") from None
         for v, p, _lvl in rows:
             parent[v] = p
             children.setdefault(v, [])

@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import MalformedInputError
 
 __all__ = [
@@ -254,81 +252,59 @@ def format_word(word: Word) -> str:
 # Power scanning.
 #
 # A block A^k (k copies of a period-p block A) starting at s corresponds to
-# a run of k*p - p positions i in [s, s + (k-1)p) with seq[i] == seq[i+p].
-# Scanning each period p and taking maximal equality runs therefore finds
-# the maximal power order in O(n^2 / 2) comparisons, vectorized per period.
-# Only periods p <= n // order can host a given order, which makes bounded
-# queries (is there a (k+1)-th power?) linear-ish for large k.
+# a run of k*p - p positions i in [s, s + (k-1)p) with seq[i] == seq[i+p],
+# so at period p a power of the order sought needs a match run of length
+# at least `need`.  Probe invariant: every such run contains a probed
+# index.  Probes start at need - 1 and step by need; a probe that hits a
+# match is extended left and right to the ends of its run, and probing
+# resumes at the mismatch ending that run plus need, since any later run
+# starts after that mismatch.  Only periods p <= n // order can host a
+# given order, which makes bounded queries (is there a (k+1)-th power?)
+# nearly linear for large k.  The worst case stays quadratic, on input
+# that is almost periodic at many periods.
 # ---------------------------------------------------------------------------
-
-_NUMPY_CUTOVER = 256
 
 
 def _tokens_of(seq) -> Sequence:
     return seq.letters if isinstance(seq, Word) else seq
 
 
-def _encode(tokens) -> np.ndarray:
-    ids = {}
-    out = np.empty(len(tokens), dtype=np.int32)
-    for i, t in enumerate(tokens):
-        out[i] = ids.setdefault(t, len(ids))
-    return out
-
-
-def _best_run_numpy(eq: np.ndarray):
-    """Longest True run: (length, start)."""
-    if not eq.any():
-        return 0, 0
-    idx = np.flatnonzero(~eq)
-    bounds = np.concatenate(([-1], idx, [len(eq)]))
-    gaps = np.diff(bounds) - 1
-    j = int(np.argmax(gaps))
-    return int(gaps[j]), int(bounds[j]) + 1
-
-
-def _scan_period_py(tokens, p):
-    """(best run length, start) of seq[i] == seq[i+p] runs, pure python."""
-    best_len = 0
-    best_start = 0
-    run = 0
-    for i in range(len(tokens) - p):
-        if tokens[i] == tokens[i + p]:
-            run += 1
-            if run > best_len:
-                best_len = run
-                best_start = i - run + 1
-        else:
-            run = 0
-    return best_len, best_start
-
-
 def _power_scan(tokens, max_period=None, stop_at_order=None):
     """Scan all periods up to max_period; return the best power found.
 
-    Returns (order, start, period); order 1 with no meaningful window
-    when the sequence is square-free in the scanned period range.
-    If stop_at_order is given, returns the first power of at least that
-    order as soon as one period exhibits it.
+    Returns (order, start, period): the highest order, at its smallest
+    period and the first longest run there; order 1 with no meaningful
+    window when the sequence is square-free in the scanned period range.
+    If stop_at_order is given, returns the first period's power of at
+    least that order, or order 1 if there is none.
     """
     n = len(tokens)
     if n == 0:
         return 1, 0, 0
     limit = n // 2 if max_period is None else min(max_period, n // 2)
-    use_numpy = n > _NUMPY_CUTOVER
-    arr = _encode(tokens) if use_numpy else None
     best_order, best_start, best_period = 1, 0, 0
     for p in range(1, limit + 1):
-        if n // p <= best_order and stop_at_order is None:
+        if stop_at_order is None and n // p <= best_order:
             break
-        if use_numpy:
-            run, start = _best_run_numpy(arr[p:] == arr[:-p])
-        else:
-            run, start = _scan_period_py(tokens, p)
-        order = (run + p) // p
-        if order > best_order:
-            best_order, best_start, best_period = order, start, p
-            if stop_at_order is not None and best_order >= stop_at_order:
+        need = p * (best_order if stop_at_order is None else stop_at_order - 1)
+        m = n - p
+        run, start = 0, 0
+        i = need - 1
+        while i < m:
+            if tokens[i] != tokens[i + p]:
+                i += need
+                continue
+            lo, hi = i, i + 1
+            while lo > 0 and tokens[lo - 1] == tokens[lo - 1 + p]:
+                lo -= 1
+            while hi < m and tokens[hi] == tokens[hi + p]:
+                hi += 1
+            if hi - lo > run and hi - lo >= need:
+                run, start = hi - lo, lo
+            i = hi + need
+        if run:
+            best_order, best_start, best_period = (run + p) // p, start, p
+            if stop_at_order is not None:
                 break
     return best_order, best_start, best_period
 
@@ -397,11 +373,9 @@ def shift_right(host: Word, occ: Occurrence, m: int) -> Word:
 def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
     """Deterministic shortlex-first reduced word of the given length with
     no (k+1)-th power.  Used wherever a fixed aperiodic word is needed."""
-    if rank < 1 or length < 0:
-        raise MalformedInputError("rank must be >= 1 and length >= 0")
-    order = []
-    for i in range(1, rank + 1):
-        order.extend((i, -i))
+    if rank < 1 or length < 0 or k < 1:
+        raise MalformedInputError("rank and k must be >= 1 and length >= 0")
+    order = Alphabet(rank).letters()
 
     def extend(prefix):
         if len(prefix) == length:
@@ -410,7 +384,9 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
             if prefix and prefix[-1] == -a:
                 continue
             prefix.append(a)
-            if _suffix_power_free(prefix, k):
+            # the prefix before the new letter is k-aperiodic, so any
+            # (k+1)-th power ends at the new letter
+            if is_k_aperiodic(prefix, k)[0]:
                 result = extend(prefix)
                 if result is not None:
                     return result
@@ -424,13 +400,3 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
         )
     return Word(tuple(found), rank)
 
-
-def _suffix_power_free(letters, k):
-    """No (k+1)-th power ending at the last position."""
-    n = len(letters)
-    for p in range(1, n // (k + 1) + 1):
-        span = (k + 1) * p
-        tail = letters[n - span :]
-        if all(tail[i] == tail[i + p] for i in range(span - p)):
-            return False
-    return True

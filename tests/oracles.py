@@ -26,6 +26,43 @@ def naive_max_power_order(tokens):
     return best
 
 
+def _scan_period(tokens, p):
+    """(best run length, start) of seq[i] == seq[i+p] runs."""
+    best_len = 0
+    best_start = 0
+    run = 0
+    for i in range(len(tokens) - p):
+        if tokens[i] == tokens[i + p]:
+            run += 1
+            if run > best_len:
+                best_len = run
+                best_start = i - run + 1
+        else:
+            run = 0
+    return best_len, best_start
+
+
+def period_scan_reference(tokens, max_period=None, stop_at_order=None):
+    """The per-period power scan kept literal: at each period, the first
+    longest run of matches tokens[i] == tokens[i+p].  Same contract as
+    `words._power_scan`: (order, start, period)."""
+    n = len(tokens)
+    if n == 0:
+        return 1, 0, 0
+    limit = n // 2 if max_period is None else min(max_period, n // 2)
+    best_order, best_start, best_period = 1, 0, 0
+    for p in range(1, limit + 1):
+        if n // p <= best_order and stop_at_order is None:
+            break
+        run, start = _scan_period(tokens, p)
+        order = (run + p) // p
+        if order > best_order:
+            best_order, best_start, best_period = order, start, p
+            if stop_at_order is not None and best_order >= stop_at_order:
+                break
+    return best_order, best_start, best_period
+
+
 def naive_pieces(words):
     """All maximal common prefixes of distinct words in an explicit
     inverse-closed list; returns the set of prefixes as tuples."""

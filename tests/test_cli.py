@@ -361,3 +361,34 @@ def test_malformed_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("content, args", [
+    ("not json", ["replay", "{file}"]),
+    (b"\xff\xfe\x00", ["replay", "{file}"]),
+    ("[1, 2]", ["replay", "{file}"]),
+    ('{"config": {"subcommand": "experiment ts-lambda", "xi": "a", "lambda": "1"}}',
+     ["replay", "{file}"]),
+    ('{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": "a b",'
+     ' "lambda": "abc"}}', ["replay", "{file}"]),
+    ('{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": "a b",'
+     ' "lambda": "1"}, "violations": [{"L": 3}]}', ["replay", "{file}"]),
+    ("not json", ["forest", "verify", "{file}"]),
+    ('{"config": {}}', ["forest", "verify", "{file}"]),
+    ("0 - 0\nx 0 1\n", ["tree", "label", "--mode", "3letter", "--tree-file", "{file}"]),
+    ("", ["folner", "demo", "--box", "0:2,0:2", "--xi", "1,0", "--out", "{missing}"]),
+    ("", ["tree", "label", "--mode", "3letter", "--vertices", "10", "--out", "{missing}"]),
+    ("", ["tsp", "--group", "free:2", "--set", "{dir}"]),
+], ids=["replay-not-json", "replay-not-utf8", "replay-list", "replay-no-group",
+        "replay-bad-lambda", "replay-violation-no-elements", "forest-not-json", "forest-no-mode", "tree-bad-field",
+        "folner-out-missing-dir", "tree-out-missing-dir", "tsp-set-is-dir"])
+def test_bad_files_exit_2(runner, tmp_path, content, args):
+    path = tmp_path / "input"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    names = {"file": path, "dir": tmp_path, "missing": tmp_path / "missing" / "out"}
+    result = runner.invoke(main, [a.format(**names) for a in args])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ts_groups.errors import MalformedInputError
+from ts_groups.sequences import squarefree_ternary
 from ts_groups.words import (
     Alphabet,
     Occurrence,
+    PowerWitness,
     Word,
     concat,
     first_aperiodic_word,
@@ -19,7 +21,7 @@ from ts_groups.words import (
     shift_right,
 )
 
-from oracles import naive_max_power_order
+from oracles import naive_max_power_order, period_scan_reference
 
 A2 = Alphabet(2)
 
@@ -222,19 +224,105 @@ def test_first_aperiodic_word_is_square_free(length):
     assert max_power_order(word)[0] == 1
 
 
-def test_run_scanners_agree_on_long_sequences():
-    from ts_groups.words import _best_run_numpy, _encode, _scan_period_py
+def test_first_aperiodic_word_pinned():
+    # computed by the suffix-only power check this search used before
+    assert format_word(first_aperiodic_word(2, 49, 1)) == (
+        "a b a B a b A b a b A B a b a B a b A b a B a b a B "
+        "A b a b A b a B a b a B A B a b a B a b A b a"
+    )
+    assert format_word(first_aperiodic_word(3, 60, 2)) == (
+        "a a b a a b a a B a a b a a b a a B a a b a a b a a c "
+        "a a b a a b a a B a a b a a b a a B a a b a a b a a c a a b a a b"
+    )
 
-    rng = random.Random(99)
-    for _ in range(6):
-        seq = [rng.randint(0, 2) for _ in range(2000)]
-        arr = _encode(seq)
-        for p in range(1, 1000, 37):
-            np_run, np_start = _best_run_numpy(arr[p:] == arr[:-p])
-            py_run, py_start = _scan_period_py(seq, p)
-            assert np_run == py_run
-            if np_run:
-                assert np_start == py_start
+
+def test_first_aperiodic_word_rejects_order_zero():
+    for length in (0, 5):
+        with pytest.raises(MalformedInputError):
+            first_aperiodic_word(2, length, 0)
+
+
+# -- the power scan against the literal per-period reference ------------------
+
+
+def reference_witness(tokens, order, start, period):
+    if order < 2:
+        return None
+    return PowerWitness(start, period, order, tuple(tokens[start : start + period]))
+
+
+def assert_max_order_matches_reference(tokens):
+    order, start, period = period_scan_reference(tokens)
+    assert max_power_order(tokens) == (
+        order, reference_witness(tokens, order, start, period)
+    )
+
+
+def assert_aperiodicity_matches_reference(tokens, ks):
+    n = len(tokens)
+    for k in ks:
+        if n < k + 1:
+            assert is_k_aperiodic(tokens, k) == (True, None)
+            continue
+        order, start, period = period_scan_reference(
+            tokens, max_period=n // (k + 1), stop_at_order=k + 1
+        )
+        flag = order < k + 1
+        expected = None if flag else reference_witness(tokens, order, start, period)
+        assert is_k_aperiodic(tokens, k) == (flag, expected)
+
+
+@st.composite
+def planted_sequences(draw):
+    """Up to 600 tokens over 1-4 symbols with up to three planted powers
+    of period 1-60 and exponent 2-30 (cut off at the length bound)."""
+    token = st.integers(0, draw(st.integers(0, 3)))
+    seq = draw(st.lists(token, max_size=600))
+    for _ in range(draw(st.integers(0, 3))):
+        base = draw(st.lists(token, min_size=1, max_size=60))
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = base * draw(st.integers(2, 30))
+    return seq[:600]
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_sequences())
+def test_power_scan_matches_reference(tokens):
+    assert_max_order_matches_reference(tokens)
+    assert_aperiodicity_matches_reference(tokens, (1, 2, 3, 4, 10))
+
+
+@pytest.fixture(scope="module")
+def desk_product():
+    """A desk-scale alternating product xi^(+-1) x_1 ... xi^(+-1) x_40."""
+    from ts_groups.testers import XiParams, construct_xi
+
+    xi = construct_xi(0, XiParams.desk()).word
+    rng = random.Random(11)
+    parts = []
+    for _ in range(40):
+        parts.append(xi if rng.random() < 0.5 else ~xi)
+        parts.append(reduce([rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 24))], A2))
+    return concat(*parts).letters
+
+
+def test_power_scan_matches_reference_on_long_product(desk_product):
+    assert is_k_aperiodic(desk_product, 499)[0]
+    assert_aperiodicity_matches_reference(desk_product, (499,))
+
+
+def test_power_scan_matches_reference_on_planted_500th_power(desk_product):
+    half = len(desk_product) // 2
+    tokens = desk_product[:half] + (1, 2, -1) * 500 + desk_product[half:]
+    flag, wit = is_k_aperiodic(tokens, 499)
+    assert not flag and wit.exponent >= 500
+    span = wit.base * wit.exponent
+    assert tokens[wit.start : wit.start + len(span)] == span
+    assert_aperiodicity_matches_reference(tokens, (499,))
+
+
+def test_power_scan_matches_reference_on_square_free_input():
+    assert_aperiodicity_matches_reference(squarefree_ternary(5000), (1,))
 
 
 def test_brute_force_power_scan_mid_size():
