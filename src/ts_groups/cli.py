@@ -109,9 +109,23 @@ def _user_file(path, mode="r"):
     """open() for a file named on the command line; one that cannot be
     opened is malformed input."""
     try:
-        return open(path, mode)
+        return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise MalformedInputError(f"cannot open {path!r}: {exc.strerror}") from None
+
+
+def _read_text(path) -> str:
+    """The whole text of a file named on the command line or in a stored
+    report; one that is not UTF-8 is malformed input."""
+    with _user_file(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise MalformedInputError(f"{path!r} is not UTF-8 text") from None
+
+
+def _text_lines(path):
+    return [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
 
 
 class _StoredObject(dict):
@@ -123,14 +137,59 @@ class _StoredObject(dict):
 
 def _load_report(path) -> dict:
     """A stored report: a JSON object whose ``config`` echo is an object."""
-    with _user_file(path) as fh:
-        try:
-            report = json.load(fh, object_hook=_StoredObject)
-        except ValueError as exc:
-            raise MalformedInputError(f"{path!r} is not JSON: {exc}") from None
+    try:
+        report = json.loads(_read_text(path), object_hook=_StoredObject)
+    except ValueError as exc:
+        raise MalformedInputError(f"{path!r} is not JSON: {exc}") from None
     if not isinstance(report, dict) or not isinstance(report.get("config"), dict):
         raise MalformedInputError(f"{path!r} is not a report: no config object")
     return report
+
+
+def _is_text(value):
+    return isinstance(value, str)
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_text_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_object(value):
+    return isinstance(value, dict)
+
+
+def _is_object_list(value):
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+def _is_sign_list(value):
+    return isinstance(value, list) and all(_is_integer(v) and v in (1, -1) for v in value)
+
+
+_FAMILIES = ("P", "P'", "P10", "P10'", "Pn'")
+_MODES = ("P", "P10")
+_TOURS = ("exact", "heuristic")
+
+
+_REQUIRED = object()
+
+
+def _stored(obj, key, valid, default=_REQUIRED):
+    """A field of a stored report that must pass ``valid``; a field with a
+    default may also be missing or null."""
+    if default is _REQUIRED:
+        value = obj[key]
+    else:
+        value = obj.get(key)
+        if value is None:
+            return default
+    if not valid(value):
+        raise MalformedInputError(f"stored report field {key!r} has a bad value {value!r}")
+    return value
 
 
 def _parse_lambda(text) -> Fraction:
@@ -191,21 +250,13 @@ def _property_spec(family, n, r, oracle, xi) -> PropertySpec:
 
 
 def _read_elements(oracle, path):
-    with _user_file(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return tuple(oracle.parse_element(ln) for ln in lines)
-
-
-def _read_word(path, rank=2):
-    with _user_file(path) as fh:
-        return parse_word(fh.read(), rank)
+    return tuple(oracle.parse_element(ln) for ln in _text_lines(path))
 
 
 def _xi_argument(oracle, text):
     """Accept either an element in text form or a path to a word file."""
     if os.path.exists(text):
-        with _user_file(text) as fh:
-            return oracle.parse_element(fh.read().strip())
+        return oracle.parse_element(_read_text(text).strip())
     return oracle.parse_element(text)
 
 
@@ -251,8 +302,7 @@ def tree():
 def tree_label(mode, seed, vertices, tree_file, out):
     """Label a tree and dump edges as TSV: edge_from edge_to token."""
     if tree_file:
-        with _user_file(tree_file) as fh:
-            t = PlaneTernaryTree.parse(fh.read())
+        t = PlaneTernaryTree.parse(_read_text(tree_file))
     else:
         t = PlaneTernaryTree.random(vertices, seed)
     if mode == "3letter":
@@ -362,12 +412,12 @@ def _load_revised(descriptor, set_file, xi_text):
 
 
 @forest.command("build")
-@click.option("--mode", type=click.Choice(["P", "P10"]), required=True)
+@click.option("--mode", type=click.Choice(_MODES), required=True)
 @click.option("--r", type=int, required=True)
 @click.option("--group", "descriptor", default="free:2", show_default=True)
 @click.option("--set", "set_file", type=click.Path(exists=True), required=True)
 @click.option("--xi", "xi_text", required=True, help="xi word/element text")
-@click.option("--tour", "tour_kind", type=click.Choice(["exact", "heuristic"]),
+@click.option("--tour", "tour_kind", type=click.Choice(_TOURS),
               default="exact", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -388,12 +438,12 @@ def forest_build(mode, r, descriptor, set_file, xi_text, tour_kind, seed, out):
 
 @forest.command("verify")
 @click.argument("forest_json", type=click.Path(exists=True), required=False)
-@click.option("--mode", type=click.Choice(["P", "P10"]), default=None)
+@click.option("--mode", type=click.Choice(_MODES), default=None)
 @click.option("--r", type=int, default=None)
 @click.option("--group", "descriptor", default=None)
 @click.option("--set", "set_file", type=click.Path(exists=True), default=None)
 @click.option("--xi", "xi_text", default=None)
-@click.option("--tour", "tour_kind", type=click.Choice(["exact", "heuristic"]),
+@click.option("--tour", "tour_kind", type=click.Choice(_TOURS),
               default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
@@ -411,13 +461,13 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     if forest_json is not None:
         stored = _load_report(forest_json)
         cfg = stored["config"]
-        mode = mode or cfg["mode"]
-        r = r if r is not None else cfg["r"]
-        descriptor = descriptor or cfg["group"]
-        set_file = set_file or cfg["set"]
-        xi_text = xi_text or cfg["xi"]
-        tour_kind = tour_kind or cfg.get("tour", "exact")
-        seed = seed if seed is not None else cfg.get("seed", 0)
+        mode = mode or _stored(cfg, "mode", _MODES.__contains__)
+        r = r if r is not None else _stored(cfg, "r", _is_integer)
+        descriptor = descriptor or _stored(cfg, "group", _is_text)
+        set_file = set_file or _stored(cfg, "set", _is_text)
+        xi_text = xi_text or _stored(cfg, "xi", _is_text)
+        tour_kind = tour_kind or _stored(cfg, "tour", _TOURS.__contains__, "exact")
+        seed = seed if seed is not None else _stored(cfg, "seed", _is_integer, 0)
     descriptor = descriptor or "free:2"
     if None in (mode, r, set_file, xi_text):
         raise ConfigurationError(
@@ -456,7 +506,7 @@ def property_group():
 
 
 @property_group.command("test")
-@click.option("--family", type=click.Choice(["P", "P'", "P10", "P10'", "Pn'"]),
+@click.option("--family", type=click.Choice(_FAMILIES),
               required=True)
 @click.option("--n", "n_ap", type=int, default=None, help="aperiodicity order for Pn'")
 @click.option("--r", type=int, required=True)
@@ -554,9 +604,8 @@ def lemma5():
 def lemma5_verify(xi_file, xs_file, eps_text, desk_scale, out):
     """Check that the alternating product of the word files is
     500-aperiodic (50 at desk scale)."""
-    xi_word = _read_word(xi_file)
-    with _user_file(xs_file) as fh:
-        xs = [parse_word(ln.strip(), 2) for ln in fh if ln.strip()]
+    xi_word = parse_word(_read_text(xi_file), 2)
+    xs = [parse_word(ln, 2) for ln in _text_lines(xs_file)]
     eps = []
     for c in eps_text.strip():
         if c == "+":
@@ -649,30 +698,42 @@ def replay(report_file):
     config = report["config"]
     sub = config.get("subcommand", "")
     if sub == "property test":
-        witness = report.get("witness")
+        witness = _stored(report, "witness", _is_object, None)
         if witness is None:
             click.echo("no witness to replay")
             return
-        oracle = make_oracle(config["group"])
-        if config["xi"] == "<constructed>":
-            xi_el = construct_xi(config.get("seed") or 0).word
+        _stored(witness, "xs", _is_text_list)
+        _stored(witness, "eps", _is_sign_list)
+        _stored(witness, "length", _is_integer)
+        oracle = make_oracle(_stored(config, "group", _is_text))
+        xi_text = _stored(config, "xi", _is_text)
+        if xi_text == "<constructed>":
+            xi_el = construct_xi(_stored(config, "seed", _is_integer, 0)).word
         else:
-            xi_el = oracle.parse_element(config["xi"])
-        spec = _property_spec(config["family"], config.get("n"), config["r"], oracle, xi_el)
+            xi_el = oracle.parse_element(xi_text)
+        spec = _property_spec(
+            _stored(config, "family", _FAMILIES.__contains__),
+            _stored(config, "n", _is_integer, None),
+            _stored(config, "r", _is_integer),
+            oracle,
+            xi_el,
+        )
         if not _replay_witness(spec, witness):
             raise InternalInvariantError("stored witness failed replay")
         click.echo("witness replayed: ok")
     elif sub == "experiment ts-lambda":
-        oracle = make_oracle(config["group"])
-        xi_el = oracle.parse_element(config["xi"])
-        lam = _parse_lambda(config["lambda"])
-        for v in report.get("violations", []):
-            pts = tuple(oracle.parse_element(t) for t in v["elements"])
+        oracle = make_oracle(_stored(config, "group", _is_text))
+        xi_el = oracle.parse_element(_stored(config, "xi", _is_text))
+        lam = _parse_lambda(_stored(config, "lambda", _is_text))
+        violations = _stored(report, "violations", _is_object_list, [])
+        for v in violations:
+            pts = tuple(oracle.parse_element(t) for t in _stored(v, "elements", _is_text_list))
             rset = RelatedSet(oracle, xi_el, pts)
             tour = tsp_exact(rset)
-            if tour.length != v["L"] or not Fraction(tour.length) < lam * rset.size:
+            if (tour.length != _stored(v, "L", _is_integer)
+                    or not Fraction(tour.length) < lam * rset.size):
                 raise InternalInvariantError("stored violation failed replay")
-        click.echo(f"replayed {len(report.get('violations', []))} violations: ok")
+        click.echo(f"replayed {len(violations)} violations: ok")
     else:
         raise ConfigurationError(f"no replay handler for {sub!r}")
 

@@ -30,7 +30,15 @@ from .errors import (
 from .groups import GroupOracle
 from .sequences import squarefree_ternary
 from .tours import random_element
-from .words import Alphabet, Word, format_word, is_k_aperiodic
+from .words import (
+    Alphabet,
+    Word,
+    _reduced_runs,
+    _run_letters,
+    format_word,
+    inverse_letters,
+    is_k_aperiodic,
+)
 
 __all__ = [
     "PropertySpec",
@@ -587,24 +595,28 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams(),
 # ---------------------------------------------------------------------------
 
 
-def _tagged_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
-    """Reduced alternating product with per-letter provenance tags."""
-    stack: List[Tuple[int, tuple]] = []
+def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
+    """Reduced alternating product and the [start, end) spans of its
+    surviving xi letters, adjacent spans merged (as when a whole x_i
+    cancels)."""
     xi_letters = xi.letters
-    xi_inv = (~xi).letters
-    for i, (x, e) in enumerate(zip(xs, eps)):
-        for tag_letters, tag in (
-            (xi_letters if e > 0 else xi_inv, ("xi", i)),
-            (x.letters, ("u", i)),
-        ):
-            for a in tag_letters:
-                if stack and stack[-1][0] == -a:
-                    stack.pop()
-                else:
-                    stack.append((a, tag))
-    letters = tuple(a for a, _ in stack)
-    tags = tuple(t for _, t in stack)
-    return Word(letters, xi.rank), tags
+    xi_inv = inverse_letters(xi_letters)
+    blocks = []
+    for x, e in zip(xs, eps):
+        blocks.append((xi_letters if e > 0 else xi_inv, True))
+        blocks.append((x.letters, False))
+    runs = _reduced_runs(blocks)
+    xi_runs = []
+    offset = 0
+    for _, lo, hi, is_xi in runs:
+        end = offset + hi - lo
+        if is_xi:
+            if xi_runs and xi_runs[-1][1] == offset:
+                xi_runs[-1] = (xi_runs[-1][0], end)
+            else:
+                xi_runs.append((offset, end))
+        offset = end
+    return Word._trusted(_run_letters(runs), xi.rank), xi_runs
 
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],
@@ -624,6 +636,8 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         raise MalformedInputError("xs and eps must be nonempty and equal length")
     if any(e not in (1, -1) for e in eps):
         raise MalformedInputError("eps entries must be +1 or -1")
+    if any(x.rank != xi.rank for x in xs):
+        raise MalformedInputError("sequence elements must have the rank of xi")
     for x in xs:
         if x.is_identity:
             raise PreconditionError("sequence elements must be nontrivial")
@@ -642,17 +656,7 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             raise PreconditionError(
                 "xi fails its contract; pass check_xi=False for scaled runs"
             )
-    word, tags = _tagged_product(xi, xs, eps)
-    xi_runs = []
-    start = None
-    for i, t in enumerate(tags + (None,)):
-        if t is not None and t[0] == "xi":
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                xi_runs.append((start, i))
-                start = None
+    word, xi_runs = _reduced_product(xi, xs, eps)
     analysis = {
         "product_length": len(word),
         "blocks": len(xs),

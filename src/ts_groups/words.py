@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import MalformedInputError
@@ -89,16 +90,26 @@ class Word:
                     "letters are not freely reduced; build words via reduce()"
                 )
 
+    @classmethod
+    def _trusted(cls, letters: Tuple[int, ...], rank: int) -> "Word":
+        """Internal constructor that skips validation.  Only for letters
+        that are in range for ``rank`` and freely reduced by
+        construction, such as products and windows of valid words."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "rank", rank)
+        return word
+
     def __len__(self):
         return len(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise MalformedInputError("cannot multiply words of different ranks")
-        return reduce(self.letters + other.letters, Alphabet(self.rank))
+        return concat(self, other)
 
     def __invert__(self) -> "Word":
-        return Word(inverse_letters(self.letters), self.rank)
+        return Word._trusted(inverse_letters(self.letters), self.rank)
 
     def __pow__(self, n: int) -> "Word":
         result = Word((), self.rank)
@@ -118,7 +129,7 @@ class Word:
         """Contiguous window; windows of reduced words are reduced."""
         if not (0 <= start <= stop <= len(self.letters)):
             raise MalformedInputError(f"window [{start}:{stop}] out of range")
-        return Word(self.letters[start:stop], self.rank)
+        return Word._trusted(self.letters[start:stop], self.rank)
 
     def is_cyclically_reduced(self) -> bool:
         return len(self.letters) < 2 or self.letters[0] != -self.letters[-1]
@@ -128,7 +139,7 @@ class Word:
         if not self.is_cyclically_reduced():
             raise MalformedInputError("cannot rotate a non-cyclically-reduced word")
         i %= max(len(self.letters), 1)
-        return Word(self.letters[i:] + self.letters[:i], self.rank)
+        return Word._trusted(self.letters[i:] + self.letters[:i], self.rank)
 
 
 @dataclass(frozen=True)
@@ -184,7 +195,38 @@ def reduce(letters: Iterable[int], alphabet: Alphabet) -> Word:
             stack.pop()
         else:
             stack.append(a)
-    return Word(tuple(stack), alphabet.rank)
+    return Word._trusted(tuple(stack), alphabet.rank)
+
+
+def _reduced_runs(blocks):
+    """Free reduction of a product of freely reduced blocks.
+
+    ``blocks`` yields ``(letters, tag)`` pairs.  Since every block is
+    reduced, letters cancel only where a block meets the reduced product
+    of the blocks before it, so the product is kept as a stack of runs
+    ``[letters, lo, hi, tag]`` (the surviving window of one block) and
+    each junction cancels inward from both ends; a run left empty is
+    popped, so one block can cancel across several earlier ones.
+    Returns the runs in product order; `_run_letters` joins them.
+    """
+    runs = []
+    for block, tag in blocks:
+        lo, hi = 0, len(block)
+        while runs and lo < hi:
+            top = runs[-1]
+            if top[0][top[2] - 1] != -block[lo]:
+                break
+            top[2] -= 1
+            lo += 1
+            if top[1] == top[2]:
+                runs.pop()
+        if lo < hi:
+            runs.append([block, lo, hi, tag])
+    return runs
+
+
+def _run_letters(runs) -> Tuple[int, ...]:
+    return tuple(chain.from_iterable(block[lo:hi] for block, lo, hi, _ in runs))
 
 
 def concat(*words: Word) -> Word:
@@ -192,16 +234,10 @@ def concat(*words: Word) -> Word:
     if not words:
         raise MalformedInputError("concat needs at least one word")
     rank = words[0].rank
-    out = []
-    for w in words:
-        if w.rank != rank:
-            raise MalformedInputError("cannot concat words of different ranks")
-        for a in w.letters:
-            if out and out[-1] == -a:
-                out.pop()
-            else:
-                out.append(a)
-    return Word(tuple(out), rank)
+    if any(w.rank != rank for w in words):
+        raise MalformedInputError("cannot concat words of different ranks")
+    runs = _reduced_runs((w.letters, None) for w in words)
+    return Word._trusted(_run_letters(runs), rank)
 
 
 _TOKEN_RE = re.compile(r"^([a-z]|[A-Z]|g[0-9]+|G[0-9]+)$")
@@ -398,5 +434,5 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
         raise MalformedInputError(
             f"no {k}-aperiodic word of length {length} over rank {rank}"
         )
-    return Word(tuple(found), rank)
+    return Word._trusted(tuple(found), rank)
 

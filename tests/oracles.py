@@ -7,6 +7,8 @@ they cannot share a bug with the production code paths they check.
 import itertools
 from collections import deque
 
+from ts_groups.words import Word
+
 
 def naive_max_power_order(tokens):
     """Scan all (start, period) pairs directly."""
@@ -152,3 +154,35 @@ def held_karp_reference(D):
         mask, last = mask ^ (1 << last), par[mask][last]
     order.reverse()
     return int(best), order
+
+
+def tagged_product_reference(xi, xs, eps):
+    """The alternating product reduced letter by letter with a provenance
+    tag per letter, then the xi runs read off the tags; kept literal.
+    Same contract as `testers._reduced_product`: (Word, xi_runs)."""
+    stack = []
+    xi_letters = xi.letters
+    xi_inv = (~xi).letters
+    for i, (x, e) in enumerate(zip(xs, eps)):
+        for tag_letters, tag in (
+            (xi_letters if e > 0 else xi_inv, ("xi", i)),
+            (x.letters, ("u", i)),
+        ):
+            for a in tag_letters:
+                if stack and stack[-1][0] == -a:
+                    stack.pop()
+                else:
+                    stack.append((a, tag))
+    letters = tuple(a for a, _ in stack)
+    tags = tuple(t for _, t in stack)
+    xi_runs = []
+    start = None
+    for i, t in enumerate(tags + (None,)):
+        if t is not None and t[0] == "xi":
+            if start is None:
+                start = i
+        else:
+            if start is not None:
+                xi_runs.append((start, i))
+                start = None
+    return Word(letters, xi.rank), xi_runs

@@ -363,32 +363,78 @@ def test_malformed_input_exits_2(runner, args):
     assert "Traceback" not in result.output
 
 
+_NOT_UTF8 = b"\xff\xfe"
+_TS_LAMBDA = '{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": "a b"'
+_PROPERTY = ('{"config": {"subcommand": "property test", "family": "P", "r": 12, "group": "free:2",'
+             ' "xi": "a b a"')
+_WITNESS = ', "witness": {"k": 1, "eps": [1], "xs": ["a"], "length": 4}}'
+_FOREST = '{"config": {"mode": "P", "r": 12, "group": "free:2", "xi": "a b"'
+
+
 @pytest.mark.parametrize("content, args", [
     ("not json", ["replay", "{file}"]),
     (b"\xff\xfe\x00", ["replay", "{file}"]),
     ("[1, 2]", ["replay", "{file}"]),
     ('{"config": {"subcommand": "experiment ts-lambda", "xi": "a", "lambda": "1"}}',
      ["replay", "{file}"]),
-    ('{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": "a b",'
-     ' "lambda": "abc"}}', ["replay", "{file}"]),
-    ('{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": "a b",'
-     ' "lambda": "1"}, "violations": [{"L": 3}]}', ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": "abc"}}', ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": "1"}, "violations": [{"L": 3}]}', ["replay", "{file}"]),
     ("not json", ["forest", "verify", "{file}"]),
     ('{"config": {}}', ["forest", "verify", "{file}"]),
     ("0 - 0\nx 0 1\n", ["tree", "label", "--mode", "3letter", "--tree-file", "{file}"]),
     ("", ["folner", "demo", "--box", "0:2,0:2", "--xi", "1,0", "--out", "{missing}"]),
     ("", ["tree", "label", "--mode", "3letter", "--vertices", "10", "--out", "{missing}"]),
     ("", ["tsp", "--group", "free:2", "--set", "{dir}"]),
+    # every text reader, on a file that is not UTF-8
+    (_NOT_UTF8, ["tsp", "--group", "free:2", "--set", "{file}"]),
+    (_NOT_UTF8, ["forest", "build", "--mode", "P", "--r", "12", "--set", "{file}", "--xi", "a b"]),
+    (_NOT_UTF8, ["forest", "verify", "--mode", "P", "--r", "12", "--set", "{file}",
+                 "--xi", "a b"]),
+    (_NOT_UTF8, ["forest", "build", "--mode", "P", "--r", "12", "--set", "{word}",
+                 "--xi", "{file}"]),
+    (_NOT_UTF8, ["lemma5", "verify", "--xi", "{file}", "--xs", "{word}", "--eps", "+"]),
+    (_NOT_UTF8, ["lemma5", "verify", "--xi", "{word}", "--xs", "{file}", "--eps", "+"]),
+    (_NOT_UTF8, ["tree", "label", "--mode", "3letter", "--tree-file", "{file}"]),
+    # stored fields of the wrong type
+    ('{"config": {"subcommand": "experiment ts-lambda", "group": 5, "xi": "a", "lambda": "1"}}',
+     ["replay", "{file}"]),
+    ('{"config": {"subcommand": "experiment ts-lambda", "group": "free:2", "xi": ["a"],'
+     ' "lambda": "1"}}', ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": 2}}', ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": "1"}, "violations": 5}', ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": "1"}, "violations": [{"elements": "a b", "L": 2}]}',
+     ["replay", "{file}"]),
+    (_TS_LAMBDA + ', "lambda": "1"}, "violations": [{"elements": ["a", "b"], "L": "2"}]}',
+     ["replay", "{file}"]),
+    (_PROPERTY.replace('"P"', "5") + ', "n": 3}' + _WITNESS, ["replay", "{file}"]),
+    (_PROPERTY.replace('"P"', '"Q"') + ', "n": 3}' + _WITNESS, ["replay", "{file}"]),
+    (_PROPERTY.replace("12", '"12"') + "}" + _WITNESS, ["replay", "{file}"]),
+    (_PROPERTY + ', "n": "3"}' + _WITNESS, ["replay", "{file}"]),
+    (_PROPERTY + ', "seed": 0}, "witness": {"k": 1, "eps": [2], "xs": ["a"], "length": 4}}',
+     ["replay", "{file}"]),
+    (_PROPERTY + ', "seed": 0}, "witness": ["a"]}', ["replay", "{file}"]),
+    (_FOREST + ', "set": "{word}", "r": "12"}}', ["forest", "verify", "{file}"]),
+    (_FOREST + ', "set": 5}}', ["forest", "verify", "{file}"]),
+    (_FOREST + ', "set": "{word}", "tour": 1}}', ["forest", "verify", "{file}"]),
 ], ids=["replay-not-json", "replay-not-utf8", "replay-list", "replay-no-group",
         "replay-bad-lambda", "replay-violation-no-elements", "forest-not-json", "forest-no-mode", "tree-bad-field",
-        "folner-out-missing-dir", "tree-out-missing-dir", "tsp-set-is-dir"])
+        "folner-out-missing-dir", "tree-out-missing-dir", "tsp-set-is-dir",
+        "tsp-set-not-utf8", "forest-build-set-not-utf8", "forest-verify-set-not-utf8",
+        "forest-xi-not-utf8", "lemma5-xi-not-utf8", "lemma5-xs-not-utf8", "tree-file-not-utf8",
+        "replay-group-int", "replay-xi-list", "replay-lambda-number", "replay-violations-int",
+        "replay-elements-text", "replay-L-text", "replay-family-int", "replay-family-unknown",
+        "replay-r-text", "replay-n-text", "replay-witness-bad-eps", "replay-witness-list",
+        "forest-r-text", "forest-set-int", "forest-tour-int"])
 def test_bad_files_exit_2(runner, tmp_path, content, args):
     path = tmp_path / "input"
+    word = tmp_path / "ab.word"
+    word.write_text("a b\n")
     if isinstance(content, bytes):
         path.write_bytes(content)
     else:
-        path.write_text(content)
-    names = {"file": path, "dir": tmp_path, "missing": tmp_path / "missing" / "out"}
+        path.write_text(content.replace("{word}", str(word)))
+    names = {"file": path, "dir": tmp_path, "missing": tmp_path / "missing" / "out",
+             "word": word}
     result = runner.invoke(main, [a.format(**names) for a in args])
     assert result.exit_code == 2
     assert "Traceback" not in result.output

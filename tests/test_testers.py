@@ -1,6 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ts_groups.cancellation import SymmetrizedSet, satisfies_small_cancellation
 from ts_groups.errors import MalformedInputError, PreconditionError
@@ -10,13 +13,16 @@ from ts_groups.testers import (
     SearchBudget,
     XiParams,
     _random_sequence,
+    _reduced_product,
     burnside_pipeline,
     construct_xi,
     test_property as run_property_search,
     variety_counterexample,
     verify_product_aperiodicity,
 )
-from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word
+from ts_groups.words import Alphabet, Word, format_word, is_k_aperiodic, parse_word, reduce
+
+from oracles import tagged_product_reference
 
 FREE2 = make_oracle("free:2")
 AB2 = make_oracle("abelian:2")
@@ -237,9 +243,7 @@ def test_pipeline_desk():
 
 
 def test_pipeline_constants():
-    rep = burnside_pipeline(samples=1, seed=0, desk_scale=True)
     # full-scale constants: 192 / 96 = 2, the travel threshold
-    full = burnside_pipeline.__wrapped__ if hasattr(burnside_pipeline, "__wrapped__") else None
     from ts_groups.testers import _constants
 
     c = _constants(192)
@@ -273,20 +277,77 @@ def test_pipeline_full_scale_smoke():
     assert rep.constants["travel_threshold"] == "2"
 
 
-def test_tagged_product_matches_plain_reduction(desk_xi):
-    from ts_groups.testers import _tagged_product
-    from ts_groups.words import concat
-
+def test_reduced_product_matches_plain_reduction(desk_xi):
     rng = random.Random(5)
     for _ in range(30):
         xs, eps = _random_sequence(rng, k_max=6, max_len=20)
-        tagged, tags = _tagged_product(desk_xi, xs, eps)
-        parts = []
+        word, xi_runs = _reduced_product(desk_xi, xs, eps)
+        letters = []
         for x, e in zip(xs, eps):
-            parts.append(desk_xi if e > 0 else ~desk_xi)
-            parts.append(x)
-        assert tagged == concat(*parts)
-        assert len(tags) == len(tagged)
+            letters += (desk_xi if e > 0 else ~desk_xi).letters + x.letters
+        assert word == reduce(letters, Alphabet(2))
+        assert sum(b - a for a, b in xi_runs) <= len(word)
+
+
+_letters = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8)
+
+
+@st.composite
+def _adversarial_products(draw):
+    """A short xi, random or a power of a short block (a fake marker
+    word), with x_i drawn from its prefixes, from inverses of its
+    suffixes and at random, so products cancel across several blocks
+    and may vanish."""
+    base = reduce(draw(_letters), Alphabet(2))
+    if base.is_identity or not draw(st.booleans()):
+        xi = reduce(draw(_letters) + draw(_letters) + draw(_letters), Alphabet(2))
+    else:
+        xi = base ** draw(st.integers(1, 6))
+    xs = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["prefix", "suffix-inverse", "random"]))
+        m = draw(st.integers(1, max(len(xi), 1)))
+        if kind == "prefix" and len(xi):
+            x = xi.subword(0, m)
+        elif kind == "suffix-inverse" and len(xi):
+            x = ~xi.subword(len(xi) - m, len(xi))
+        else:
+            x = reduce(draw(_letters), Alphabet(2))
+        xs.append(x if len(x) else parse_word("a", 2))
+    eps = draw(st.lists(st.sampled_from([1, -1]), min_size=len(xs), max_size=len(xs)))
+    return xi, xs, eps
+
+
+_FULLY_CANCELLED = (parse_word("a b a", 2), [parse_word("A B A", 2)], [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial_products())
+@example(_FULLY_CANCELLED)
+@example((parse_word("a b a b", 2), [parse_word("B A", 2), parse_word("b a", 2)], [1, -1]))
+def test_reduced_product_matches_reference(case):
+    xi, xs, eps = case
+    word, xi_runs = _reduced_product(xi, xs, eps)
+    ref_word, ref_runs = tagged_product_reference(xi, xs, eps)
+    assert word == ref_word
+    assert xi_runs == ref_runs
+    args = dict(bound=3, max_x_len=64, check_xi=False)
+    verdict = verify_product_aperiodicity(xi, xs, eps, **args)
+    with mock.patch("ts_groups.testers._reduced_product", tagged_product_reference):
+        assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
+
+
+def test_fully_cancelled_product():
+    xi, xs, eps = _FULLY_CANCELLED
+    ok, analysis = verify_product_aperiodicity(xi, xs, eps, check_xi=False)
+    assert ok
+    assert analysis == {"product_length": 0, "blocks": 1, "min_xi_run": 0, "max_u_gap": 0}
+
+
+@pytest.mark.parametrize("x", ["a b", "c"])
+def test_product_rejects_rank_mismatch(desk_xi, x):
+    with pytest.raises(MalformedInputError):
+        verify_product_aperiodicity(desk_xi, [parse_word(x, 3)], [1], check_xi=False)
 
 
 def test_long_period_violation_classified(desk_xi):

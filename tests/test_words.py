@@ -84,6 +84,34 @@ def test_word_constructor_rejects_unreduced():
         Word((1, -1), 2)
 
 
+def test_public_constructors_still_validate():
+    for bad in [(3,), (0,), (1, -1), (2, 1, -1)]:
+        with pytest.raises(MalformedInputError):
+            Word(bad, 2)
+    with pytest.raises(MalformedInputError):
+        reduce([1, -3], A2)
+    a2, a3 = Word((1,), 2), Word((1,), 3)
+    with pytest.raises(MalformedInputError):
+        concat(a2, a2, a3)
+    with pytest.raises(MalformedInputError):
+        a2 * a3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(letters_strategy, min_size=1, max_size=6), st.data())
+def test_concat_matches_letter_reduction(parts, data):
+    words = [reduce(p, A2) for p in parts]
+    # splice in inverses so that blocks cancel across several neighbours
+    for i in data.draw(st.lists(st.integers(0, len(words) - 1), max_size=3)):
+        words.insert(i + 1, ~words[i])
+    flat = [a for wd in words for a in wd.letters]
+    assert concat(*words) == reduce(flat, A2)
+    product = words[0]
+    for wd in words[1:]:
+        product = product * wd
+    assert product == reduce(flat, A2)
+
+
 # -- aperiodicity scanning ---------------------------------------------------
 
 
