@@ -19,8 +19,6 @@ from .words import (  # noqa: F401
 from .cancellation import (  # noqa: F401
     Piece,
     SymmetrizedSet,
-    max_piece_length,
-    pieces,
     satisfies_small_cancellation,
 )
 from .trees import PlaneTernaryTree, enumerate_simple_paths  # noqa: F401

@@ -1,36 +1,43 @@
-"""Piece analysis for symmetrized sets of relators (C'(lambda) checks).
+"""C'(lambda) checks for symmetrized sets of relators.
 
 Two notions of "piece" are supported, switched by the set's cyclic flag:
 
-* cyclic off: a piece is a maximal common prefix of two distinct
-  elements of the inverse-closed set (prefix/suffix checks on word
-  pairs use this).
-* cyclic on: elements are read as cyclic words; a piece is a maximal
-  common prefix of two distinct cyclic occurrences (word, rotation),
-  capped at one letter less than the word length so that a periodic
-  relator overlapping itself yields a proper piece.  Single relators
-  are checked in this mode.
+* cyclic off: a piece is a common prefix of two distinct elements of
+  the inverse-closed set (prefix/suffix checks on word pairs use this).
+* cyclic on: elements are read as cyclic words; a piece is a common
+  prefix of two distinct cyclic occurrences (word, rotation), capped at
+  one letter less than the shorter word so that a periodic relator
+  overlapping itself yields a proper piece.  Single relators are
+  checked in this mode.
 
-All length comparisons against lambda are exact rational arithmetic.
+C'(lambda) asks that every piece be shorter than lambda times the
+shorter of its two hosts.  Each kind of set has one exact rule:
+
+* cyclic: for each relator length n, ascending, with t = ceil(lambda*n)
+  at most n - 1, the length-t windows at every cyclic position of the
+  length-n relators go into one dict, and the windows of the longer
+  relators are looked up in it.  The first repeat is a violation.
+* prefix: sorted by letters, an element's longest common prefix with
+  any other element is with a sorted neighbour, so only adjacent pairs
+  are compared.
+
+A violation carries a violating piece, not necessarily the longest.
+All length comparisons against lambda are exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .errors import MalformedInputError, ResourceLimitError
+from .errors import MalformedInputError
 from .words import Word
 
 __all__ = [
     "SymmetrizedSet",
     "Piece",
-    "pieces",
-    "max_piece_length",
     "satisfies_small_cancellation",
 ]
-
-_ENUMERATION_CAP = 2000  # total letters; beyond this use the window scan
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,6 @@ class SymmetrizedSet:
                     seen.append(v)
         return SymmetrizedSet(tuple(seen), cyclic=cyclic)
 
-    def elements(self) -> Tuple[Word, ...]:
-        """The inverse-closed word list (rotations are kept virtual)."""
-        return self.base
-
-    def total_length(self) -> int:
-        return sum(len(w) for w in self.base)
-
 
 @dataclass(frozen=True)
 class Piece:
@@ -98,44 +98,6 @@ def _linear_lcp(w1: Word, w2: Word) -> int:
     return k
 
 
-def pieces(sset: SymmetrizedSet, cap: int = _ENUMERATION_CAP) -> List[Piece]:
-    """All maximal common prefixes between distinct elements (or distinct
-    cyclic occurrences).  Intended for small sets; large cyclic relators
-    should go through satisfies_small_cancellation directly."""
-    if sset.total_length() > cap:
-        raise ResourceLimitError(
-            f"piece enumeration capped at total length {cap}; "
-            "use satisfies_small_cancellation for large relators"
-        )
-    found = {}
-    if sset.cyclic:
-        occs = [
-            (wi, r) for wi, w in enumerate(sset.base) for r in range(len(w))
-        ]
-        for a in range(len(occs)):
-            wi, ri = occs[a]
-            for b in range(a + 1, len(occs)):
-                wj, rj = occs[b]
-                k = _cyclic_lcp(sset.base[wi], ri, sset.base[wj], rj)
-                if k == 0:
-                    continue
-                w = sset.base[wi]
-                piece = Word(
-                    tuple(w.letters[(ri + t) % len(w)] for t in range(k)), w.rank
-                )
-                found.setdefault(piece, []).append(((wi, ri), (wj, rj)))
-    else:
-        elems = sset.elements()
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                k = _linear_lcp(elems[i], elems[j])
-                if k == 0:
-                    continue
-                piece = elems[i].subword(0, k)
-                found.setdefault(piece, []).append((i, j))
-    return [Piece(w, tuple(locs)) for w, locs in sorted(found.items(), key=lambda kv: (-len(kv[0]), kv[0].letters))]
-
-
 def _doubled_windows(w: Word):
     # letters fit a byte for rank <= 63; wider alphabets fall back to
     # tuple slices (slower, same semantics)
@@ -144,92 +106,56 @@ def _doubled_windows(w: Word):
     return w.letters * 2
 
 
-def _has_repeated_window(sset: SymmetrizedSet, length: int) -> Optional[tuple]:
-    """A window of the given length occurring at two distinct cyclic
-    positions, or None.  Only meaningful for cyclic sets."""
-    if length < 1:
-        return None
-    seen = {}
-    for wi, w in enumerate(sset.base):
-        n = len(w)
-        if length > n - 1:
+def _repeated_window(base: Tuple[Word, ...], num: int, den: int) -> Optional[tuple]:
+    """Two distinct cyclic occurrences sharing a window of length
+    ceil(num/den * n), n the shorter host's length, or None."""
+    doubled = [_doubled_windows(w) for w in base]
+    for n in sorted({len(w) for w in base}):
+        t = -(-num * n // den)  # ceil
+        if t > n - 1:
             continue
-        doubled = _doubled_windows(w)
-        for i in range(n):
-            key = doubled[i : i + length]
-            other = seen.get(key)
-            if other is not None and other != (wi, i):
-                return other, (wi, i)
-            seen.setdefault(key, (wi, i))
+        # windows of the length-n relators go in, longer ones look up
+        hosts = sorted(
+            (wi for wi, w in enumerate(base) if len(w) >= n),
+            key=lambda wi: len(base[wi]) > n,
+        )
+        seen = {}
+        for wi in hosts:
+            windows, insert = doubled[wi], len(base[wi]) == n
+            for i in range(len(base[wi])):
+                key = windows[i : i + t]
+                other = seen.get(key)
+                if other is not None:
+                    return other, (wi, i)
+                if insert:
+                    seen[key] = (wi, i)
     return None
 
 
-def max_piece_length(sset: SymmetrizedSet) -> int:
-    """Length of the longest piece (0 when there is none)."""
-    if sset.total_length() <= _ENUMERATION_CAP:
-        ps = pieces(sset)
-        return len(ps[0].word) if ps else 0
-    if not sset.cyclic:
-        raise ResourceLimitError(
-            "max_piece_length on large non-cyclic sets is not supported"
-        )
-    lo, hi = 0, max(len(w) for w in sset.base) - 1
-    # repeated windows are monotone in length, so binary search
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _has_repeated_window(sset, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def satisfies_small_cancellation(sset: SymmetrizedSet, lambda_num: int, lambda_den: int):
-    """C'(lambda) check: every piece p of every element w has
-    len(p) < (lambda_num/lambda_den) * len(w), compared exactly.
+    """C'(lambda) check: every piece p shared by elements (or cyclic
+    occurrences) u and v has len(p) < (lambda_num/lambda_den) *
+    min(len(u), len(v)), compared exactly.
 
-    Returns (flag, violation) where the violation carries the offending
-    piece and its host length.
+    Returns (flag, violation) where the violation is a violating piece
+    with its pair of locations: ((word, rotation), (word, rotation)) for
+    cyclic sets, (index, index) into ``base`` otherwise.
     """
     if lambda_num <= 0 or lambda_den <= 0 or lambda_num >= lambda_den:
         raise MalformedInputError(
             f"lambda must lie in (0, 1), got {lambda_num}/{lambda_den}"
         )
-
-    if sset.total_length() <= _ENUMERATION_CAP:
-        for piece in pieces(sset):
-            plen = len(piece.word)
-            for loc in piece.locations:
-                hosts = []
-                if sset.cyclic:
-                    hosts = [len(sset.base[wi]) for wi, _ in loc]
-                else:
-                    hosts = [len(sset.elements()[i]) for i in loc]
-                for host_len in hosts:
-                    if plen * lambda_den >= lambda_num * host_len:
-                        return False, Piece(piece.word, (loc,))
-        return True, None
-
-    if not sset.cyclic:
-        raise ResourceLimitError(
-            "large non-cyclic sets exceed the piece enumeration cap"
-        )
-    lengths = {len(w) for w in sset.base}
-    if len(lengths) != 1:
-        raise ResourceLimitError(
-            "window scan requires equal-length relators; got lengths "
-            f"{sorted(lengths)}"
-        )
-    n = lengths.pop()
-    # smallest violating piece length: len * den >= num * n
-    threshold = -(-lambda_num * n // lambda_den)  # ceil
-    if threshold > n - 1:
-        return True, None
-    hit = _has_repeated_window(sset, threshold)
-    if hit is None:
-        return True, None
-    (wi, ri), (wj, rj) = hit
-    k = _cyclic_lcp(sset.base[wi], ri, sset.base[wj], rj)
-    w = sset.base[wi]
-    piece = Word(tuple(w.letters[(ri + t) % len(w)] for t in range(k)), w.rank)
-    return False, Piece(piece, (((wi, ri), (wj, rj)),))
+    base = sset.base
+    if sset.cyclic:
+        hit = _repeated_window(base, lambda_num, lambda_den)
+        if hit is None:
+            return True, None
+        (wi, ri), (wj, rj) = hit
+        k = _cyclic_lcp(base[wi], ri, base[wj], rj)
+        return False, Piece(base[wi].rotated(ri).subword(0, k), (hit,))
+    order = sorted(range(len(base)), key=lambda i: base[i].letters)
+    for i, j in zip(order, order[1:]):
+        k = _linear_lcp(base[i], base[j])
+        if k * lambda_den >= lambda_num * min(len(base[i]), len(base[j])):
+            return False, Piece(base[i].subword(0, k), ((min(i, j), max(i, j)),))
+    return True, None

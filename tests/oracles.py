@@ -7,6 +7,8 @@ they cannot share a bug with the production code paths they check.
 import itertools
 from collections import deque
 
+from ts_groups.cancellation import Piece
+from ts_groups.errors import ResourceLimitError
 from ts_groups.words import Word
 
 
@@ -76,6 +78,119 @@ def naive_pieces(words):
         if k:
             out.add(tuple(u[:k]))
     return out
+
+
+# The two-engine piece analysis that `satisfies_small_cancellation`
+# replaced, kept literal apart from summing the letters and reading
+# `sset.base` inline: pairwise enumeration of cyclic occurrences or
+# elements up to _ENUMERATION_CAP letters, and above it a binary search
+# over the length of a repeated window (cyclic sets only).
+
+_ENUMERATION_CAP = 2000  # total letters; beyond this use the window scan
+
+
+def _cyclic_lcp(w1, r1, w2, r2):
+    """Length of the common prefix of two cyclic occurrences, capped at
+    min(len) - 1."""
+    n1, n2 = len(w1), len(w2)
+    cap = min(n1, n2) - 1
+    k = 0
+    while k < cap and w1.letters[(r1 + k) % n1] == w2.letters[(r2 + k) % n2]:
+        k += 1
+    return k
+
+
+def _linear_lcp(w1, w2):
+    k = 0
+    m = min(len(w1), len(w2))
+    while k < m and w1.letters[k] == w2.letters[k]:
+        k += 1
+    return k
+
+
+def pieces(sset, cap=_ENUMERATION_CAP):
+    """All maximal common prefixes between distinct elements (or distinct
+    cyclic occurrences), longest first."""
+    if sum(len(w) for w in sset.base) > cap:
+        raise ResourceLimitError(
+            f"piece enumeration capped at total length {cap}; "
+            "use satisfies_small_cancellation for large relators"
+        )
+    found = {}
+    if sset.cyclic:
+        occs = [
+            (wi, r) for wi, w in enumerate(sset.base) for r in range(len(w))
+        ]
+        for a in range(len(occs)):
+            wi, ri = occs[a]
+            for b in range(a + 1, len(occs)):
+                wj, rj = occs[b]
+                k = _cyclic_lcp(sset.base[wi], ri, sset.base[wj], rj)
+                if k == 0:
+                    continue
+                w = sset.base[wi]
+                piece = Word(
+                    tuple(w.letters[(ri + t) % len(w)] for t in range(k)), w.rank
+                )
+                found.setdefault(piece, []).append(((wi, ri), (wj, rj)))
+    else:
+        elems = sset.base
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                k = _linear_lcp(elems[i], elems[j])
+                if k == 0:
+                    continue
+                piece = elems[i].subword(0, k)
+                found.setdefault(piece, []).append((i, j))
+    return [Piece(w, tuple(locs)) for w, locs in sorted(found.items(), key=lambda kv: (-len(kv[0]), kv[0].letters))]
+
+
+def _doubled_windows(w):
+    # letters fit a byte for rank <= 63; wider alphabets fall back to
+    # tuple slices (slower, same semantics)
+    if w.rank <= 63:
+        return bytes(128 + a for a in w.letters) * 2
+    return w.letters * 2
+
+
+def _has_repeated_window(sset, length):
+    """A window of the given length occurring at two distinct cyclic
+    positions, or None.  Only meaningful for cyclic sets."""
+    if length < 1:
+        return None
+    seen = {}
+    for wi, w in enumerate(sset.base):
+        n = len(w)
+        if length > n - 1:
+            continue
+        doubled = _doubled_windows(w)
+        for i in range(n):
+            key = doubled[i : i + length]
+            other = seen.get(key)
+            if other is not None and other != (wi, i):
+                return other, (wi, i)
+            seen.setdefault(key, (wi, i))
+    return None
+
+
+def max_piece_length(sset):
+    """Length of the longest piece (0 when there is none)."""
+    if sum(len(w) for w in sset.base) <= _ENUMERATION_CAP:
+        ps = pieces(sset)
+        return len(ps[0].word) if ps else 0
+    if not sset.cyclic:
+        raise ResourceLimitError(
+            "max_piece_length on large non-cyclic sets is not supported"
+        )
+    lo, hi = 0, max(len(w) for w in sset.base) - 1
+    # repeated windows are monotone in length, so binary search
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _has_repeated_window(sset, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def brute_tour_length(oracle, pts):
