@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     TsGroupsError,
 )
-from .groups import Limits, make_oracle
+from .groups import make_oracle
 from .sequences import (
     label_tree_adversarial,
     label_tree_three_letters,
@@ -60,15 +60,18 @@ from .trees import PlaneTernaryTree
 from .words import format_word, parse_word
 
 
-def limits_from_env() -> Limits:
+def ball_limit_from_env() -> int:
+    """The property tester's ball limit: min(20,000, N * 10,000) elements
+    when TS_GROUPS_BUDGET_MB=N is set (N counts elements, not megabytes),
+    else 20,000."""
+    default = SearchBudget().ball_limit
     mb = os.environ.get("TS_GROUPS_BUDGET_MB")
     if not mb:
-        return Limits()
+        return default
     try:
-        cap = max(1, int(mb)) * 10_000
+        return min(default, max(1, int(mb)) * 10_000)
     except ValueError:
-        raise ConfigurationError(f"bad TS_GROUPS_BUDGET_MB value {mb!r}")
-    return Limits(ball_elements=cap, frontier=cap * 10)
+        raise ConfigurationError(f"bad TS_GROUPS_BUDGET_MB value {mb!r}") from None
 
 
 def emit_report(config: dict, payload: dict, started: float, out: Optional[str] = None,
@@ -411,6 +414,12 @@ def _load_revised(descriptor, set_file, xi_text):
     return oracle, xi, revise(RelatedSet(oracle, xi, pts))
 
 
+def _build_forest(mode, rset, r, tour_kind, seed):
+    tour = tsp_exact(rset) if tour_kind == "exact" else tsp_heuristic(rset, seed)
+    build = build_forest_p if mode == "P" else build_forest_p10
+    return build(rset, r, tour)
+
+
 @forest.command("build")
 @click.option("--mode", type=click.Choice(_MODES), required=True)
 @click.option("--r", type=int, required=True)
@@ -425,9 +434,7 @@ def _load_revised(descriptor, set_file, xi_text):
 def forest_build(mode, r, descriptor, set_file, xi_text, tour_kind, seed, out):
     """Build a forest over a related set and emit forest.json."""
     oracle, xi, rset = _load_revised(descriptor, set_file, xi_text)
-    tour = tsp_exact(rset) if tour_kind == "exact" else tsp_heuristic(rset, seed)
-    build = build_forest_p if mode == "P" else build_forest_p10
-    fo = build(rset, r, tour)
+    fo = _build_forest(mode, rset, r, tour_kind, seed)
     return {
         "config": {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
                    "tour": tour_kind, "seed": seed},
@@ -476,9 +483,7 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     tour_kind = tour_kind or "exact"
     seed = seed or 0
     oracle, xi, rset = _load_revised(descriptor, set_file, xi_text)
-    tour = tsp_exact(rset) if tour_kind == "exact" else tsp_heuristic(rset, seed)
-    build = build_forest_p if mode == "P" else build_forest_p10
-    fo = build(rset, r, tour)
+    fo = _build_forest(mode, rset, r, tour_kind, seed)
     rep = verify_forest(fo, rset, r)
     payload = rep.to_dict()
     if stored is not None:
@@ -490,7 +495,7 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     failed = not rep.ok or (stored is not None and not payload["matches_stored"])
     return {
         "config": {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
-                   "seed": seed},
+                   "tour": tour_kind, "seed": seed},
         "payload": payload,
         "out": out,
         "failure": InternalInvariantError("forest verification failed") if failed else None,
@@ -534,7 +539,6 @@ def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
     else:
         raise ConfigurationError("give --xi or --xi-from-lemma4")
     spec = _property_spec(family, n_ap, r, oracle, xi)
-    env_cap = limits_from_env().ball_elements
     if budget is not None:
         samples = budget
     search = SearchBudget(
@@ -542,7 +546,7 @@ def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
         samples=samples,
         seed=seed,
         exhaustive_limit=budget if budget is not None else SearchBudget().exhaustive_limit,
-        ball_limit=min(SearchBudget().ball_limit, env_cap),
+        ball_limit=ball_limit_from_env(),
     )
     verdict = test_property(spec, search)
     return {

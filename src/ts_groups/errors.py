@@ -24,7 +24,7 @@ class ConfigurationError(TsGroupsError):
 
 
 class ResourceLimitError(TsGroupsError):
-    """A configured budget (solver cap, ball size, search frontier) was hit.
+    """A configured budget (solver cap, ball size, search states) was hit.
 
     ``best_bound`` optionally carries the best bound established before
     the budget ran out.

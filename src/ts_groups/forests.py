@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import MalformedInputError, PreconditionError
 from .groups import FreeOracle, GroupOracle
 from .sequences import InadmissibleEngine
-from .tours import RelatedSet, Tour, tsp_exact
+from .tours import EXACT_SOLVER_CAP, RelatedSet, Tour, tsp_exact
 
 __all__ = [
     "PieceDecomposition",
@@ -459,8 +459,7 @@ class VerificationReport:
         return {"ok": self.ok, "checks": self.checks}
 
 
-def verify_forest(forest: TreeForest, rset: RelatedSet, r: int,
-                  exact_cap: int = 15) -> VerificationReport:
+def verify_forest(forest: TreeForest, rset: RelatedSet, r: int) -> VerificationReport:
     """Independent re-check of every forest invariant."""
     checks: Dict[str, dict] = {}
 
@@ -606,8 +605,8 @@ def verify_forest(forest: TreeForest, rset: RelatedSet, r: int,
             f"|V'| = {len(forest.v_near)} vs |S|/24 = {Fraction(n,24)}",
         )
 
-    if rset.size <= exact_cap:
-        exact = tsp_exact(rset, cap=exact_cap).length
+    if rset.size <= EXACT_SOLVER_CAP:
+        exact = tsp_exact(rset).length
         record(
             "bound_sound",
             forest.certified_bound <= exact,

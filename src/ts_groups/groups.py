@@ -13,7 +13,6 @@ or concurrent computation is allowed, inconsistency is not.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,6 @@ class Limits:
     """Resource caps; configuration, not constants."""
 
     ball_elements: int = 10**6
-    frontier: int = 10**7
 
 
 @dataclass(frozen=True)
@@ -101,15 +99,19 @@ class GroupOracle:
         raise NotImplementedError
 
     def ball(self, r: int, limits: Limits = Limits()) -> Ball:
-        """Exact ball of radius r around the identity."""
+        """Exact ball of radius r around the identity, by breadth-first
+        search.  The search stops at the first element past
+        ``limits.ball_elements``, so an oversized ball costs no more than
+        the limit."""
         if r < 0:
             raise MalformedInputError("radius must be >= 0")
+        gens = self.generators()
         seen = {self.identity()}
         frontier = [self.identity()]
         for _ in range(r):
             nxt = []
             for g in frontier:
-                for s in self.generators():
+                for s in gens:
                     h = self.multiply(g, s)
                     if h not in seen:
                         seen.add(h)
@@ -230,21 +232,6 @@ class AbelianOracle(GroupOracle):
 
     def format_element(self, g) -> str:
         return ",".join(str(a) for a in g)
-
-    def ball(self, r: int, limits: Limits = Limits()) -> Ball:
-        if r < 0:
-            raise MalformedInputError("radius must be >= 0")
-        est = (2 * r + 1) ** self.dim
-        if est > limits.ball_elements * 4:
-            raise ResourceLimitError(f"abelian ball of radius {r} too large")
-        pts = []
-        rng = range(-r, r + 1)
-        for v in itertools.product(rng, repeat=self.dim):
-            if sum(abs(a) for a in v) <= r:
-                pts.append(v)
-        if len(pts) > limits.ball_elements:
-            raise ResourceLimitError(f"ball exceeds {limits.ball_elements} elements")
-        return Ball(self.identity(), r, tuple(sorted(pts, key=self.sort_key)))
 
 
 class ProductOracle(GroupOracle):

@@ -23,11 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cancellation import SymmetrizedSet, satisfies_small_cancellation
 from .errors import (
     ConfigurationError,
+    InternalInvariantError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import GroupOracle
+from .groups import GroupOracle, Limits
 from .sequences import squarefree_ternary
 from .tours import random_element
 from .words import (
@@ -129,24 +130,44 @@ def _replay_witness(spec: PropertySpec, witness) -> bool:
     return oracle.length(g) == witness["length"] and witness["length"] <= spec.r
 
 
+def _candidates(spec: PropertySpec, budget: SearchBudget, pool, exhaustive: bool):
+    """The (xs, eps) pairs to check, in order: every admissible sequence
+    over the pool by length when exhaustive, else seeded random draws."""
+
+    def admissible(xs):
+        return spec.family != "Pn'" or is_k_aperiodic(xs, spec.n)[0]
+
+    if exhaustive:
+        for k in range(1, budget.k_max + 1):
+            for xs in itertools.product(pool, repeat=k):
+                if admissible(xs):
+                    for eps in itertools.product((1, -1), repeat=k):
+                        yield xs, eps
+        return
+    rng = random.Random(budget.seed)
+    for _ in range(budget.samples):
+        k = rng.randint(1, budget.k_max)
+        xs = tuple(rng.choice(pool) for _ in range(k))
+        if admissible(xs):
+            yield xs, tuple(rng.choice((1, -1)) for _ in range(k))
+
+
 def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> Verdict:
     """Search for sequences violating the alternating-product length
-    property; exhaustive below the configured thresholds, seeded-random
-    above.  Any witness found is replayed through the oracle before
+    property; exhaustive when the r-ball fits ``budget.ball_limit`` and
+    the search space ``budget.exhaustive_limit``, seeded-random
+    otherwise.  Any witness found is replayed through the oracle before
     being reported."""
     oracle = spec.oracle
     if spec.xi == oracle.identity():
         raise PreconditionError("xi must be nontrivial")
 
-    pool: List[object] = []
-    exhaustive = True
     try:
-        b = oracle.ball(spec.r)
-        if len(b) > budget.ball_limit:
-            raise ResourceLimitError("ball too large")
+        b = oracle.ball(spec.r, Limits(ball_elements=budget.ball_limit))
         pool = [g for g in b.elements if g != oracle.identity()]
+        fits = True
     except ResourceLimitError:
-        exhaustive = False
+        fits = False
         rng = random.Random(budget.seed)
         seen = set()
         while len(seen) < budget.ball_limit // 4:
@@ -157,60 +178,27 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
     # forced-cancellation candidates so k=1 counterexamples are never
     # missed by sampling
     for cand in (oracle.inverse(spec.xi), spec.xi):
-        if oracle.length(cand) <= spec.r and cand not in set(pool):
+        if oracle.length(cand) <= spec.r and cand not in pool:
             pool.append(cand)
 
+    total = sum((len(pool) * 2) ** k for k in range(1, budget.k_max + 1))
+    exhaustive = fits and total <= budget.exhaustive_limit
+    regime = "exhaustive" if exhaustive else "sampled"
     tried = 0
-
-    def admissible(xs):
-        if spec.family == "Pn'":
-            return is_k_aperiodic(xs, spec.n)[0]
-        return True
-
-    def check(xs, eps):
-        nonlocal tried
+    for xs, eps in _candidates(spec, budget, pool, exhaustive):
         tried += 1
-        g = _product(oracle, spec.xi, xs, eps)
-        if oracle.length(g) <= spec.r:
+        length = oracle.length(_product(oracle, spec.xi, xs, eps))
+        if length <= spec.r:
             witness = {
                 "k": len(xs),
                 "eps": list(eps),
                 "xs": [oracle.format_element(x) for x in xs],
-                "length": oracle.length(g),
+                "length": length,
             }
-            return witness
-        return None
-
-    total = 0
-    for k in range(1, budget.k_max + 1):
-        total += (len(pool) * 2) ** k
-    if exhaustive and total <= budget.exhaustive_limit:
-        for k in range(1, budget.k_max + 1):
-            for xs in itertools.product(pool, repeat=k):
-                if not admissible(xs):
-                    continue
-                for eps in itertools.product((1, -1), repeat=k):
-                    w = check(xs, eps)
-                    if w is not None:
-                        verdict = Verdict("counterexample-found", w, "exhaustive", tried)
-                        if not _replay_witness(spec, w):
-                            raise PreconditionError("witness failed replay")
-                        return verdict
-        return Verdict("no-counterexample-within-budget", None, "exhaustive", tried)
-
-    rng = random.Random(budget.seed)
-    for _ in range(budget.samples):
-        k = rng.randint(1, budget.k_max)
-        xs = tuple(rng.choice(pool) for _ in range(k))
-        if not admissible(xs):
-            continue
-        eps = tuple(rng.choice((1, -1)) for _ in range(k))
-        w = check(xs, eps)
-        if w is not None:
-            if not _replay_witness(spec, w):
-                raise PreconditionError("witness failed replay")
-            return Verdict("counterexample-found", w, "sampled", tried)
-    return Verdict("no-counterexample-within-budget", None, "sampled", tried)
+            if not _replay_witness(spec, witness):
+                raise InternalInvariantError("witness failed replay")
+            return Verdict("counterexample-found", witness, regime, tried)
+    return Verdict("no-counterexample-within-budget", None, regime, tried)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +609,7 @@ def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],
                                 bound: int = 500, max_x_len: int = 192,
-                                check_xi: bool = True,
-                                xi_report: Optional[XiReport] = None):
+                                check_xi: bool = True):
     """Reduce xi^(e1) x1 ... xi^(ek) xk and check the result has no
     power of the given order.
 
@@ -650,7 +637,7 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         raise PreconditionError(
             f"x-sequence is not 10-aperiodic: period {wit.period} at {wit.start}"
         )
-    if check_xi and xi_report is None:
+    if check_xi:
         ok3, _ = is_k_aperiodic(xi, 3)
         if not ok3 or len(xi) <= 10000:
             raise PreconditionError(

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 EXACT_SOLVER_CAP = 15
+# explored (element, visited-mask) states before L' gives up
+_LPRIME_STATE_CAP = 3_000_000
 
 
 @dataclass
@@ -116,17 +118,11 @@ class RelatedSet:
 
 
 def is_xi_related(elements, xi, oracle: GroupOracle):
-    """Check the neighbor condition; returns (flag, orphans)."""
+    """Check the neighbor condition; returns (flag, orphans), the orphans
+    being the set's xi-boundary."""
     if xi == oracle.identity():
         raise DegenerateXiError("xi must be nontrivial")
-    members = set(elements)
-    orphans = []
-    for x in members:
-        if oracle.multiply(x, xi) not in members and oracle.multiply(
-            x, oracle.inverse(xi)
-        ) not in members:
-            orphans.append(x)
-    orphans.sort(key=oracle.sort_key)
+    orphans = xi_boundary(elements, xi, oracle)
     return not orphans, orphans
 
 
@@ -136,7 +132,8 @@ def revise(rset: RelatedSet) -> RelatedSet:
     The xi-orbit graph restricted to the set has maximum degree 2 and,
     in a torsion-free group, no cycles, so greedy pairing along each
     orbit path covers 2*floor(m/2) of every m-vertex path, hence at
-    least 2/3 overall.
+    least 2/3 overall.  Every supported group is torsion-free; an
+    element no orbit path reaches breaks that invariant.
     """
     if rset.xi is None:
         raise PreconditionError("cannot revise a set without xi")
@@ -154,27 +151,18 @@ def revise(rset: RelatedSet) -> RelatedSet:
             pred[y] = x
     pairs = []
     used = set()
-    starts = [x for x in rset.elements if x not in pred]
-    for start in starts:
+    for start in (x for x in rset.elements if x not in pred):
         chain = [start]
-        while chain[-1] in succ and succ[chain[-1]] not in used:
-            nxt = succ[chain[-1]]
-            if nxt in chain:
-                break
-            chain.append(nxt)
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
         for i in range(0, len(chain) - 1, 2):
             pairs.append((chain[i], chain[i + 1]))
         used.update(chain)
-    remaining = [x for x in rset.elements if x not in used]
-    # cycles can only arise for torsion xi; pair them greedily anyway
-    while remaining:
-        x = remaining[0]
-        cyc = [x]
-        while succ[cyc[-1]] != x:
-            cyc.append(succ[cyc[-1]])
-        for i in range(0, len(cyc) - 1, 2):
-            pairs.append((cyc[i], cyc[i + 1]))
-        remaining = [y for y in remaining if y not in set(cyc)]
+    if len(used) != rset.size:
+        raise InternalInvariantError(
+            f"xi-orbit chains reached {len(used)} of {rset.size} elements; "
+            "the rest lie on xi-cycles, so xi has finite order"
+        )
     selected = tuple(x for p in pairs for x in p)
     if 3 * len(selected) < 2 * rset.size:
         raise InternalInvariantError(
@@ -431,7 +419,7 @@ def _l_prime_free(oracle: FreeOracle, pts) -> int:
     return 2 * edges - sum(deg.values()) - 1
 
 
-def _l_prime_dijkstra(oracle: GroupOracle, pts, region, cap_states=3_000_000):
+def _l_prime_dijkstra(oracle: GroupOracle, pts, region):
     """Minimum of (steps - arrivals-in-S) over closed walks through all
     of pts, restricted to the given region of the Cayley graph."""
     n = len(pts)
@@ -462,7 +450,7 @@ def _l_prime_dijkstra(oracle: GroupOracle, pts, region, cap_states=3_000_000):
             if nd < dist.get(key, float("inf")):
                 dist[key] = nd
                 counter += 1
-                if len(dist) > cap_states:
+                if len(dist) > _LPRIME_STATE_CAP:
                     raise ResourceLimitError("credited-walk search exceeded state cap")
                 heapq.heappush(heap, (nd, counter, key))
     if best is None:
@@ -470,7 +458,7 @@ def _l_prime_dijkstra(oracle: GroupOracle, pts, region, cap_states=3_000_000):
     return best - 1
 
 
-def l_prime(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP, hull_radius: Optional[int] = None) -> LPrimeResult:
+def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult:
     """Exact credited walk cost where the geometry allows it.
 
     Free groups: closed form on the spanning subtree (exact).  Abelian
@@ -478,8 +466,8 @@ def l_prime(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP, hull_radius: Optional
     never helps an L1 walk).  Other oracles: Dijkstra over a ball hull
     of configurable radius, certified only within that budget.
     """
-    if rset.size > cap:
-        raise ResourceLimitError(f"{rset.size} elements exceed cap {cap}")
+    if rset.size > EXACT_SOLVER_CAP:
+        raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
     pts = rset.elements
     if rset.size == 1:
         return LPrimeResult(-1, True, "degenerate")
@@ -548,7 +536,6 @@ class SamplerConfig:
     max_size: int = 14
     style: str = "pairs"  # pairs | chains | mixed | box-pairs
     base_size: int = 6
-    exact_cap: int = EXACT_SOLVER_CAP
     compute_lprime: bool = False
 
     def __post_init__(self):
@@ -651,10 +638,10 @@ def _experiment_sample(oracle: GroupOracle, xi, config: SamplerConfig, index: in
     elements of its related set.  A pure function of its arguments, so
     samples may run in any order or process."""
     rset = sample_related_set(oracle, xi, config, index)
-    tour = tsp_exact(rset, cap=config.exact_cap)
+    tour = tsp_exact(rset)
     row = {"size": rset.size, "L": tour.length, "ratio": str(Fraction(tour.length, rset.size))}
     if config.compute_lprime:
-        row["Lprime"] = l_prime(rset, cap=config.exact_cap).value
+        row["Lprime"] = l_prime(rset).value
     return row, rset.elements
 
 

@@ -4,7 +4,8 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from ts_groups.cli import main
+from ts_groups import testers
+from ts_groups.cli import ball_limit_from_env, main
 from ts_groups.groups import make_oracle
 from ts_groups.words import first_aperiodic_word, format_word
 
@@ -246,6 +247,27 @@ def test_budget_env_var(runner, monkeypatch):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("value, limit", [(None, 20_000), ("1", 10_000), ("2", 20_000),
+                                          ("7", 20_000), ("0", 10_000)])
+def test_budget_env_var_is_an_element_count(monkeypatch, value, limit):
+    if value is None:
+        monkeypatch.delenv("TS_GROUPS_BUDGET_MB", raising=False)
+    else:
+        monkeypatch.setenv("TS_GROUPS_BUDGET_MB", value)
+    assert ball_limit_from_env() == limit
+
+
+def test_bad_budget_env_var_exits_2(runner, monkeypatch):
+    monkeypatch.setenv("TS_GROUPS_BUDGET_MB", "lots")
+    result = runner.invoke(
+        main,
+        ["property", "test", "--family", "P", "--r", "2", "--group", "abelian:2",
+         "--xi", "1,1", "--k-max", "1"],
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+
+
 def test_forest_verify_from_report_file(runner, tmp_path):
     oracle = make_oracle("free:2")
     xi = first_aperiodic_word(2, 49)
@@ -264,6 +286,40 @@ def test_forest_verify_from_report_file(runner, tmp_path):
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["ok"] is True and data["matches_stored"] is True
+
+
+def test_forest_verify_echoes_tour(runner, tmp_path):
+    oracle = make_oracle("free:2")
+    xi = first_aperiodic_word(2, 49)
+    g = oracle.parse_element("b a")
+    h = oracle.parse_element("a a b")
+    set_file = tmp_path / "set.words"
+    set_file.write_text(
+        "\n".join(format_word(e) for e in (g, g * xi, h, h * xi)) + "\n"
+    )
+    out = tmp_path / "forest.json"
+    args = [
+        "forest", "build", "--mode", "P", "--r", "12", "--set", str(set_file),
+        "--xi", format_word(xi), "--tour", "heuristic", "--out", str(out),
+    ]
+    assert invoke(runner, args).exit_code == 0
+    assert json.loads(out.read_text())["config"]["tour"] == "heuristic"
+    result = invoke(runner, ["forest", "verify", str(out)])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["config"]["tour"] == "heuristic"
+    assert data["matches_stored"] is True
+
+
+def test_property_replay_failure_exits_5(runner, monkeypatch):
+    monkeypatch.setattr(testers, "_replay_witness", lambda spec, witness: False)
+    result = runner.invoke(
+        main,
+        ["property", "test", "--family", "P", "--r", "2", "--group", "abelian:2",
+         "--xi", "1,1", "--k-max", "1"],
+    )
+    assert result.exit_code == 5
+    assert "witness failed replay" in result.output
 
 
 def test_parallel_experiment_matches_sequential(runner, tmp_path):

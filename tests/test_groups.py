@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -81,6 +82,28 @@ def test_ball_membership_is_exact():
 def test_ball_budget():
     with pytest.raises(ResourceLimitError):
         FREE2.ball(10, Limits(ball_elements=100))
+
+
+def l1_ball_size(dim, r):
+    return sum(2**k * math.comb(dim, k) * math.comb(r, k) for k in range(dim + 1))
+
+
+@pytest.mark.parametrize("dim, radii", [(3, range(9)), (4, range(7))])
+def test_abelian_ball_matches_closed_form(dim, radii):
+    oracle = make_oracle(f"abelian:{dim}")
+    for r in radii:
+        ball = oracle.ball(r)
+        assert len(ball) == l1_ball_size(dim, r)
+        assert all(oracle.length(g) <= r for g in ball.elements)
+
+
+@pytest.mark.parametrize("r", [22, 23])
+def test_abelian_ball_fits_its_limit(r):
+    # 15,225 and 17,343 elements: a ball that fits the limit is built
+    ball = make_oracle("abelian:3").ball(r, Limits(ball_elements=20_000))
+    assert len(ball) == l1_ball_size(3, r)
+    with pytest.raises(ResourceLimitError):
+        make_oracle("abelian:3").ball(r, Limits(ball_elements=l1_ball_size(3, r) - 1))
 
 
 def test_element_parse_format_round_trip():

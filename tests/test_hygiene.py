@@ -2,12 +2,16 @@
 
 import ast
 import builtins
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import ts_groups
+from ts_groups.groups import Limits
+from ts_groups.testers import SearchBudget, XiParams
+from ts_groups.tours import SamplerConfig
 
 SOURCES = sorted(Path(ts_groups.__file__).parent.glob("*.py"))
 
@@ -50,3 +54,26 @@ def test_exports_resolve(path):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert [n for n in REEXPORTS.get(path.stem, []) if n not in exported] == []
+
+
+BUDGET_FIELDS = [
+    pytest.param(f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (Limits, SearchBudget, SamplerConfig, XiParams)
+    for f in dataclasses.fields(cls)
+]
+
+
+ATTRIBUTES_READ = {
+    node.attr
+    for path in SOURCES
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+}
+
+
+@pytest.mark.parametrize("field", BUDGET_FIELDS)
+def test_budget_fields_are_read(field):
+    """Every field of a configuration or budget class is read somewhere
+    in the package; a field nothing reads is a setting that does
+    nothing."""
+    assert field in ATTRIBUTES_READ

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.cancellation import SymmetrizedSet, satisfies_small_cancellation
-from ts_groups.errors import MalformedInputError, PreconditionError
-from ts_groups.groups import make_oracle
+from ts_groups import testers
+from ts_groups.errors import InternalInvariantError, MalformedInputError, PreconditionError
+from ts_groups.groups import FreeOracle, Limits, make_oracle
 from ts_groups.testers import (
     PropertySpec,
     SearchBudget,
@@ -82,6 +83,149 @@ def test_property_spec_validation():
         PropertySpec("Q", r=2, oracle=AB2, xi=(1, 0))
     with pytest.raises(Exception):
         PropertySpec("Pn'", r=2, oracle=AB2, xi=(1, 0), n=0)
+
+
+class CountingFree(FreeOracle):
+    """Free oracle that records its products and, when the ball search
+    ends, how many it had made by then."""
+
+    def __init__(self, rank):
+        super().__init__(rank)
+        self.products = []
+        self.ball_products = None
+
+    def multiply(self, g, h):
+        self.products.append(g * h)
+        return self.products[-1]
+
+    def ball(self, r, limits=Limits()):
+        try:
+            return super().ball(r, limits)
+        finally:
+            self.ball_products = list(self.products)
+
+
+def test_ball_limit_stops_the_enumeration():
+    # the 5-ball of free:3 has 4,687 elements; a limit of 40 must stop
+    # the breadth-first search at its 41st element
+    limit = 40
+    oracle = CountingFree(3)
+    spec = PropertySpec("P", r=5, oracle=oracle, xi=parse_word("a b c", 3))
+    verdict = run_property_search(spec, SearchBudget(k_max=1, samples=20, ball_limit=limit))
+    assert verdict.regime == "sampled"
+    assert len(oracle.ball_products) <= (limit + 1) * len(oracle.generators())
+    assert len(set(oracle.ball_products) | {oracle.identity()}) == limit + 1
+
+
+def test_replay_failure_is_an_internal_invariant(monkeypatch):
+    monkeypatch.setattr(testers, "_replay_witness", lambda spec, witness: False)
+    spec = PropertySpec("P", r=2, oracle=AB2, xi=(1, 1))
+    with pytest.raises(InternalInvariantError):
+        run_property_search(spec, SearchBudget(k_max=2))
+
+
+# Verdicts recorded before the ball limit was passed to the enumeration
+# and the exhaustive and sampled searches were merged into one loop; both
+# changes must leave every verdict as it was.  Rows are (group, family, n,
+# r, budget index, outcome, regime, tried, witness), the witness as
+# (k, eps, xs, length).
+PIN_XI = {"free:2": "a b a B a b A b a", "abelian:2": "1,1",
+          "prod(free:2,abelian:1)": "a B|1", "f2xz:n=2": "a b|1"}
+PIN_BUDGETS = (SearchBudget(k_max=2, exhaustive_limit=2000, samples=200, seed=1),
+               SearchBudget(k_max=3, exhaustive_limit=10, samples=300, seed=2),
+               SearchBudget(k_max=2, samples=200, seed=3, ball_limit=40))
+PIN_OUTCOMES = {"co": "counterexample-found", "no": "no-counterexample-within-budget"}
+PIN_REGIMES = {"ex": "exhaustive", "sa": "sampled"}
+PINNED_VERDICTS = [
+    ("free:2", "P", 1, 2, 0, "no", "ex", 1056, None),
+    ("free:2", "P", 1, 2, 1, "no", "sa", 300, None),
+    ("free:2", "P", 1, 2, 2, "no", "ex", 1056, None),
+    ("free:2", "P", 1, 3, 0, "no", "sa", 200, None),
+    ("free:2", "P", 1, 3, 1, "no", "sa", 300, None),
+    ("free:2", "P", 1, 3, 2, "no", "sa", 200, None),
+    ("free:2", "Pn'", 1, 2, 0, "no", "ex", 992, None),
+    ("free:2", "Pn'", 1, 2, 1, "no", "sa", 283, None),
+    ("free:2", "Pn'", 1, 2, 2, "no", "ex", 992, None),
+    ("free:2", "Pn'", 1, 3, 0, "no", "sa", 199, None),
+    ("free:2", "Pn'", 1, 3, 1, "no", "sa", 294, None),
+    ("free:2", "Pn'", 1, 3, 2, "no", "sa", 191, None),
+    ("free:2", "Pn'", 3, 2, 0, "no", "ex", 1056, None),
+    ("free:2", "Pn'", 3, 2, 1, "no", "sa", 300, None),
+    ("free:2", "Pn'", 3, 2, 2, "no", "ex", 1056, None),
+    ("free:2", "Pn'", 3, 3, 0, "no", "sa", 200, None),
+    ("free:2", "Pn'", 3, 3, 1, "no", "sa", 300, None),
+    ("free:2", "Pn'", 3, 3, 2, "no", "sa", 200, None),
+    ("abelian:2", "P", 1, 2, 0, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "P", 1, 2, 1, "co", "sa", 1, (1, (1,), ("0,-1",), 1)),
+    ("abelian:2", "P", 1, 2, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "P", 1, 3, 0, "co", "sa", 3, (2, (-1, 1), ("-1,1", "1,0"), 1)),
+    ("abelian:2", "P", 1, 3, 1, "co", "sa", 1, (1, (1,), ("0,1",), 3)),
+    ("abelian:2", "P", 1, 3, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 1, 2, 0, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 1, 2, 1, "co", "sa", 1, (1, (1,), ("0,-1",), 1)),
+    ("abelian:2", "Pn'", 1, 2, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 1, 3, 0, "co", "sa", 3, (2, (-1, 1), ("-1,1", "1,0"), 1)),
+    ("abelian:2", "Pn'", 1, 3, 1, "co", "sa", 1, (1, (1,), ("0,1",), 3)),
+    ("abelian:2", "Pn'", 1, 3, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 3, 2, 0, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 3, 2, 1, "co", "sa", 1, (1, (1,), ("0,-1",), 1)),
+    ("abelian:2", "Pn'", 3, 2, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("abelian:2", "Pn'", 3, 3, 0, "co", "sa", 3, (2, (-1, 1), ("-1,1", "1,0"), 1)),
+    ("abelian:2", "Pn'", 3, 3, 1, "co", "sa", 1, (1, (1,), ("0,1",), 3)),
+    ("abelian:2", "Pn'", 3, 3, 2, "co", "ex", 1, (1, (1,), ("-1,0",), 1)),
+    ("prod(free:2,abelian:1)", "P", 1, 2, 0, "co", "sa", 18, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "P", 1, 2, 1, "co", "sa", 29, (2, (-1, 1), ("|-1", "B|1"), 1)),
+    ("prod(free:2,abelian:1)", "P", 1, 2, 2, "co", "ex", 1, (1, (1,), ("|-1",), 2)),
+    ("prod(free:2,abelian:1)", "P", 1, 3, 0, "co", "sa", 8, (2, (1, -1), ("b a B|0", "A|0"), 0)),
+    ("prod(free:2,abelian:1)", "P", 1, 3, 1, "co", "sa", 22, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "P", 1, 3, 2, "co", "sa", 5, (1, (1,), ("A|-1",), 3)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 2, 0, "co", "sa", 18, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 2, 1, "co", "sa", 14, (2, (1, -1), ("b a|0", "a B|0"), 2)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 2, 2, "co", "ex", 1, (1, (1,), ("|-1",), 2)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 3, 0, "co", "sa", 8, (2, (1, -1), ("b a B|0", "A|0"), 0)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 3, 1, "co", "sa", 22, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "Pn'", 1, 3, 2, "co", "sa", 6, (1, (1,), ("b A|-1",), 0)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 2, 0, "co", "sa", 18, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 2, 1, "co", "sa", 29, (2, (-1, 1), ("|-1", "B|1"), 1)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 2, 2, "co", "ex", 1, (1, (1,), ("|-1",), 2)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 3, 0, "co", "sa", 8, (2, (1, -1), ("b a B|0", "A|0"), 0)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 3, 1, "co", "sa", 22, (1, (1,), ("b|-1",), 1)),
+    ("prod(free:2,abelian:1)", "Pn'", 3, 3, 2, "co", "sa", 5, (1, (1,), ("A|-1",), 3)),
+    ("f2xz:n=2", "P", 1, 2, 0, "co", "sa", 30, (1, (-1,), ("a|1",), 1)),
+    ("f2xz:n=2", "P", 1, 2, 1, "co", "sa", 27, (2, (-1, 1), ("a b|0", "B A|0"), 0)),
+    ("f2xz:n=2", "P", 1, 2, 2, "co", "ex", 1, (1, (1,), ("B|0",), 2)),
+    ("f2xz:n=2", "P", 1, 3, 0, "co", "sa", 1, (1, (-1,), ("a b|0",), 3)),
+    ("f2xz:n=2", "P", 1, 3, 1, "co", "sa", 1, (1, (1,), ("B A|-1",), 0)),
+    ("f2xz:n=2", "P", 1, 3, 2, "co", "sa", 23, (1, (-1,), ("a b|0",), 3)),
+    ("f2xz:n=2", "Pn'", 1, 2, 0, "co", "sa", 20, (1, (1,), ("B|0",), 2)),
+    ("f2xz:n=2", "Pn'", 1, 2, 1, "co", "sa", 27, (2, (-1, 1), ("a b|0", "B A|0"), 0)),
+    ("f2xz:n=2", "Pn'", 1, 2, 2, "co", "ex", 1, (1, (1,), ("B|0",), 2)),
+    ("f2xz:n=2", "Pn'", 1, 3, 0, "co", "sa", 1, (1, (-1,), ("a b|0",), 3)),
+    ("f2xz:n=2", "Pn'", 1, 3, 1, "co", "sa", 1, (1, (1,), ("B A|-1",), 0)),
+    ("f2xz:n=2", "Pn'", 1, 3, 2, "co", "sa", 6, (1, (1,), ("B A|-1",), 0)),
+    ("f2xz:n=2", "Pn'", 3, 2, 0, "co", "sa", 30, (1, (-1,), ("a|1",), 1)),
+    ("f2xz:n=2", "Pn'", 3, 2, 1, "co", "sa", 27, (2, (-1, 1), ("a b|0", "B A|0"), 0)),
+    ("f2xz:n=2", "Pn'", 3, 2, 2, "co", "ex", 1, (1, (1,), ("B|0",), 2)),
+    ("f2xz:n=2", "Pn'", 3, 3, 0, "co", "sa", 1, (1, (-1,), ("a b|0",), 3)),
+    ("f2xz:n=2", "Pn'", 3, 3, 1, "co", "sa", 1, (1, (1,), ("B A|-1",), 0)),
+    ("f2xz:n=2", "Pn'", 3, 3, 2, "co", "sa", 23, (1, (-1,), ("a b|0",), 3)),
+]
+
+
+@pytest.mark.parametrize("group, family, n, r, budget, outcome, regime, tried, witness",
+                         PINNED_VERDICTS)
+def test_pinned_verdicts(group, family, n, r, budget, outcome, regime, tried, witness):
+    oracle = make_oracle(group)
+    spec = PropertySpec(family, r=r, oracle=oracle, xi=oracle.parse_element(PIN_XI[group]), n=n)
+    if witness is not None:
+        k, eps, xs, length = witness
+        witness = {"k": k, "eps": list(eps), "xs": list(xs), "length": length}
+    assert run_property_search(spec, PIN_BUDGETS[budget]).to_dict() == {
+        "outcome": PIN_OUTCOMES[outcome],
+        "witness": witness,
+        "regime": PIN_REGIMES[regime],
+        "tried": tried,
+    }
 
 
 # -- variety counterexamples ------------------------------------------------------

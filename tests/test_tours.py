@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from ts_groups.errors import (
     DegenerateXiError,
+    InternalInvariantError,
     MalformedInputError,
     PreconditionError,
     ResourceLimitError,
 )
-from ts_groups.groups import make_oracle
+from ts_groups.groups import GroupOracle, make_oracle
 from ts_groups.tours import (
     ClosedPath,
     RelatedSet,
@@ -92,6 +93,35 @@ def test_revise_chain_of_three():
     assert len(rev.pairs) == 1
     x, y = rev.pairs[0]
     assert y == FREE2.multiply(x, xi)
+
+
+class CyclicOracle(GroupOracle):
+    """Z/m with generator 1: a group with torsion, which no supported
+    descriptor builds."""
+
+    def __init__(self, m):
+        self.m = m
+        self.descriptor = f"cyclic:{m}"
+
+    def identity(self):
+        return 0
+
+    def multiply(self, g, h):
+        return (g + h) % self.m
+
+    def inverse(self, g):
+        return -g % self.m
+
+    def sort_key(self, g):
+        return g
+
+
+def test_revise_rejects_torsion_cycles():
+    z4 = CyclicOracle(4)
+    rset = RelatedSet(z4, 1, (0, 1, 2, 3))
+    assert is_xi_related(rset.elements, 1, z4) == (True, [])
+    with pytest.raises(InternalInvariantError):
+        revise(rset)
 
 
 def test_revise_requires_related():
@@ -458,7 +488,7 @@ def test_l_prime_remark_two_lambda_three():
 def test_l_prime_cap():
     pts = box(4, 4)
     with pytest.raises(ResourceLimitError):
-        l_prime(RelatedSet(AB2, None, pts), cap=15)
+        l_prime(RelatedSet(AB2, None, pts))
 
 
 def test_exact_matches_brute_ten_points():
