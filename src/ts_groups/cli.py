@@ -40,6 +40,7 @@ from .testers import (
     PropertySpec,
     SearchBudget,
     XiParams,
+    _product_check_scale,
     _replay_witness,
     burnside_pipeline,
     construct_xi,
@@ -411,7 +412,7 @@ def _load_revised(descriptor, set_file, xi_text):
     oracle = make_oracle(descriptor)
     xi = _xi_argument(oracle, xi_text)
     pts = _read_elements(oracle, set_file)
-    return oracle, xi, revise(RelatedSet(oracle, xi, pts))
+    return oracle, revise(RelatedSet(oracle, xi, pts))
 
 
 def _build_forest(mode, rset, r, tour_kind, seed):
@@ -433,7 +434,7 @@ def _build_forest(mode, rset, r, tour_kind, seed):
 @reporting("forest build")
 def forest_build(mode, r, descriptor, set_file, xi_text, tour_kind, seed, out):
     """Build a forest over a related set and emit forest.json."""
-    oracle, xi, rset = _load_revised(descriptor, set_file, xi_text)
+    oracle, rset = _load_revised(descriptor, set_file, xi_text)
     fo = _build_forest(mode, rset, r, tour_kind, seed)
     return {
         "config": {"mode": mode, "r": r, "group": descriptor, "set": set_file, "xi": xi_text,
@@ -482,7 +483,7 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
         )
     tour_kind = tour_kind or "exact"
     seed = seed or 0
-    oracle, xi, rset = _load_revised(descriptor, set_file, xi_text)
+    oracle, rset = _load_revised(descriptor, set_file, xi_text)
     fo = _build_forest(mode, rset, r, tour_kind, seed)
     rep = verify_forest(fo, rset, r)
     payload = rep.to_dict()
@@ -618,8 +619,7 @@ def lemma5_verify(xi_file, xs_file, eps_text, desk_scale, out):
             eps.append(-1)
         else:
             raise MalformedInputError(f"bad sign character {c!r}")
-    bound = 50 if desk_scale else 500
-    max_x = 24 if desk_scale else 192
+    bound, max_x = _product_check_scale(desk_scale)
     ok, analysis = verify_product_aperiodicity(
         xi_word, xs, eps, bound=bound, max_x_len=max_x, check_xi=not desk_scale
     )

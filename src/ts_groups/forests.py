@@ -331,7 +331,7 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
 
     def open_vertex(entry, engine_state):
         """Complete a vertex around an entry element per the
-        nearest-admissible rule; returns (elements, inadmissible)."""
+        nearest-admissible rule; returns its elements."""
         lefts, rights = piece_neighbors(entry)
         fv = {}
         for t in rights + lefts:
@@ -354,7 +354,7 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
                 "candidate set below 4 at a completed vertex; the labeling "
                 "guarantee lapses"
             )
-        return [entry] + chosen, z
+        return [entry] + chosen
 
     for z in decomp.order:
         if z in used:
@@ -396,7 +396,7 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
                         child_state.observe(
                             oracle.multiply(oracle.inverse(vert.entry), w)
                         )
-                    elems, z_v = open_vertex(y, child_state) if child_state else ([y], None)
+                    elems = open_vertex(y, child_state) if child_state else [y]
                     used.update(elems)
                     cid = tree.add(
                         ClusterVertex(

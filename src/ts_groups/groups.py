@@ -26,15 +26,8 @@ from .errors import (
 )
 from .words import Alphabet, Word, format_word, parse_word
 
-__all__ = ["Limits", "Ball", "GroupOracle", "FreeOracle", "AbelianOracle",
+__all__ = ["Ball", "GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource caps; configuration, not constants."""
-
-    ball_elements: int = 10**6
 
 
 @dataclass(frozen=True)
@@ -98,16 +91,16 @@ class GroupOracle:
     def format_element(self, g) -> str:
         raise NotImplementedError
 
-    def ball(self, r: int, limits: Limits = Limits()) -> Ball:
-        """Exact ball of radius r around the identity, by breadth-first
-        search.  The search stops at the first element past
-        ``limits.ball_elements``, so an oversized ball costs no more than
-        the limit."""
+    def neighbourhood(self, points, r: int, limit: int) -> set:
+        """Elements within distance r of the given points, by
+        breadth-first search over the Cayley graph.  The search stops at
+        the first element past ``limit``, so an oversized neighbourhood
+        costs no more than the limit."""
         if r < 0:
             raise MalformedInputError("radius must be >= 0")
         gens = self.generators()
-        seen = {self.identity()}
-        frontier = [self.identity()]
+        seen = set(points)
+        frontier = list(seen)
         for _ in range(r):
             nxt = []
             for g in frontier:
@@ -116,11 +109,17 @@ class GroupOracle:
                     if h not in seen:
                         seen.add(h)
                         nxt.append(h)
-                        if len(seen) > limits.ball_elements:
+                        if len(seen) > limit:
                             raise ResourceLimitError(
-                                f"ball exceeds {limits.ball_elements} elements"
+                                f"neighbourhood of radius {r} exceeds {limit} elements"
                             )
             frontier = nxt
+        return seen
+
+    def ball(self, r: int, limit: int = 10**6) -> Ball:
+        """Exact ball of radius r around the identity; raises
+        ResourceLimitError at its first element past ``limit``."""
+        seen = self.neighbourhood([self.identity()], r, limit)
         return Ball(self.identity(), r, tuple(sorted(seen, key=self.sort_key)))
 
     def __repr__(self):
@@ -271,9 +270,13 @@ class ProductOracle(GroupOracle):
         return (self.length(g), self.left.sort_key(g[0]), self.right.sort_key(g[1]))
 
     def parse_element(self, text: str):
-        if "|" not in text:
+        # the left factor's own text may hold '|' (f2xz, products); it
+        # holds as many as its identity's text does
+        cut = self.left.format_element(self.left.identity()).count("|") + 1
+        parts = text.split("|")
+        if len(parts) <= cut:
             raise MalformedInputError("product element must look like '<left>|<right>'")
-        l, r = text.split("|", 1)
+        l, r = "|".join(parts[:cut]), "|".join(parts[cut:])
         return (self.left.parse_element(l.strip()), self.right.parse_element(r.strip()))
 
     def format_element(self, g) -> str:
@@ -318,7 +321,6 @@ class F2xZOracle(GroupOracle):
         a = Word((1,), 2)
         b = Word((2,), 2)
         an = Word((1,) * self.n, 2)
-        e = Word((), 2)
         return [
             (a, 0), (~a, 0), (b, 0), (~b, 0), (an, 1), (~an, -1),
         ]
@@ -388,7 +390,6 @@ class F2xZOracle(GroupOracle):
         _, picks = self._solve(g)
         a = Word((1,), 2)
         an = Word((1,) * self.n, 2)
-        e = Word((), 2)
         steps = []
         for j, k in enumerate(ks):
             d = picks[j]

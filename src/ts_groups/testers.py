@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import GroupOracle, Limits
+from .groups import GroupOracle
 from .sequences import squarefree_ternary
 from .tours import random_element
 from .words import (
@@ -163,14 +163,14 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
         raise PreconditionError("xi must be nontrivial")
 
     try:
-        b = oracle.ball(spec.r, Limits(ball_elements=budget.ball_limit))
+        b = oracle.ball(spec.r, budget.ball_limit)
         pool = [g for g in b.elements if g != oracle.identity()]
         fits = True
     except ResourceLimitError:
         fits = False
         rng = random.Random(budget.seed)
         seen = set()
-        while len(seen) < budget.ball_limit // 4:
+        while len(seen) < max(1, budget.ball_limit // 4):
             g = random_element(oracle, rng, spec.r)
             if g != oracle.identity() and oracle.length(g) <= spec.r:
                 seen.add(g)
@@ -273,7 +273,6 @@ def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0,
         if not is_k_aperiodic(tuple(tokens), m)[0]:
             continue
         rank = n + 1  # generator 1 plays xi, generators 2..n+1 the u_i
-        alpha = Alphabet(rank)
         xi = Word((1,), rank)
         words = []
         for g, s in tokens:
@@ -411,7 +410,6 @@ def _block_word(params: XiParams):
 def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
     """Independent window scan of the four flip-set conditions."""
     flips = sorted(flips)
-    fset = set(flips)
     bset = sorted(b_positions)
     out = {}
     gaps = [b - a for a, b in zip(flips, flips[1:])]
@@ -731,6 +729,11 @@ def _random_sequence(rng: random.Random, k_max: int, max_len: int):
     return xs, eps
 
 
+def _product_check_scale(desk_scale: bool) -> Tuple[int, int]:
+    """(aperiodicity bound, longest x) of the long-product check."""
+    return (50, 24) if desk_scale else (500, 192)
+
+
 def burnside_pipeline(samples: int = 50, seed: int = 0, desk_scale: bool = False) -> PipelineReport:
     """Desk-scale demonstration of the word-combinatorics side of the
     Burnside application: build the marker word, sample admissible
@@ -742,8 +745,7 @@ def burnside_pipeline(samples: int = 50, seed: int = 0, desk_scale: bool = False
     """
     stages: List[dict] = []
     params = XiParams.desk() if desk_scale else XiParams()
-    bound = 50 if desk_scale else 500
-    max_x = 24 if desk_scale else 192
+    bound, max_x = _product_check_scale(desk_scale)
     t0 = time.perf_counter()
     try:
         xi_rep = construct_xi(seed, params)

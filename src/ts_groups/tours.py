@@ -56,6 +56,8 @@ __all__ = [
 EXACT_SOLVER_CAP = 15
 # explored (element, visited-mask) states before L' gives up
 _LPRIME_STATE_CAP = 3_000_000
+# hull elements before L' gives up on groups neither free nor abelian
+_LPRIME_HULL_CAP = 200_000
 
 
 @dataclass
@@ -114,7 +116,7 @@ class RelatedSet:
         return out
 
     def is_revised(self) -> bool:
-        return self.pairs is not None and sum(2 for _ in self.pairs) == self.size
+        return self.pairs is not None and 2 * len(self.pairs) == self.size
 
 
 def is_xi_related(elements, xi, oracle: GroupOracle):
@@ -335,6 +337,24 @@ def _mst_edges(rset: RelatedSet):
     return edges
 
 
+def _euler_tour(root, children):
+    """Vertices of the closed walk that goes down and back up every edge
+    of a rooted tree, depth first, root first and last; ``children(v)``
+    lists v's children in visiting order."""
+    walk = [root]
+    stack = [(root, iter(children(root)))]
+    while stack:
+        for c in stack[-1][1]:
+            walk.append(c)
+            stack.append((c, iter(children(c))))
+            break
+        else:
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
+    return walk
+
+
 def mst_bounds(rset: RelatedSet):
     """(lower, upper, witness): MST weight W with W <= L(S) <= 2W; the
     witness is the doubled-tree closed path of length exactly 2W."""
@@ -344,21 +364,14 @@ def mst_bounds(rset: RelatedSet):
         return 0, 0, ClosedPath(o, (pts[0],))
     edges = _mst_edges(rset)
     weight = sum(w for _, _, w in edges)
-    adj: Dict[int, List[int]] = {i: [] for i in range(len(pts))}
+    # Prim's tree is rooted at point 0: each edge runs parent -> child
+    children: Dict[int, List[int]] = {i: [] for i in range(len(pts))}
     for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        children[u].append(v)
+    walk = _euler_tour(0, lambda u: sorted(children[u]))
     points = [pts[0]]
-
-    def dfs(u, par):
-        for v in sorted(adj[u]):
-            if v == par:
-                continue
-            points.extend(o.geodesic_points(pts[u], pts[v])[1:])
-            dfs(v, u)
-            points.extend(o.geodesic_points(pts[v], pts[u])[1:])
-
-    dfs(0, -1)
+    for u, v in zip(walk, walk[1:]):
+        points.extend(o.geodesic_points(pts[u], pts[v])[1:])
     witness = ClosedPath(o, tuple(points))
     if witness.length != 2 * weight:
         raise InternalInvariantError("doubled-tree walk length mismatch")
@@ -377,7 +390,7 @@ class LPrimeResult:
     method: str
 
 
-def _free_hull(oracle: FreeOracle, pts):
+def _free_hull(pts):
     """Vertex set of the minimal subtree of the Cayley tree spanning
     pts (union of the paths from every point to the first)."""
     words = [p.letters for p in pts]
@@ -399,8 +412,8 @@ def _free_hull(oracle: FreeOracle, pts):
     return hull
 
 
-def _l_prime_free(oracle: FreeOracle, pts) -> int:
-    hull = _free_hull(oracle, pts)
+def _l_prime_free(pts) -> int:
+    hull = _free_hull(pts)
     members = {p.letters for p in pts}
     edges = 0
     deg = {w: 0 for w in members}
@@ -464,7 +477,9 @@ def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult
     Free groups: closed form on the spanning subtree (exact).  Abelian
     groups: Dijkstra over the bounding box (exact; leaving the box
     never helps an L1 walk).  Other oracles: Dijkstra over a ball hull
-    of configurable radius, certified only within that budget.
+    of configurable radius, certified only within that budget; the hull
+    search raises ResourceLimitError at its first element past
+    ``_LPRIME_HULL_CAP``.
     """
     if rset.size > EXACT_SOLVER_CAP:
         raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
@@ -473,7 +488,7 @@ def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult
         return LPrimeResult(-1, True, "degenerate")
     o = rset.oracle
     if isinstance(o, FreeOracle):
-        return LPrimeResult(_l_prime_free(o, pts), True, "tree-formula")
+        return LPrimeResult(_l_prime_free(pts), True, "tree-formula")
     if isinstance(o, AbelianOracle):
         los = [min(p[i] for p in pts) for i in range(o.dim)]
         his = [max(p[i] for p in pts) for i in range(o.dim)]
@@ -484,20 +499,7 @@ def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult
     radius = hull_radius
     if radius is None:
         radius = max(o.distance(pts[0], p) for p in pts) + 2
-    region = set()
-    frontier = set(pts)
-    region.update(frontier)
-    for _ in range(radius):
-        nxt = set()
-        for g in frontier:
-            for s in o.generators():
-                h = o.multiply(g, s)
-                if h not in region:
-                    nxt.add(h)
-        region.update(nxt)
-        frontier = nxt
-        if len(region) > 200_000:
-            raise ResourceLimitError("ball hull too large for credited-walk search")
+    region = o.neighbourhood(pts, radius, _LPRIME_HULL_CAP)
     return LPrimeResult(_l_prime_dijkstra(o, pts, region), False, "hull-walk-budgeted")
 
 
@@ -784,22 +786,7 @@ def folner_traversal_demo(oracle: AbelianOracle, box, xi) -> FolnerReport:
                 stack.append((w, v))
     if len(seen) != len(members):
         raise PreconditionError("box subgraph is disconnected")
-    walk = [root]
-
-    def tour(v):
-        for c in tree_children[v]:
-            walk.append(c)
-            tour(c)
-            walk.append(v)
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, len(points) + 100))
-    try:
-        tour(root)
-    finally:
-        sys.setrecursionlimit(old)
+    walk = _euler_tour(root, tree_children.__getitem__)
     traversal = ClosedPath(oracle, tuple(walk))
     boundary = xi_boundary(points, xi, oracle)
     interior = [p for p in points if p not in set(boundary)]

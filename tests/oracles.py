@@ -301,3 +301,95 @@ def tagged_product_reference(xi, xs, eps):
                 xi_runs.append((start, i))
                 start = None
     return Word(letters, xi.rank), xi_runs
+
+
+def hull_reference(o, pts, radius):
+    """The credited functional's ball hull as `tours.l_prime` built it
+    with its own layer loop, kept literal: every element within radius
+    of pts, the 200,000-element cap checked after each whole layer."""
+    region = set()
+    frontier = set(pts)
+    region.update(frontier)
+    for _ in range(radius):
+        nxt = set()
+        for g in frontier:
+            for s in o.generators():
+                h = o.multiply(g, s)
+                if h not in region:
+                    nxt.add(h)
+        region.update(nxt)
+        frontier = nxt
+        if len(region) > 200_000:
+            raise ResourceLimitError("ball hull too large for credited-walk search")
+    return region
+
+
+def mst_witness_reference(rset):
+    """Points of the doubled-tree witness as `tours.mst_bounds` walked
+    them with a recursive closure over sorted MST neighbours, kept
+    literal."""
+    from ts_groups.tours import _mst_edges
+
+    pts = rset.elements
+    o = rset.oracle
+    if len(pts) == 1:
+        return (pts[0],)
+    edges = _mst_edges(rset)
+    adj = {i: [] for i in range(len(pts))}
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    points = [pts[0]]
+
+    def dfs(u, par):
+        for v in sorted(adj[u]):
+            if v == par:
+                continue
+            points.extend(o.geodesic_points(pts[u], pts[v])[1:])
+            dfs(v, u)
+            points.extend(o.geodesic_points(pts[v], pts[u])[1:])
+
+    dfs(0, -1)
+    return tuple(points)
+
+
+def folner_walk_reference(oracle, box):
+    """Points of the box traversal as `tours.folner_traversal_demo`
+    built them: a DFS spanning tree over grid edges, then a recursive
+    tour with a raised recursion limit, kept literal."""
+    import sys
+
+    points = [
+        tuple(v) for v in itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+    ]
+    members = set(points)
+    root = points[0]
+    seen = {root}
+    order = []
+    stack = [(root, None)]
+    tree_children = {p: [] for p in points}
+    while stack:
+        v, par = stack.pop()
+        if par is not None:
+            tree_children[par].append(v)
+        order.append(v)
+        for s in oracle.generators():
+            w = oracle.multiply(v, s)
+            if w in members and w not in seen:
+                seen.add(w)
+                stack.append((w, v))
+    walk = [root]
+
+    def tour(v):
+        for c in tree_children[v]:
+            walk.append(c)
+            tour(c)
+            walk.append(v)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, len(points) + 100))
+    try:
+        tour(root)
+    finally:
+        sys.setrecursionlimit(old)
+    return tuple(walk)

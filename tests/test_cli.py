@@ -50,6 +50,19 @@ def test_tsp_text_and_json(runner, tmp_path):
     assert "seed" in data["config"]
 
 
+@pytest.mark.parametrize("descriptor, element", [
+    ("prod(f2xz:n=2,abelian:1)", "a a|1|3"),
+    ("prod(prod(free:2,abelian:1),abelian:1)", "a|1|2"),
+])
+def test_tsp_reads_nested_product_elements(runner, tmp_path, descriptor, element):
+    words = tmp_path / "set.words"
+    words.write_text(element + "\n")
+    result = invoke(runner, ["tsp", "--group", descriptor, "--set", str(words),
+                             "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["order"] == [element]
+
+
 def test_tsp_unknown_group_exit_code(runner, tmp_path):
     words = tmp_path / "set.words"
     words.write_text("a\n")

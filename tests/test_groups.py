@@ -6,11 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ts_groups.errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from ts_groups.groups import Limits, make_oracle
+from ts_groups.groups import make_oracle
 from ts_groups.tours import random_element
 from ts_groups.words import Alphabet, Word, parse_word, reduce
 
-from oracles import bfs_lengths
+from oracles import bfs_lengths, hull_reference
 
 
 FREE2 = make_oracle("free:2")
@@ -81,7 +81,7 @@ def test_ball_membership_is_exact():
 
 def test_ball_budget():
     with pytest.raises(ResourceLimitError):
-        FREE2.ball(10, Limits(ball_elements=100))
+        FREE2.ball(10, 100)
 
 
 def l1_ball_size(dim, r):
@@ -100,10 +100,10 @@ def test_abelian_ball_matches_closed_form(dim, radii):
 @pytest.mark.parametrize("r", [22, 23])
 def test_abelian_ball_fits_its_limit(r):
     # 15,225 and 17,343 elements: a ball that fits the limit is built
-    ball = make_oracle("abelian:3").ball(r, Limits(ball_elements=20_000))
+    ball = make_oracle("abelian:3").ball(r, 20_000)
     assert len(ball) == l1_ball_size(3, r)
     with pytest.raises(ResourceLimitError):
-        make_oracle("abelian:3").ball(r, Limits(ball_elements=l1_ball_size(3, r) - 1))
+        make_oracle("abelian:3").ball(r, l1_ball_size(3, r) - 1)
 
 
 def test_element_parse_format_round_trip():
@@ -112,6 +112,40 @@ def test_element_parse_format_round_trip():
         for _ in range(50):
             g = random_element(oracle, rng, 5)
             assert oracle.parse_element(oracle.format_element(g)) == g
+
+
+ROUND_TRIP_GROUPS = ["free:2", "abelian:2", "f2xz:n=2", "prod(f2xz:n=2,abelian:1)",
+                     "prod(prod(free:2,abelian:1),abelian:1)", "prod(abelian:1,f2xz:n=2)",
+                     "prod(free:2,prod(f2xz:n=2,abelian:2))",
+                     "prod(prod(f2xz:n=2,abelian:1),prod(f2xz:n=3,free:2))"]
+
+
+@given(st.sampled_from(ROUND_TRIP_GROUPS), st.integers(0, 2**32), st.integers(0, 6))
+def test_nested_product_round_trip(descriptor, seed, size):
+    # a left factor whose own text holds '|' (f2xz, a product) must not
+    # end the left part at its first '|'
+    oracle = make_oracle(descriptor)
+    g = random_element(oracle, random.Random(seed), size)
+    assert oracle.parse_element(oracle.format_element(g)) == g
+
+
+@pytest.mark.parametrize("descriptor, text", [("prod(f2xz:n=2,abelian:1)", "a a|1"),
+                                              ("prod(prod(free:2,abelian:1),abelian:1)", "a|1")])
+def test_nested_product_needs_every_factor(descriptor, text):
+    with pytest.raises(MalformedInputError):
+        make_oracle(descriptor).parse_element(text)
+
+
+HULL_GROUPS = ["free:2", "abelian:2", "prod(free:2,abelian:1)", "f2xz:n=2"]
+
+
+@given(st.sampled_from(HULL_GROUPS), st.integers(0, 2**32), st.integers(1, 4),
+       st.integers(0, 4))
+def test_neighbourhood_matches_layer_hull(descriptor, seed, count, r):
+    oracle = make_oracle(descriptor)
+    rng = random.Random(seed)
+    pts = [random_element(oracle, rng, 3) for _ in range(count)]
+    assert oracle.neighbourhood(pts, r, 200_000) == hull_reference(oracle, pts, r)
 
 
 def test_abelian_parse_validation():

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import ts_groups
-from ts_groups.groups import Limits
 from ts_groups.testers import SearchBudget, XiParams
 from ts_groups.tours import SamplerConfig
 
@@ -58,7 +57,7 @@ def test_exports_resolve(path):
 
 BUDGET_FIELDS = [
     pytest.param(f.name, id=f"{cls.__name__}.{f.name}")
-    for cls in (Limits, SearchBudget, SamplerConfig, XiParams)
+    for cls in (SearchBudget, SamplerConfig, XiParams)
     for f in dataclasses.fields(cls)
 ]
 
@@ -77,3 +76,29 @@ def test_budget_fields_are_read(field):
     in the package; a field nothing reads is a setting that does
     nothing."""
     assert field in ATTRIBUTES_READ
+
+
+def _unread_locals(path):
+    """(function, name) for every name a function (or a function nested
+    in it) assigns but no code in the function reads; names starting
+    with '_' and names declared global or nonlocal are exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded, declared = set(), set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                (stored if isinstance(node.ctx, ast.Store) else loaded).add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        out.extend((fn.name, name) for name in sorted(stored - loaded - declared)
+                   if not name.startswith("_"))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_locals_are_read(path):
+    """Every local a function assigns is read; an unread local is dead
+    work or a value that was meant to be used."""
+    assert _unread_locals(path) == []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ts_groups.cancellation import SymmetrizedSet, satisfies_small_cancellation
 from ts_groups import testers
 from ts_groups.errors import InternalInvariantError, MalformedInputError, PreconditionError
-from ts_groups.groups import FreeOracle, Limits, make_oracle
+from ts_groups.groups import FreeOracle, make_oracle
 from ts_groups.testers import (
     PropertySpec,
     SearchBudget,
@@ -98,9 +98,9 @@ class CountingFree(FreeOracle):
         self.products.append(g * h)
         return self.products[-1]
 
-    def ball(self, r, limits=Limits()):
+    def ball(self, r, limit=10**6):
         try:
-            return super().ball(r, limits)
+            return super().ball(r, limit)
         finally:
             self.ball_products = list(self.products)
 
@@ -115,6 +115,15 @@ def test_ball_limit_stops_the_enumeration():
     assert verdict.regime == "sampled"
     assert len(oracle.ball_products) <= (limit + 1) * len(oracle.generators())
     assert len(set(oracle.ball_products) | {oracle.identity()}) == limit + 1
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+def test_tiny_ball_limit_samples_a_nonempty_pool(limit):
+    # limit // 4 is 0 here; the sampled pool still holds one element
+    spec = PropertySpec("P", r=2, oracle=FREE2, xi=parse_word("a b a B a b", 2))
+    verdict = run_property_search(spec, SearchBudget(k_max=2, samples=50, ball_limit=limit))
+    assert isinstance(verdict, testers.Verdict)
+    assert verdict.regime == "sampled"
 
 
 def test_replay_failure_is_an_internal_invariant(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ts_groups import tours
 from ts_groups.errors import (
     DegenerateXiError,
     InternalInvariantError,
@@ -15,7 +16,7 @@ from ts_groups.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from ts_groups.groups import GroupOracle, make_oracle
+from ts_groups.groups import F2xZOracle, GroupOracle, make_oracle
 from ts_groups.tours import (
     ClosedPath,
     RelatedSet,
@@ -35,7 +36,13 @@ from ts_groups.tours import (
 )
 from ts_groups.words import Alphabet, first_aperiodic_word, parse_word, reduce
 
-from oracles import brute_tour_length, held_karp_reference
+from oracles import (
+    brute_tour_length,
+    folner_walk_reference,
+    held_karp_reference,
+    hull_reference,
+    mst_witness_reference,
+)
 
 FREE2 = make_oracle("free:2")
 AB2 = make_oracle("abelian:2")
@@ -362,8 +369,8 @@ def test_l_prime_free_matches_walk_search():
         while len(pts) < rng.randint(2, 5):
             pts.add(random_element(FREE2, rng, 4))
         pts = tuple(sorted(pts, key=FREE2.sort_key))
-        region = {Word(h, 2) for h in _free_hull(FREE2, pts)}
-        assert _l_prime_free(FREE2, pts) == _l_prime_dijkstra(FREE2, pts, region)
+        region = {Word(h, 2) for h in _free_hull(pts)}
+        assert _l_prime_free(pts) == _l_prime_dijkstra(FREE2, pts, region)
 
 
 def test_l_prime_abelian_box_walk():
@@ -509,6 +516,99 @@ def test_l_prime_generic_hull_budgeted():
     assert res.method == "hull-walk-budgeted" and not res.certified
     # the pair walk formula value is an upper bound for the budgeted search
     assert res.value <= 2 * oracle.length(xi) - 3
+
+
+# l_prime values recorded when the hull had its own layer loop: (group,
+# elements, hull_radius, value)
+PINNED_L_PRIME = [
+    ("f2xz:n=2", ["|0", "a b a|0"], 4, 3),
+    ("f2xz:n=2", ["|0", "a b a|0"], 5, 3),
+    ("f2xz:n=2", ["|0", "a b a|0"], None, 3),
+    ("f2xz:n=2", ["|0", "a a|1"], None, -1),
+    ("f2xz:n=2", ["a|0", "b|1", "a b|0"], 4, 7),
+    ("f2xz:n=3", ["a a a|1", "b|0", "B|-1"], 3, 10),
+    ("prod(free:2,abelian:1)", ["|0", "a b a|0"], None, 3),
+    ("prod(free:2,abelian:1)", ["a|1", "b|-1", "a B|0"], None, 6),
+    ("prod(free:2,abelian:1)", ["a|0", "a|2", "A|1", "b|1"], 3, 5),
+    ("prod(abelian:1,f2xz:n=2)", ["1|a|0", "0|b|1", "-1||0"], 3, 10),
+]
+
+
+@pytest.mark.parametrize("descriptor, texts, radius, value", PINNED_L_PRIME)
+def test_l_prime_hull_walk_pinned(descriptor, texts, radius, value):
+    oracle = make_oracle(descriptor)
+    rset = RelatedSet(oracle, None, tuple(oracle.parse_element(t) for t in texts))
+    assert l_prime(rset, hull_radius=radius).value == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["f2xz:n=2", "prod(free:2,abelian:1)"]), st.integers(0, 2**32),
+       st.integers(2, 3), st.integers(1, 3))
+def test_l_prime_hull_matches_layer_hull(descriptor, seed, count, radius):
+    from ts_groups.tours import _l_prime_dijkstra
+
+    oracle = make_oracle(descriptor)
+    rng = random.Random(seed)
+    rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 2) for _ in range(count)))
+    pts = rset.elements
+    if len(pts) == 1:
+        return
+    try:
+        expected = _l_prime_dijkstra(oracle, pts, hull_reference(oracle, pts, radius))
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            l_prime(rset, hull_radius=radius)
+        return
+    assert l_prime(rset, hull_radius=radius).value == expected
+
+
+def test_l_prime_hull_stops_at_its_cap(monkeypatch):
+    # the hull search must give up at its first element past the cap,
+    # not at the end of the breadth-first layer that crosses it
+    cap = 500
+    monkeypatch.setattr(tours, "_LPRIME_HULL_CAP", cap)
+    seen = []
+
+    class CountingF2xZ(F2xZOracle):
+        def multiply(self, g, h):
+            seen.append(super().multiply(g, h))
+            return seen[-1]
+
+    oracle = CountingF2xZ(2)
+    pts = (oracle.identity(), (parse_word("a b a", 2), 0))
+    rset = RelatedSet(oracle, None, pts)
+    with pytest.raises(ResourceLimitError):
+        l_prime(rset, hull_radius=8)
+    assert len(set(seen) | set(pts)) <= cap + 1
+
+
+WALK_GROUPS = ["free:2", "abelian:2", "abelian:3", "prod(free:2,abelian:1)", "f2xz:n=2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WALK_GROUPS), st.integers(0, 2**32), st.integers(1, 9))
+def test_mst_witness_matches_recursive_walk(descriptor, seed, count):
+    oracle = make_oracle(descriptor)
+    rng = random.Random(seed)
+    rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 4) for _ in range(count)))
+    assert mst_bounds(rset)[2].points == mst_witness_reference(rset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 6)), min_size=1, max_size=3))
+def test_folner_traversal_matches_recursive_walk(sides):
+    oracle = make_oracle(f"abelian:{len(sides)}")
+    box = [(lo, lo + w) for lo, w in sides]
+    xi = (1,) + (0,) * (len(sides) - 1)
+    rep = folner_traversal_demo(oracle, box, xi)
+    assert rep.traversal.points == folner_walk_reference(oracle, box)
+
+
+def test_folner_traversal_of_a_long_segment():
+    # deeper than the default recursion limit: the walk is iterative
+    oracle = make_oracle("abelian:1")
+    rep = folner_traversal_demo(oracle, [(0, 4999)], (1,))
+    assert rep.traversal.points == folner_walk_reference(oracle, [(0, 4999)])
 
 
 def test_experiment_zero_samples_empty_report():
