@@ -30,7 +30,7 @@ from .sequences import (  # noqa: F401
     label_tree_three_letters,
     squarefree_ternary,
 )
-from .groups import Ball, GroupOracle, make_oracle  # noqa: F401
+from .groups import GroupOracle, make_oracle  # noqa: F401
 from .tours import (  # noqa: F401
     ClosedPath,
     RelatedSet,

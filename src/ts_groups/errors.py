@@ -24,17 +24,9 @@ class ConfigurationError(TsGroupsError):
 
 
 class ResourceLimitError(TsGroupsError):
-    """A configured budget (solver cap, ball size, search states) was hit.
-
-    ``best_bound`` optionally carries the best bound established before
-    the budget ran out.
-    """
+    """A configured budget (solver cap, ball size, search states) was hit."""
 
     exit_code = 3
-
-    def __init__(self, message, best_bound=None):
-        super().__init__(message)
-        self.best_bound = best_bound
 
 
 class PreconditionError(TsGroupsError):

@@ -127,9 +127,6 @@ class ClusterTree:
     def leaves(self) -> List[int]:
         return [i for i, v in enumerate(self.vertices) if not v.children]
 
-    def elements(self) -> List[object]:
-        return [x for v in self.vertices for x in v.elements]
-
 
 @dataclass
 class TreeForest:

@@ -2,49 +2,24 @@
 
 Supported descriptors: ``free:k``, ``abelian:n``, ``prod(A,B)`` and
 ``f2xz:n=N`` (the rank-2 free group times the integers, generated by
-a, b and a^ن z, whose Cayley metric mixes the factors).
+a, b and a^n z, whose Cayley metric mixes the factors).
 
 All metrics are left invariant: d(g, h) = |g^-1 h|.  Elements are
 canonical normal forms (reduced words, integer vectors, pairs), so
-equality of elements is equality of forms.  Oracles are immutable
-apart from an internal length memo, which behaves as a cache: repeated
-or concurrent computation is allowed, inconsistency is not.
+equality of elements is equality of forms.  Oracles are immutable.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import List
 
-from .errors import (
-    ConfigurationError,
-    InternalInvariantError,
-    MalformedInputError,
-    ResourceLimitError,
-)
+from .errors import ConfigurationError, MalformedInputError, ResourceLimitError
 from .words import Alphabet, Word, format_word, parse_word
 
-__all__ = ["Ball", "GroupOracle", "FreeOracle", "AbelianOracle",
+__all__ = ["GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: object
-    radius: int
-    elements: Tuple[object, ...]
-
-    def __len__(self):
-        return len(self.elements)
-
-    @cached_property
-    def _members(self):
-        return frozenset(self.elements)
-
-    def __contains__(self, g):
-        return g in self._members
 
 
 class GroupOracle:
@@ -116,11 +91,12 @@ class GroupOracle:
             frontier = nxt
         return seen
 
-    def ball(self, r: int, limit: int = 10**6) -> Ball:
-        """Exact ball of radius r around the identity; raises
-        ResourceLimitError at its first element past ``limit``."""
+    def ball(self, r: int, limit: int = 10**6) -> tuple:
+        """Exact ball of radius r around the identity, sorted by
+        ``sort_key``; raises ResourceLimitError at its first element
+        past ``limit``."""
         seen = self.neighbourhood([self.identity()], r, limit)
-        return Ball(self.identity(), r, tuple(sorted(seen, key=self.sort_key)))
+        return tuple(sorted(seen, key=self.sort_key))
 
     def __repr__(self):
         return f"<oracle {self.descriptor}>"
@@ -296,8 +272,15 @@ class F2xZOracle(GroupOracle):
         |(w, t)| = L + min over integer d_0..d_L with sum d_j = t of
                    sum_j ( |d_j| + |k_j - n * d_j| ).
 
-    The minimum is a tiny convex DP over the syllables; the BFS oracle
-    in the test suite cross-validates it on whole balls.
+    Each term is convex in d_j, so the minimum is the greedy for a
+    separable convex cost under one sum constraint (Gross 1956;
+    Ibaraki & Katoh 1988): start every d_j at its own minimiser, one of
+    k_j // n and k_j // n + 1, then move the sum to t one block at a
+    time through the syllable whose cost rises least.  Convexity makes
+    each syllable's step costs non-decreasing, so taking the cheapest
+    next step |t - sum d_j| times picks the cheapest set of steps, and
+    the result is exact.  The test suite cross-checks it against BFS on
+    whole balls and against a balance DP over the syllables.
     """
 
     def __init__(self, n: int):
@@ -306,7 +289,6 @@ class F2xZOracle(GroupOracle):
         self.n = n
         self.rank = 2
         self.descriptor = f"f2xz:n={n}"
-        self._memo: Dict[tuple, tuple] = {}
 
     def identity(self):
         return (Word((), 2), 0)
@@ -338,49 +320,24 @@ class F2xZOracle(GroupOracle):
         return ks, signs
 
     def _solve(self, g):
-        key = (g[0].letters, g[1])
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        """(length of g, the block counts d_0..d_L of one geodesic)."""
         ks, signs = self._syllables(g[0])
-        t = g[1]
-        n = self.n
-        # Per-syllable block counts: the cost |d| + |k - n d| is convex
-        # with full slope beyond [min(0, k//n) - 1, max(0, k//n + 1)],
-        # and beyond-zone deviations of an optimal solution all point one
-        # way and can be spread evenly, so widening each zone by |t|
-        # keeps an optimal assignment inside the ranges.
-        slack = abs(t) + 1
-        ranges = []
-        for k in ks:
-            base = k // n
-            ranges.append((min(base, 0) - slack, max(base + 1, 0) + slack))
-        # capacity[j]: largest |balance| the syllables from j on can add
-        capacity = [0] * (len(ks) + 1)
-        for j in range(len(ks) - 1, -1, -1):
-            lo, hi = ranges[j]
-            capacity[j] = capacity[j + 1] + max(abs(lo), abs(hi))
-        states = {0: (0, ())}  # balance so far -> (cost, choices)
-        for j, k in enumerate(ks):
-            lo, hi = ranges[j]
-            nxt = {}
-            for bal, (cost, picks) in states.items():
-                for d in range(lo, hi + 1):
-                    c = cost + abs(d) + abs(k - n * d)
-                    b2 = bal + d
-                    cur = nxt.get(b2)
-                    if cur is None or c < cur[0]:
-                        nxt[b2] = (c, picks + (d,))
-            # drop balances that cannot reach t with the capacity left
-            states = {
-                b: v for b, v in nxt.items() if abs(t - b) <= capacity[j + 1]
-            }
-        if t not in states:
-            raise InternalInvariantError("balance search missed the target")
-        cost, picks = states[t]
-        result = (len(signs) + cost, picks)
-        self._memo[key] = result
-        return result
+        t, n = g[1], self.n
+
+        def cost(k, d):
+            return abs(d) + abs(k - n * d)
+
+        picks = [min(k // n, k // n + 1, key=lambda d: cost(k, d)) for k in ks]
+        gap = t - sum(picks)
+        step = 1 if gap > 0 else -1
+        heap = [(cost(k, d + step) - cost(k, d), j) for j, (k, d) in enumerate(zip(ks, picks))]
+        heapq.heapify(heap)
+        for _ in range(abs(gap)):
+            _, j = heapq.heappop(heap)
+            picks[j] += step
+            k, d = ks[j], picks[j]
+            heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))
+        return len(signs) + sum(map(cost, ks, picks)), picks
 
     def length(self, g):
         return self._solve(g)[0]

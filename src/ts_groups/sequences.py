@@ -75,12 +75,11 @@ def _pair_stream_letter(idx: int, p, q):
 @dataclass
 class LabeledTree:
     """Edge labeling of a plane tree.  edge_labels is keyed by the child
-    vertex of each edge; candidate sets and inadmissibles are present
-    only for adversarial labelings."""
+    vertex of each edge; the inadmissible label of each vertex is
+    present only for adversarial labelings."""
 
     tree: PlaneTernaryTree
     edge_labels: Dict[int, object]
-    candidates: Optional[Dict[int, tuple]] = None
     inadmissibles: Optional[Dict[int, object]] = None
 
     def path_labels(self, path: Sequence[int]) -> List[object]:
@@ -284,10 +283,7 @@ def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callab
             forked = engine.clone()
             forked.observe(x)
             states[child] = forked
-    return LabeledTree(
-        tree, labels, candidates={v: tuple(sorted(map(str, s))) for v, s in sets.items()},
-        inadmissibles=inadmissibles,
-    )
+    return LabeledTree(tree, labels, inadmissibles=inadmissibles)
 
 
 # ---------------------------------------------------------------------------

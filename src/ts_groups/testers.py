@@ -163,8 +163,7 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
         raise PreconditionError("xi must be nontrivial")
 
     try:
-        b = oracle.ball(spec.r, budget.ball_limit)
-        pool = [g for g in b.elements if g != oracle.identity()]
+        pool = [g for g in oracle.ball(spec.r, budget.ball_limit) if g != oracle.identity()]
         fits = True
     except ResourceLimitError:
         fits = False

@@ -161,9 +161,6 @@ class Occurrence:
     def end(self) -> int:
         return self.start + self.length
 
-    def segment(self) -> Word:
-        return self.word.subword(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class PowerWitness:
@@ -177,9 +174,6 @@ class PowerWitness:
     period: int
     exponent: int
     base: tuple
-
-    def span(self):
-        return (self.start, self.start + self.period * self.exponent)
 
 
 def inverse_letters(letters: Sequence[int]) -> Tuple[int, ...]:

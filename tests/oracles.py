@@ -8,7 +8,7 @@ import itertools
 from collections import deque
 
 from ts_groups.cancellation import Piece
-from ts_groups.errors import ResourceLimitError
+from ts_groups.errors import InternalInvariantError, ResourceLimitError
 from ts_groups.words import Word
 
 
@@ -225,6 +225,48 @@ def bfs_lengths(oracle, depth):
                 dist[h] = dist[g] + 1
                 frontier.append(h)
     return dist
+
+
+def f2xz_dp_reference(oracle, g):
+    """The balance DP that computed F2xZ lengths before the convex
+    greedy, kept literal apart from its memo: (length, picks)."""
+    ks, signs = oracle._syllables(g[0])
+    t = g[1]
+    n = oracle.n
+    # Per-syllable block counts: the cost |d| + |k - n d| is convex
+    # with full slope beyond [min(0, k//n) - 1, max(0, k//n + 1)],
+    # and beyond-zone deviations of an optimal solution all point one
+    # way and can be spread evenly, so widening each zone by |t|
+    # keeps an optimal assignment inside the ranges.
+    slack = abs(t) + 1
+    ranges = []
+    for k in ks:
+        base = k // n
+        ranges.append((min(base, 0) - slack, max(base + 1, 0) + slack))
+    # capacity[j]: largest |balance| the syllables from j on can add
+    capacity = [0] * (len(ks) + 1)
+    for j in range(len(ks) - 1, -1, -1):
+        lo, hi = ranges[j]
+        capacity[j] = capacity[j + 1] + max(abs(lo), abs(hi))
+    states = {0: (0, ())}  # balance so far -> (cost, choices)
+    for j, k in enumerate(ks):
+        lo, hi = ranges[j]
+        nxt = {}
+        for bal, (cost, picks) in states.items():
+            for d in range(lo, hi + 1):
+                c = cost + abs(d) + abs(k - n * d)
+                b2 = bal + d
+                cur = nxt.get(b2)
+                if cur is None or c < cur[0]:
+                    nxt[b2] = (c, picks + (d,))
+        # drop balances that cannot reach t with the capacity left
+        states = {
+            b: v for b, v in nxt.items() if abs(t - b) <= capacity[j + 1]
+        }
+    if t not in states:
+        raise InternalInvariantError("balance search missed the target")
+    cost, picks = states[t]
+    return (len(signs) + cost, picks)
 
 
 def held_karp_reference(D):

@@ -10,7 +10,7 @@ from ts_groups.groups import make_oracle
 from ts_groups.tours import random_element
 from ts_groups.words import Alphabet, Word, parse_word, reduce
 
-from oracles import bfs_lengths, hull_reference
+from oracles import bfs_lengths, f2xz_dp_reference, hull_reference
 
 
 FREE2 = make_oracle("free:2")
@@ -74,7 +74,7 @@ def test_free_ball_matches_closed_form():
 
 def test_ball_membership_is_exact():
     b = AB2.ball(3)
-    for g in b.elements:
+    for g in b:
         assert AB2.length(g) <= 3
     assert (4, 0) not in b
 
@@ -94,7 +94,7 @@ def test_abelian_ball_matches_closed_form(dim, radii):
     for r in radii:
         ball = oracle.ball(r)
         assert len(ball) == l1_ball_size(dim, r)
-        assert all(oracle.length(g) <= r for g in ball.elements)
+        assert all(oracle.length(g) <= r for g in ball)
 
 
 @pytest.mark.parametrize("r", [22, 23])
@@ -218,7 +218,7 @@ def test_f2xz_z_example():
 def test_f2xz_subadditive_on_ball():
     oracle = make_oracle("f2xz:n=2")
     b = oracle.ball(4)
-    els = list(b.elements)[:40]
+    els = list(b)[:40]
     for g in els:
         for h in els:
             assert oracle.length(oracle.multiply(g, h)) <= oracle.length(g) + oracle.length(h)
@@ -233,12 +233,58 @@ def test_f2xz_free_projection_bound():
         assert len(g[0]) <= oracle.length(g) * oracle.n
 
 
-def test_memo_is_consistent():
+def test_length_is_repeatable():
     oracle = make_oracle("f2xz:n=4")
     g = (parse_word("a b a b", 2), 3)
     first = oracle.length(g)
     for _ in range(5):
         assert oracle.length(g) == first
+
+
+_SYLLABLES = st.lists(st.tuples(st.integers(-30, 30), st.sampled_from([2, -2])), max_size=8)
+
+
+@given(n=st.integers(1, 5), head=st.integers(-30, 30), syllables=_SYLLABLES,
+       t=st.integers(-15, 15))
+@example(n=2, head=20, syllables=[(-20, 2)], t=0)
+@example(n=1, head=0, syllables=[], t=-15)
+def test_f2xz_greedy_matches_dp(n, head, syllables, t):
+    # a^head (b^+-1 a^k)... with up to 8 b-letters, against the balance DP
+    letters = [1 if head > 0 else -1] * abs(head)
+    for k, b in syllables:
+        letters += [b] + [1 if k > 0 else -1] * abs(k)
+    oracle = make_oracle(f"f2xz:n={n}")
+    g = (reduce(letters, Alphabet(2)), t)
+    length, picks = oracle._solve(g)
+    assert length == f2xz_dp_reference(oracle, g)[0]
+    ks, signs = oracle._syllables(g[0])
+    assert sum(picks) == t
+    assert len(signs) + sum(abs(d) + abs(k - n * d) for k, d in zip(ks, picks)) == length
+    steps = oracle.geodesic_steps(g)
+    acc = oracle.identity()
+    for s in steps:
+        acc = oracle.multiply(acc, s)
+    assert acc == g and len(steps) == length
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [1000, -1000])
+def test_f2xz_long_z_power_closed_form(n, t):
+    # |(b^m, t)| = m + (n+1)|t|: every syllable is empty, so each z costs
+    # one a^n z and n letters a^-+1.  The balance DP's cost grew as
+    # L * t^2, too slow for a test at this t
+    oracle = make_oracle(f"f2xz:n={n}")
+    assert oracle.length((Word((2,) * 16, 2), t)) == 16 + (n + 1) * abs(t)
+
+
+def test_f2xz_oracle_holds_no_state():
+    oracle = make_oracle("f2xz:n=3")
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_element(oracle, rng, 6)
+        oracle.length(g)
+        oracle.geodesic_steps(g)
+    assert set(vars(oracle)) == {"n", "rank", "descriptor"}
 
 
 def test_f2xz_opposed_syllables_regression():

@@ -250,8 +250,8 @@ def test_exact_matches_held_karp_reference_on_ties():
     # grids and free balls: every tour has many optimal orders
     _assert_matches_reference(RelatedSet(AB2, None, box(3, 3)))
     _assert_matches_reference(RelatedSet(AB2, None, box(2, 5, -1, -2)))
-    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(1).elements))
-    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(2).elements[:10]))
+    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(1)))
+    _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(2)[:10]))
 
 
 def _mix_oracles():
