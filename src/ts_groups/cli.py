@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     TsGroupsError,
 )
-from .groups import make_oracle
+from .groups import FreeOracle, make_oracle
 from .sequences import (
     label_tree_adversarial,
     label_tree_three_letters,
@@ -532,8 +532,8 @@ def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
     """Search for counterexamples to an alternating-product property."""
     oracle = make_oracle(descriptor)
     if xi_from_lemma4:
-        if not descriptor.startswith("free:"):
-            raise ConfigurationError("--xi-from-lemma4 requires a free group")
+        if not (isinstance(oracle, FreeOracle) and oracle.rank == 2):
+            raise ConfigurationError("--xi-from-lemma4 requires the free group free:2")
         xi = construct_xi(seed).word
     elif xi_text is not None:
         xi = _xi_argument(oracle, xi_text)

@@ -16,6 +16,7 @@ verify_forest.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -115,14 +116,16 @@ class ClusterVertex:
 
 @dataclass
 class ClusterTree:
+    """Vertices in breadth-first order, the root first.  The builders
+    grow a tree by iterating over ``vertices`` while appending children
+    to it, so the list is its own queue."""
+
     vertices: List[ClusterVertex] = field(default_factory=list)
 
-    def add(self, vertex: ClusterVertex) -> int:
+    def add(self, vertex: ClusterVertex):
         self.vertices.append(vertex)
-        idx = len(self.vertices) - 1
         if vertex.parent is not None:
-            self.vertices[vertex.parent].children.append(idx)
-        return idx
+            self.vertices[vertex.parent].children.append(len(self.vertices) - 1)
 
     def leaves(self) -> List[int]:
         return [i for i, v in enumerate(self.vertices) if not v.children]
@@ -136,12 +139,14 @@ class TreeForest:
     set_size: int
     certified_bound: Fraction
     tour_kind: str
-    build_log: List[tuple]
-    advisory: bool
     advisory_reasons: List[str]
     end_element_count: int
     v_near: List[object] = field(default_factory=list)  # end elements near piece ends
     v_far: List[object] = field(default_factory=list)  # end elements >= 4 from both ends
+
+    @property
+    def advisory(self) -> bool:
+        return bool(self.advisory_reasons)
 
     def to_dict(self, oracle: GroupOracle) -> dict:
         return {
@@ -196,78 +201,50 @@ def build_forest_p(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
     for piece in decomp.pieces:
         for i in range(0, len(piece), 3):
             seg = tuple(piece[i : i + 3])
-            idx = len(segments)
-            segments.append(seg)
             for x in seg:
-                seg_of[x] = idx
+                seg_of[x] = len(segments)
+            segments.append(seg)
 
     trees: List[ClusterTree] = []
     seg_tree: Dict[int, List[int]] = {}  # segment -> tree indices using it
-    covered = set()
-    log = []
     advisory_reasons: List[str] = []
 
     for z in decomp.order:
-        if z in covered:
-            continue
-        tree = ClusterTree()
-        ti = len(trees)
         origin_seg = seg_of[z]
-        vid = tree.add(
+        if seg_tree.get(origin_seg):
+            continue  # a tree already covers z
+        ti = len(trees)
+        tree = ClusterTree([
             ClusterVertex(elements=segments[origin_seg], entry=None, parent=None, level=0)
-        )
-        seg_tree.setdefault(origin_seg, []).append(ti)
-        covered.update(segments[origin_seg])
-        log.append((ti, 0, segments[origin_seg]))
-        vertex_seg = {vid: origin_seg}
-        queue = [vid]
-        while queue:
-            nxt_queue = []
-            for v in queue:
-                vert = tree.vertices[v]
-                if len(vert.elements) < 3 or vert.shared:
-                    continue  # incomplete segments and shared ends stay leaves
-                anchors = [x for x in vert.elements if x != vert.entry]
-                for w in anchors:
-                    y = neighbor[w]
-                    c = seg_of[y]
-                    owners = seg_tree.get(c, [])
-                    if ti in owners:
-                        log.append((ti, "collision-self", segments[c]))
-                        continue
-                    if owners:
-                        if len(segments[c]) < 3 and len(owners) < 2:
-                            cid = tree.add(
-                                ClusterVertex(
-                                    elements=segments[c],
-                                    entry=y,
-                                    parent=v,
-                                    level=vert.level + 1,
-                                    witness=(w, y),
-                                    shared=True,
-                                )
-                            )
-                            vertex_seg[cid] = c
-                            seg_tree[c].append(ti)
-                            log.append((ti, vert.level + 1, segments[c]))
-                        else:
-                            log.append((ti, "collision-other", segments[c]))
-                        continue
-                    cid = tree.add(
-                        ClusterVertex(
-                            elements=segments[c],
-                            entry=y,
-                            parent=v,
-                            level=vert.level + 1,
-                            witness=(w, y),
-                        )
+        ])
+        seg_tree[origin_seg] = [ti]
+        for v, vert in enumerate(tree.vertices):
+            if len(vert.elements) < 3 or vert.shared:
+                continue  # incomplete segments and shared ends stay leaves
+            for w in vert.elements:
+                if w == vert.entry:
+                    continue
+                y = neighbor[w]
+                c = seg_of[y]
+                owners = seg_tree.setdefault(c, [])
+                if ti in owners:
+                    continue
+                # a segment another tree owns is adopted only as a shared
+                # incomplete end, and by at most two trees
+                shared = bool(owners)
+                if shared and (len(segments[c]) == 3 or len(owners) >= 2):
+                    continue
+                tree.add(
+                    ClusterVertex(
+                        elements=segments[c],
+                        entry=y,
+                        parent=v,
+                        level=vert.level + 1,
+                        witness=(w, y),
+                        shared=shared,
                     )
-                    vertex_seg[cid] = c
-                    seg_tree.setdefault(c, []).append(ti)
-                    covered.update(segments[c])
-                    log.append((ti, vert.level + 1, segments[c]))
-                    nxt_queue.append(cid)
-            queue = nxt_queue
+                )
+                owners.append(ti)
         trees.append(tree)
 
     end_elements = []
@@ -288,8 +265,6 @@ def build_forest_p(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
         set_size=rset.size,
         certified_bound=Fraction(r, 12) * rset.size,
         tour_kind=tour.kind,
-        build_log=log,
-        advisory=bool(advisory_reasons),
         advisory_reasons=sorted(set(advisory_reasons)),
         end_element_count=len(set(end_elements)),
     )
@@ -306,15 +281,18 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
     oracle = rset.oracle
     piece_pos = decomp.piece_index()
 
-    # engine ground: all pairwise differences seen from an entry element
+    # engine ground: all pairwise differences seen from an entry element.
+    # A revised set holds a pair {x, x*xi}, so the ground has xi and
+    # xi^-1, which differ in every supported (torsion-free) group.  The
+    # root engine is only ever cloned, so every tree can start from it.
     ground = set()
     for x in rset.elements:
         for y in rset.elements:
             if x != y:
                 ground.add(oracle.multiply(oracle.inverse(x), y))
+    root_engine = InadmissibleEngine(ground)
     used = set()
     trees: List[ClusterTree] = []
-    log = []
     advisory_reasons: List[str] = []
     v_near: List[object] = []
     v_far: List[object] = []
@@ -326,18 +304,15 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
         rights = [piece[i] for i in range(pos + 1, min(len(piece), pos + 5))]
         return lefts, rights
 
-    def open_vertex(entry, engine_state):
+    def open_vertex(entry, engine):
         """Complete a vertex around an entry element per the
         nearest-admissible rule; returns its elements."""
         lefts, rights = piece_neighbors(entry)
         fv = {}
         for t in rights + lefts:
             fv[oracle.multiply(oracle.inverse(entry), t)] = t
-        z = None
-        if len(fv) >= 2:
-            z = engine_state.designate(frozenset(fv))
+        banned = {fv[engine.designate(frozenset(fv))]} if len(fv) >= 2 else set()
         chosen = []
-        banned = {fv[z]} if z is not None and z in fv else set()
         for t in rights + lefts:
             if len(chosen) == 2:
                 break
@@ -356,59 +331,43 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
     for z in decomp.order:
         if z in used:
             continue
-        tree = ClusterTree()
-        ti = len(trees)
-        engine = InadmissibleEngine(ground) if len(ground) >= 2 else None
-
         # origin: the entry plus its nearest unused piece neighbors,
         # preferring the two immediate left ones
         lefts, rights = piece_neighbors(z)
         lefts = [t for t in lefts if t not in used]
         rights = [t for t in rights if t not in used]
-        members = [z]
-        for t in (lefts + rights)[:2]:
-            members.append(t)
+        members = [z] + (lefts + rights)[:2]
         members.sort(key=lambda x: piece_pos[x][1])
-        vid = tree.add(
+        tree = ClusterTree([
             ClusterVertex(elements=tuple(members), entry=None, parent=None, level=0)
-        )
+        ])
         used.update(members)
-        log.append((ti, 0, tuple(members)))
-        states = {vid: engine}
-        queue = [vid] if len(members) == 3 else []
-        while queue:
-            nxt_queue = []
-            for v in queue:
-                vert = tree.vertices[v]
-                anchors = [x for x in vert.elements if x != vert.entry]
-                for w in anchors:
-                    y = neighbor[w]
-                    if y in used:
-                        log.append((ti, "link-consumed", y))
-                        continue
-                    used.add(y)
-                    state = states[v]
-                    child_state = state.clone() if state is not None else None
-                    if child_state is not None and vert.entry is not None:
-                        child_state.observe(
-                            oracle.multiply(oracle.inverse(vert.entry), w)
-                        )
-                    elems = open_vertex(y, child_state) if child_state else [y]
-                    used.update(elems)
-                    cid = tree.add(
-                        ClusterVertex(
-                            elements=tuple(elems),
-                            entry=y,
-                            parent=v,
-                            level=vert.level + 1,
-                            witness=(w, y),
-                        )
+        engines = [root_engine]  # engines[v]: the engine state at vertex v
+        for v, vert in enumerate(tree.vertices):
+            if len(vert.elements) < 3:
+                continue  # incomplete vertices stay leaves
+            for w in vert.elements:
+                if w == vert.entry:
+                    continue
+                y = neighbor[w]
+                if y in used:
+                    continue
+                used.add(y)
+                engine = engines[v].clone()
+                if vert.entry is not None:
+                    engine.observe(oracle.multiply(oracle.inverse(vert.entry), w))
+                elems = open_vertex(y, engine)
+                used.update(elems)
+                tree.add(
+                    ClusterVertex(
+                        elements=tuple(elems),
+                        entry=y,
+                        parent=v,
+                        level=vert.level + 1,
+                        witness=(w, y),
                     )
-                    states[cid] = child_state
-                    log.append((ti, vert.level + 1, tuple(elems)))
-                    if len(elems) == 3:
-                        nxt_queue.append(cid)
-            queue = nxt_queue
+                )
+                engines.append(engine)
         trees.append(tree)
 
     end_elements = set()
@@ -435,8 +394,6 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
         set_size=rset.size,
         certified_bound=Fraction(r, 96) * rset.size,
         tour_kind=tour.kind,
-        build_log=log,
-        advisory=bool(advisory_reasons),
         advisory_reasons=sorted(set(advisory_reasons)),
         end_element_count=len(end_elements),
         v_near=v_near,
@@ -500,32 +457,23 @@ def verify_forest(forest: TreeForest, rset: RelatedSet, r: int) -> VerificationR
                 seen.add(x)
     record("within_tree_disjoint", disjoint_ok)
 
+    owners = Counter(all_vertex_elements)  # element -> vertices holding it
     if forest.mode == "P10":
-        counts: Dict[object, int] = {}
-        for x in all_vertex_elements:
-            counts[x] = counts.get(x, 0) + 1
         record(
             "trees_disjoint",
-            all(c == 1 for c in counts.values()),
+            all(c == 1 for c in owners.values()),
             "P10 trees partition the set",
         )
     else:
-        owner: Dict[object, int] = {}
-        ok_share = True
-        for ti, t in enumerate(forest.trees):
-            for v in t.vertices:
-                for x in v.elements:
-                    owner.setdefault(x, 0)
-                    owner[x] += 1
-        shared = {x for x, c in owner.items() if c > 1}
-        for ti, t in enumerate(forest.trees):
-            for v in t.vertices:
-                if any(x in shared for x in v.elements):
-                    if v.children or len(v.elements) == 3:
-                        ok_share = False
+        shared = {x for x, c in owners.items() if c > 1}
+        ok_share = not any(
+            (v.children or len(v.elements) == 3) and not shared.isdisjoint(v.elements)
+            for t in forest.trees
+            for v in t.vertices
+        )
         record(
             "shared_only_ends",
-            ok_share and all(c <= 2 for c in owner.values()),
+            ok_share and all(c <= 2 for c in owners.values()),
             f"{len(shared)} shared end elements",
         )
 
@@ -545,22 +493,18 @@ def verify_forest(forest: TreeForest, rset: RelatedSet, r: int) -> VerificationR
                 wit_ok = False
     record("pair_witnesses", wit_ok)
 
-    levels_ok = True
-    last_tree = -1
-    tree_level: Dict[int, int] = {}
-    for entry in forest.build_log:
-        ti, lvl = entry[0], entry[1]
-        if not isinstance(lvl, int):
-            continue
-        if ti < last_tree:
-            levels_ok = False
-        if ti != last_tree:
-            tree_level[ti] = 0
-            last_tree = ti
-        if lvl < tree_level[ti]:
-            levels_ok = False
-        tree_level[ti] = max(tree_level[ti], lvl)
-    record("breadth_first_build", levels_ok)
+    def built_breadth_first(t):
+        """The root alone is at level 0, each child is one level below
+        its parent, and levels never decrease along the vertex list."""
+        last = 0
+        for i, v in enumerate(t.vertices):
+            want = 0 if v.parent is None else t.vertices[v.parent].level + 1
+            if (v.parent is None) != (i == 0) or v.level != want or v.level < last:
+                return False
+            last = v.level
+        return True
+
+    record("breadth_first_build", all(built_breadth_first(t) for t in forest.trees))
 
     if forest.mode == "P" and isinstance(oracle, FreeOracle):
         dist_ok = True

@@ -279,8 +279,13 @@ class F2xZOracle(GroupOracle):
     time through the syllable whose cost rises least.  Convexity makes
     each syllable's step costs non-decreasing, so taking the cheapest
     next step |t - sum d_j| times picks the cheapest set of steps, and
-    the result is exact.  The test suite cross-checks it against BFS on
-    whole balls and against a balance DP over the syllables.
+    the result is exact.  A step costs at most n + 1, exactly when it is
+    on the linear tail of its syllable's cost, where every later step of
+    that syllable costs n + 1 too; once the cheapest step costs n + 1,
+    all the steps left go to that syllable at once, so a huge z exponent
+    costs no more than a small one.  The test suite cross-checks it against BFS on
+    whole balls, against a balance DP over the syllables and against the
+    one-step-at-a-time greedy.
     """
 
     def __init__(self, n: int):
@@ -332,8 +337,14 @@ class F2xZOracle(GroupOracle):
         step = 1 if gap > 0 else -1
         heap = [(cost(k, d + step) - cost(k, d), j) for j, (k, d) in enumerate(zip(ks, picks))]
         heapq.heapify(heap)
-        for _ in range(abs(gap)):
-            _, j = heapq.heappop(heap)
+        for left in range(abs(gap), 0, -1):
+            rise, j = heapq.heappop(heap)
+            if rise == n + 1:
+                # no step costs more than n + 1, so every next step costs
+                # n + 1 from here on, and j, the lowest index among them,
+                # would win every tie: it takes all the steps left
+                picks[j] += step * left
+                break
             picks[j] += step
             k, d = ks[j], picks[j]
             heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))

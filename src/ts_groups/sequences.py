@@ -256,6 +256,11 @@ def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callab
     for v, fv in sets.items():
         if len(fv) < 4:
             raise MalformedInputError(f"candidate set at vertex {v} smaller than 4")
+        if len(tree.children[v]) >= len(fv):
+            raise MalformedInputError(
+                f"vertex {v} has {len(tree.children[v])} children but only "
+                f"{len(fv) - 1} admissible labels"
+            )
     ground = set().union(*sets.values())
     states = {tree.ORIGIN: InadmissibleEngine(ground)}
     labels: Dict[int, object] = {}

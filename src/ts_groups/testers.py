@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -237,8 +236,10 @@ class VarietyCertificate:
         }
 
 
-def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0,
-                           attempts: int = 2000):
+_VARIETY_ATTEMPTS = 2000  # shuffled slot sequences variety_counterexample tries
+
+
+def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0):
     """Balanced m-aperiodic sequence x_1..x_2k of p-th powers of
     generators whose alternating product with any xi rewrites to a
     product of commutator-of-p-th-power instances (hence collapses in
@@ -262,7 +263,7 @@ def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0,
         rng.shuffle(slots)
         return slots
 
-    for _ in range(attempts):
+    for _ in range(_VARIETY_ATTEMPTS):
         odd = balanced_side()
         even = balanced_side()
         tokens = []
@@ -288,7 +289,6 @@ def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0,
             if j % 2 == 0:
                 conj = xi * u * ~xi
                 rhs = rhs * conj**p
-                assert (xi * w * ~xi) == conj**p
                 log.append(
                     f"slot {j}: xi u^{s * p} xi^-1 = (xi u^{s} xi^-1)^{p}"
                 )
@@ -508,8 +508,10 @@ def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     return flips
 
 
-def construct_xi(seed: int = 0, params: XiParams = XiParams(),
-                 max_attempts: int = 40) -> XiReport:
+_XI_ATTEMPTS = 40  # seeded flip selections construct_xi tries
+
+
+def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
     """Build the marker word and machine-verify all of its contracted
     properties: 3-aperiodicity, target length, small cancellation at
     1/5 over the cyclic closure, and small cancellation at 1/3 for the
@@ -518,7 +520,7 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams(),
     n = len(letters)
     b_positions = [i for i, c in enumerate(letters) if c == 2]
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(_XI_ATTEMPTS):
         rng = random.Random(seed * 7_919 + attempt)
         flips = _select_flips(n, b_positions, params, rng)
         if flips is None:
@@ -571,7 +573,7 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams(),
             f"{k} failed" for k, v in conditions.items() if not v["pass"]
         )
     raise ResourceLimitError(
-        f"marker word construction failed after {max_attempts} attempts: {last_error}"
+        f"marker word construction failed after {_XI_ATTEMPTS} attempts: {last_error}"
     )
 
 
@@ -745,28 +747,12 @@ def burnside_pipeline(samples: int = 50, seed: int = 0, desk_scale: bool = False
     stages: List[dict] = []
     params = XiParams.desk() if desk_scale else XiParams()
     bound, max_x = _product_check_scale(desk_scale)
-    t0 = time.perf_counter()
     try:
         xi_rep = construct_xi(seed, params)
-        stages.append(
-            {
-                "name": "construct-xi",
-                "ok": True,
-                "detail": xi_rep.to_dict(),
-                "seconds": round(time.perf_counter() - t0, 3),
-            }
-        )
+        stages.append({"name": "construct-xi", "ok": True, "detail": xi_rep.to_dict()})
     except Exception as exc:  # noqa: BLE001 - the report pinpoints the stage
-        stages.append(
-            {
-                "name": "construct-xi",
-                "ok": False,
-                "detail": str(exc),
-                "seconds": round(time.perf_counter() - t0, 3),
-            }
-        )
+        stages.append({"name": "construct-xi", "ok": False, "detail": str(exc)})
         return PipelineReport(stages, 0, _EXTERNAL, _constants(max_x))
-    t0 = time.perf_counter()
     rng = random.Random(seed + 1)
     failures = []
     for i in range(samples):
@@ -781,7 +767,6 @@ def burnside_pipeline(samples: int = 50, seed: int = 0, desk_scale: bool = False
             "name": "verify-products",
             "ok": not failures,
             "detail": {"samples": samples, "failures": failures},
-            "seconds": round(time.perf_counter() - t0, 3),
         }
     )
     return PipelineReport(stages, samples, _EXTERNAL, _constants(max_x))

@@ -531,13 +531,15 @@ def random_element(oracle: GroupOracle, rng: random.Random, size: int):
     return g
 
 
+_SAMPLE_BASE_SIZE = 6  # random-walk length of each sampled pair or chain base
+
+
 @dataclass
 class SamplerConfig:
     samples: int = 100
     seed: int = 0
     max_size: int = 14
     style: str = "pairs"  # pairs | chains | mixed | box-pairs
-    base_size: int = 6
     compute_lprime: bool = False
 
     def __post_init__(self):
@@ -586,7 +588,7 @@ def sample_related_set(oracle: GroupOracle, xi, config: SamplerConfig, index: in
         else:
             budget = rng.randint(2, config.max_size)
             while budget >= 2:
-                base = random_element(oracle, rng, config.base_size)
+                base = random_element(oracle, rng, _SAMPLE_BASE_SIZE)
                 if style == "chains":
                     n_pairs = rng.randint(1, max(1, budget // 2))
                 else:

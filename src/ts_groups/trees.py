@@ -167,14 +167,23 @@ class PlaneTernaryTree:
             except ValueError:
                 raise MalformedInputError(f"bad tree line {line!r}") from None
         for v, p, _lvl in rows:
+            if v in parent:
+                raise MalformedInputError(f"duplicate vertex {v}")
             parent[v] = p
-            children.setdefault(v, [])
+            children[v] = []
         for v, p, _lvl in rows:
             if p is not None:
                 if p not in parent:
                     raise MalformedInputError(f"vertex {v} has unknown parent {p}")
                 children[p].append(v)
         tree = PlaneTernaryTree(parent, children)
+        # the origin reaches every vertex exactly when no parent chain
+        # loops, so level() below terminates
+        unreached = set(parent) - set(tree.planar_order())
+        if unreached:
+            raise MalformedInputError(
+                f"vertex {min(unreached)} is not connected to the origin"
+            )
         for v, p, lvl in rows:
             if tree.level(v) != lvl:
                 raise MalformedInputError(f"level mismatch for vertex {v}")

@@ -4,6 +4,7 @@ These stay deliberately simple (triple loops, permutation sweeps) so
 they cannot share a bug with the production code paths they check.
 """
 
+import heapq
 import itertools
 from collections import deque
 
@@ -435,3 +436,26 @@ def folner_walk_reference(oracle, box):
     finally:
         sys.setrecursionlimit(old)
     return tuple(walk)
+
+
+def f2xz_unit_greedy_reference(oracle, g):
+    """The convex greedy that moved the balance one block per heap step
+    before it learned to hand a syllable on its linear tail every step
+    left at once, kept literal: (length, picks)."""
+    ks, signs = oracle._syllables(g[0])
+    t, n = g[1], oracle.n
+
+    def cost(k, d):
+        return abs(d) + abs(k - n * d)
+
+    picks = [min(k // n, k // n + 1, key=lambda d: cost(k, d)) for k in ks]
+    gap = t - sum(picks)
+    step = 1 if gap > 0 else -1
+    heap = [(cost(k, d + step) - cost(k, d), j) for j, (k, d) in enumerate(zip(ks, picks))]
+    heapq.heapify(heap)
+    for _ in range(abs(gap)):
+        _, j = heapq.heappop(heap)
+        picks[j] += step
+        k, d = ks[j], picks[j]
+        heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))
+    return len(signs) + sum(map(cost, ks, picks)), picks

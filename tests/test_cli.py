@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ts_groups
 from ts_groups import testers
 from ts_groups.cli import ball_limit_from_env, main
 from ts_groups.groups import make_oracle
@@ -507,3 +512,49 @@ def test_bad_files_exit_2(runner, tmp_path, content, args):
     result = runner.invoke(main, [a.format(**names) for a in args])
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("content", [
+    "0 - 0\n1 0 1\n1 0 1\n",
+    "0 - 0\n1 2 1\n2 1 2\n",
+    "0 - 0\n1 0 1\n2 0 1\n3 0 1\n4 0 1\n",
+], ids=["duplicate-vertex", "cycle-off-the-origin", "more-children-than-labels"])
+def test_malformed_tree_file_exits_2(tmp_path, content):
+    # a separate process, so a tree walk that never ends fails on the timeout
+    path = tmp_path / "tree.txt"
+    path.write_text(content)
+    src = Path(ts_groups.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "ts_groups.cli", "tree", "label", "--mode", "adversarial",
+         "--tree-file", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("descriptor, code", [("free:3", 2), (" free:2", 0)])
+def test_xi_from_lemma4_needs_free_rank_2(runner, descriptor, code):
+    # the check reads the parsed oracle, so a descriptor make_oracle
+    # accepts for free:2 passes and another rank is refused up front
+    result = runner.invoke(main, [
+        "property", "test", "--family", "P", "--r", "12", "--group", descriptor,
+        "--xi-from-lemma4", "--k-max", "1", "--budget", "2"])
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
+    if code:
+        assert "free:2" in result.output
+
+
+def test_burnside_pipeline_report_is_deterministic(runner, tmp_path):
+    texts = []
+    for name in ("one.json", "two.json"):
+        out = tmp_path / name
+        result = invoke(runner, ["burnside", "pipeline", "--samples", "2", "--desk-scale",
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        texts.append(re.sub(r'"(generated_at|elapsed_seconds)": [^,\n]*', r'"\1": _',
+                            out.read_text()))
+    assert texts[0] == texts[1]
+    assert '"seconds"' not in texts[0]

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,13 +8,21 @@ import pytest
 
 from ts_groups.errors import MalformedInputError, PreconditionError
 from ts_groups.forests import (
+    ClusterTree,
     build_forest_p,
     build_forest_p10,
     decompose_pieces,
     verify_forest,
 )
 from ts_groups.groups import make_oracle
-from ts_groups.tours import RelatedSet, revise, tour_of_order, tsp_exact
+from ts_groups.tours import (
+    RelatedSet,
+    SamplerConfig,
+    sample_related_set,
+    tour_of_order,
+    tsp_exact,
+    tsp_heuristic,
+)
 from ts_groups.words import first_aperiodic_word, parse_word
 
 from instances import cluster_instance, pair_instance
@@ -219,9 +230,12 @@ def test_forest_json_round_trip_shape():
     assert total == rset.size
 
 
-def test_mode_p_shared_end_between_two_trees():
-    # two normal clusters whose pair links land in one shared incomplete
-    # segment: the second tree adopts it as a shared end vertex
+def _shared_end_instance(segment_first=False):
+    """Two normal clusters whose pair links land in one shared incomplete
+    segment: in mode P the second tree adopts it as a shared end vertex.
+    With segment_first the tour starts at the segment, so it roots a tree
+    of its own, the first cluster shares it and the second may not.
+    Returns (rset, tour, u, v) with u, v the shared segment."""
     xi = first_aperiodic_word(2, 4 * 24 + 1)
     h = parse_word("b", 2)
     a_cluster = [h, h * parse_word("a", 2), h * parse_word("a b", 2)]
@@ -234,12 +248,15 @@ def test_mode_p_shared_end_between_two_trees():
     assert len(set(elements)) == len(elements)
     rset = RelatedSet(FREE2, xi, tuple(elements), tuple(pairs))
     order = (
-        a_cluster
-        + [u, v]
+        ([u, v] + a_cluster if segment_first else a_cluster + [u, v])
         + b_cluster
         + [FREE2.multiply(x, xi) for x in a_cluster[1:] + b_cluster[1:]]
     )
-    tour = tour_of_order(rset, order, "heuristic-upper")
+    return rset, tour_of_order(rset, order, "heuristic-upper"), u, v
+
+
+def test_mode_p_shared_end_between_two_trees():
+    rset, tour, u, v = _shared_end_instance()
     forest = build_forest_p(rset, 24, tour)
     owners = {}
     for ti, t in enumerate(forest.trees):
@@ -260,3 +277,150 @@ def test_threshold_must_be_positive():
     tour = tsp_exact(rset)
     with pytest.raises(MalformedInputError):
         decompose_pieces(rset, tour, 0)
+
+
+# -- pinned forests ----------------------------------------------------------------
+
+
+def _forest_sets():
+    """(name, rset, r, tour) over cluster seeds x scales, pair instances,
+    sampled pairs/chains sets with a heuristic tour (some of them build
+    advisory or shared-end forests) and the shared-end instance."""
+    for seed in range(4):
+        for r in (12, 24, 48):
+            rset, _xi, tour = cluster_instance(seed, r, deep=(seed % 2 == 0))
+            yield f"cluster-{seed}-r{r}", rset, r, tour
+    for seed in range(2):
+        rset, _xi = pair_instance(seed, 12)
+        yield f"pairs-{seed}", rset, 12, tsp_exact(rset)
+    for style, xi_len, r, seed in (("pairs", 9, 16, 0), ("pairs", 9, 16, 1),
+                                   ("chains", 5, 16, 1), ("chains", 5, 16, 2),
+                                   ("pairs", 9, 4, 2), ("chains", 9, 8, 0)):
+        config = SamplerConfig(seed=seed, max_size=12, style=style)
+        rset = sample_related_set(FREE2, first_aperiodic_word(2, xi_len), config, 0)
+        yield f"{style}-{xi_len}-r{r}-{seed}", rset, r, tsp_heuristic(rset, seed)
+    for segment_first in (False, True):
+        rset, tour, _u, _v = _shared_end_instance(segment_first)
+        yield f"shared-end{'-rooted' if segment_first else ''}", rset, 24, tour
+
+
+def _forest_digest(forest, rset, r):
+    """Digest of the stored forest, the verifier's report, and the
+    vertex children and pair witnesses, which to_dict leaves out."""
+    fmt = FREE2.format_element
+    links = [
+        [(v.children, None if v.witness is None else [fmt(x) for x in v.witness])
+         for v in t.vertices]
+        for t in forest.trees
+    ]
+    body = [forest.to_dict(FREE2), verify_forest(forest, rset, r).to_dict(), links]
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# recorded from the earlier level-queue builders, which kept a separate
+# build log; the builders must keep reproducing them byte for byte
+PINNED_FOREST_DIGESTS = {
+    "cluster-0-r12-P": "530a87a402e43dbc",
+    "cluster-0-r12-P10": "85335b99b0372dda",
+    "cluster-0-r24-P": "ba013c3d1defb2d1",
+    "cluster-0-r24-P10": "c28103ac07f33035",
+    "cluster-0-r48-P": "1d554e3de52f2268",
+    "cluster-0-r48-P10": "4144625ef8411d52",
+    "cluster-1-r12-P": "2618015e6f73fe66",
+    "cluster-1-r12-P10": "5f7080960315949e",
+    "cluster-1-r24-P": "4aea9c358c23ddd4",
+    "cluster-1-r24-P10": "8dabbcdc88c8d5eb",
+    "cluster-1-r48-P": "d1184a5a673407ce",
+    "cluster-1-r48-P10": "fde09afa6e0a2d7f",
+    "cluster-2-r12-P": "dc9d895f5766b37b",
+    "cluster-2-r12-P10": "e82e7a2094ff2061",
+    "cluster-2-r24-P": "7e68df04921a0048",
+    "cluster-2-r24-P10": "b62c2f7153b45319",
+    "cluster-2-r48-P": "edaaa5be63a553bd",
+    "cluster-2-r48-P10": "329214cb67aa7a51",
+    "cluster-3-r12-P": "a98b81a24c40e529",
+    "cluster-3-r12-P10": "26d2370b5297fcbf",
+    "cluster-3-r24-P": "9c8732159ed8b469",
+    "cluster-3-r24-P10": "a843a080d674f98f",
+    "cluster-3-r48-P": "b9ab5dc9ab22cd21",
+    "cluster-3-r48-P10": "a727121a101b9df0",
+    "pairs-0-P": "246237e808a65ccc",
+    "pairs-0-P10": "92b3b51642fd1b96",
+    "pairs-1-P": "a5eb6db9e626d4bd",
+    "pairs-1-P10": "61573e3be56dbe4b",
+    "pairs-9-r16-0-P": "af4661e28bd61f47",
+    "pairs-9-r16-0-P10": "eef2f090a7893b6a",
+    "pairs-9-r16-1-P": "58a7c83e92e646f0",
+    "pairs-9-r16-1-P10": "82e7e0fe25e51b37",
+    "chains-5-r16-1-P": "6db43405bfe9c80a",
+    "chains-5-r16-1-P10": "bef1de7d5bec5b04",
+    "chains-5-r16-2-P": "0be069b7a7c7dfaa",
+    "chains-5-r16-2-P10": "87bf45edd50feb50",
+    "pairs-9-r4-2-P": "4f88f4fb4eebdd8c",
+    "pairs-9-r4-2-P10": "43a4de5c10434b84",
+    "chains-9-r8-0-P": "a23d855694cc0cfe",
+    "chains-9-r8-0-P10": "474b391589dcf1a2",
+    "shared-end-P": "ac18d58d8d6b80c8",
+    "shared-end-P10": "5bd1061d9dab2fd1",
+    "shared-end-rooted-P": "cb9d17633177fca5",
+    "shared-end-rooted-P10": "14a234bbd8cfc985",
+}
+
+
+def test_forests_pinned():
+    got = {}
+    for name, rset, r, tour in _forest_sets():
+        for build in (build_forest_p, build_forest_p10):
+            forest = build(rset, r, tour)
+            got[f"{name}-{forest.mode}"] = _forest_digest(forest, rset, r)
+    assert got == PINNED_FOREST_DIGESTS
+
+
+def _reordered(tree, order):
+    """The same tree with its vertices stored in the given index order."""
+    where = {old: new for new, old in enumerate(order)}
+    out = ClusterTree()
+    for old in order:
+        v = tree.vertices[old]
+        out.vertices.append(dataclasses.replace(
+            v,
+            parent=None if v.parent is None else where[v.parent],
+            children=[where[c] for c in v.children],
+        ))
+    return out
+
+
+def test_breadth_first_check_reads_levels_off_the_trees():
+    rset, _xi, tour = cluster_instance(0, 24, deep=True)
+    forest = build_forest_p(rset, 24, tour)
+    assert verify_forest(forest, rset, 24).checks["breadth_first_build"]["pass"]
+    ti, main = max(enumerate(forest.trees), key=lambda it: len(it[1].vertices))
+    levels = [v.level for v in main.vertices]
+    assert levels == sorted(levels) and levels.count(1) >= 2 and max(levels) >= 2
+    # a deepest vertex stored before the last level-1 vertex: every child
+    # is still one level below its parent, but levels decrease along the list
+    last_one = max(i for i, lvl in enumerate(levels) if lvl == 1)
+    deep = levels.index(max(levels))
+    order = [i for i in range(len(levels)) if i != deep]
+    order.insert(order.index(last_one), deep)
+    forest.trees[ti] = _reordered(main, order)
+    rep = verify_forest(forest, rset, 24)
+    assert not rep.checks["breadth_first_build"]["pass"]
+    assert rep.checks["pair_witnesses"]["pass"]
+
+
+def test_breadth_first_check_rejects_a_wrong_level():
+    rset, _xi, tour = cluster_instance(0, 24, deep=True)
+    forest = build_forest_p10(rset, 24, tour)
+    main = max(forest.trees, key=lambda t: len(t.vertices))
+    main.vertices[-1].level += 1
+    assert not verify_forest(forest, rset, 24).checks["breadth_first_build"]["pass"]
+    main.vertices[-1].level -= 1
+    main.vertices[0].level = 1
+    assert not verify_forest(forest, rset, 24).checks["breadth_first_build"]["pass"]
+    main.vertices[0].level = 0
+    assert verify_forest(forest, rset, 24).checks["breadth_first_build"]["pass"]
+    # a second root stored after the first, at level 0 with no parent
+    leaf = dataclasses.replace(main.vertices[-1], parent=None, level=0)
+    forest.trees.append(ClusterTree([main.vertices[0], leaf]))
+    assert not verify_forest(forest, rset, 24).checks["breadth_first_build"]["pass"]

@@ -10,7 +10,7 @@ from ts_groups.groups import make_oracle
 from ts_groups.tours import random_element
 from ts_groups.words import Alphabet, Word, parse_word, reduce
 
-from oracles import bfs_lengths, f2xz_dp_reference, hull_reference
+from oracles import bfs_lengths, f2xz_dp_reference, f2xz_unit_greedy_reference, hull_reference
 
 
 FREE2 = make_oracle("free:2")
@@ -275,6 +275,29 @@ def test_f2xz_long_z_power_closed_form(n, t):
     # L * t^2, too slow for a test at this t
     oracle = make_oracle(f"f2xz:n={n}")
     assert oracle.length((Word((2,) * 16, 2), t)) == 16 + (n + 1) * abs(t)
+
+
+@given(n=st.integers(1, 6), head=st.integers(-30, 30), syllables=_SYLLABLES,
+       t=st.integers(-2000, 2000))
+@example(n=2, head=0, syllables=[(0, 2)] * 8, t=2000)
+@example(n=3, head=-7, syllables=[(5, 2), (-9, -2)], t=-1)
+def test_f2xz_tail_jump_matches_unit_greedy(n, head, syllables, t):
+    # handing a syllable on its linear tail every step left at once gives
+    # the picks that the one-block-per-step greedy reaches
+    letters = [1 if head > 0 else -1] * abs(head)
+    for k, b in syllables:
+        letters += [b] + [1 if k > 0 else -1] * abs(k)
+    oracle = make_oracle(f"f2xz:n={n}")
+    g = (reduce(letters, Alphabet(2)), t)
+    length, picks = oracle._solve(g)
+    assert (length, picks) == f2xz_unit_greedy_reference(oracle, g)
+
+
+def test_f2xz_huge_z_power_closed_form():
+    # one-block-per-step greedy would take a billion heap steps here
+    oracle = make_oracle("f2xz:n=2")
+    assert oracle.length((Word((2,) * 16, 2), 10**9)) == 16 + 3 * 10**9
+    assert oracle.length((Word((2,) * 16, 2), -(10**9))) == 16 + 3 * 10**9
 
 
 def test_f2xz_oracle_holds_no_state():

@@ -412,7 +412,7 @@ def test_construct_xi_infeasible_params_fail_loudly():
         density_window=80, prefix_len=60,
     )
     with pytest.raises(ResourceLimitError):
-        construct_xi(0, bad, max_attempts=3)
+        construct_xi(0, bad)
 
 
 def test_eps_shape_validation(desk_xi):
