@@ -362,7 +362,7 @@ def experiment():
 @click.option("--group", "descriptor", default="free:2", show_default=True)
 @click.option("--xi", "xi_text", required=True)
 @click.option("--lambda", "lam", required=True)
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--style", type=click.Choice(["pairs", "chains", "mixed", "box-pairs"]),
               default="mixed", show_default=True)
@@ -520,9 +520,9 @@ def property_group():
 @click.option("--xi", "xi_text", default=None)
 @click.option("--xi-from-lemma4", is_flag=True,
               help="use the constructed marker word as xi")
-@click.option("--k-max", type=int, default=3, show_default=True)
-@click.option("--samples", type=int, default=5000, show_default=True)
-@click.option("--budget", type=int, default=None,
+@click.option("--k-max", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=5000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=None,
               help="overrides --samples and the exhaustion threshold")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -640,7 +640,7 @@ def burnside():
 
 
 @burnside.command("pipeline")
-@click.option("--samples", type=int, default=50, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--desk-scale", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)

@@ -99,13 +99,9 @@ def label_tree_three_letters(tree: PlaneTernaryTree) -> LabeledTree:
     level n+1 carries letter n of the square-free sequence, so every
     ray from the origin reads the same square-free word and every
     simple path is 3-aperiodic."""
-    labels = {}
-    if tree.n_vertices > 1:
-        seq = squarefree_ternary(tree.height())
-        for v in tree.vertices():
-            if v != tree.ORIGIN:
-                labels[v] = seq[tree.level(v) - 1]
-    return LabeledTree(tree, labels)
+    level = tree.levels()
+    seq = squarefree_ternary(max(level.values()) + 1)
+    return LabeledTree(tree, {v: seq[level[v] - 1] for v in tree.vertices() if v != tree.ORIGIN})
 
 
 # ---------------------------------------------------------------------------

@@ -29,17 +29,19 @@ class PlaneTernaryTree:
     ORIGIN = 0
 
     def __post_init__(self):
+        """Accept only one tree, so every walk and pass below ends."""
         if self.parent.get(0, "missing") is not None:
             raise MalformedInputError("vertex 0 must be the origin (parent None)")
-        for v, p in self.parent.items():
-            if p is not None and v not in self.children.get(p, []):
-                raise MalformedInputError(f"vertex {v} missing from children of {p}")
+        listed = [(c, p) for p, kids in self.children.items() for c in kids]
+        below = {v: p for v, p in self.parent.items() if p is not None}
+        if (self.children.keys() != self.parent.keys() or len(listed) != len(below)
+                or dict(listed) != below):
+            raise MalformedInputError("each vertex must be listed once, by its parent")
+        unreached = self.parent.keys() - set(self.planar_order())
+        if unreached:
+            raise MalformedInputError(f"vertex {min(unreached)} is not connected to the origin")
 
     # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def single() -> "PlaneTernaryTree":
-        return PlaneTernaryTree()
 
     @staticmethod
     def complete(depth: int) -> "PlaneTernaryTree":
@@ -65,12 +67,11 @@ class PlaneTernaryTree:
         t = PlaneTernaryTree()
         if max_vertices < 4:
             return t
-        for _ in range(3):
-            t.add_child(0)
+        # new ids are the largest yet, so the leaves stay in id order
+        leaves = [t.add_child(0) for _ in range(3)]
         while t.n_vertices + 2 <= max_vertices:
-            leaf = rng.choice([v for v in t.vertices() if not t.children[v] and v != 0])
-            t.add_child(leaf)
-            t.add_child(leaf)
+            leaf = leaves.pop(rng.randrange(len(leaves)))
+            leaves += (t.add_child(leaf), t.add_child(leaf))
         return t
 
     @staticmethod
@@ -86,6 +87,8 @@ class PlaneTernaryTree:
         if v not in self.parent:
             raise MalformedInputError(f"no vertex {v}")
         c = self.n_vertices
+        if c in self.parent:  # a parsed tree may use any ids
+            c = max(self.parent) + 1
         self.parent[c] = v
         self.children[c] = []
         self.children[v].append(c)
@@ -99,16 +102,6 @@ class PlaneTernaryTree:
 
     def vertices(self) -> List[int]:
         return list(self.parent)
-
-    def level(self, v: int) -> int:
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def height(self) -> int:
-        return max(self.level(v) for v in self.vertices())
 
     def valence(self, v: int) -> int:
         return len(self.children[v]) + (0 if v == self.ORIGIN else 1)
@@ -130,29 +123,28 @@ class PlaneTernaryTree:
             frontier = [c for v in frontier for c in self.children[v]]
         return order
 
-    def path_to_origin(self, v: int) -> List[int]:
-        out = [v]
-        while self.parent[out[-1]] is not None:
-            out.append(self.parent[out[-1]])
-        return out
+    def levels(self) -> Dict[int, int]:
+        """{vertex: level}, from one pass in planar order."""
+        level = {}
+        for v in self.planar_order():
+            p = self.parent[v]
+            level[v] = 0 if p is None else level[p] + 1
+        return level
 
     def path_between(self, u: int, v: int) -> List[int]:
         """The unique simple path from u to v (inclusive)."""
-        up = self.path_to_origin(u)
-        vp = self.path_to_origin(v)
-        in_up = {w: i for i, w in enumerate(up)}
-        for j, w in enumerate(vp):
-            if w in in_up:
-                return up[: in_up[w] + 1] + vp[:j][::-1]
-        raise MalformedInputError("vertices lie in different trees")
+        up, vp = [u], [v]
+        for path in (up, vp):
+            while self.parent[path[-1]] is not None:
+                path.append(self.parent[path[-1]])
+        return _splice(up[::-1], vp[::-1])
 
     # -- text format -------------------------------------------------------
 
     def serialize(self) -> str:
-        lines = []
-        for v in sorted(self.parent):
-            p = self.parent[v]
-            lines.append(f"{v} {'-' if p is None else p} {self.level(v)}")
+        level = self.levels()
+        lines = [f"{v} {'-' if p is None else p} {level[v]}"
+                 for v, p in sorted(self.parent.items())]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -177,22 +169,30 @@ class PlaneTernaryTree:
                     raise MalformedInputError(f"vertex {v} has unknown parent {p}")
                 children[p].append(v)
         tree = PlaneTernaryTree(parent, children)
-        # the origin reaches every vertex exactly when no parent chain
-        # loops, so level() below terminates
-        unreached = set(parent) - set(tree.planar_order())
-        if unreached:
-            raise MalformedInputError(
-                f"vertex {min(unreached)} is not connected to the origin"
-            )
-        for v, p, lvl in rows:
-            if tree.level(v) != lvl:
+        level = tree.levels()
+        for v, _p, lvl in rows:
+            if level[v] != lvl:
                 raise MalformedInputError(f"level mismatch for vertex {v}")
         return tree
 
 
+def _splice(a, b):
+    """The path from a's last vertex to b's, given both root paths: up
+    a to the deepest vertex the two share, then down b."""
+    d = 1
+    while d < len(a) and d < len(b) and a[d] == b[d]:
+        d += 1
+    return a[d - 1 :][::-1] + b[d:]
+
+
 def enumerate_simple_paths(tree: PlaneTernaryTree) -> Iterator[Tuple[int, ...]]:
-    """Every simple path with at least one edge, once per endpoint pair."""
-    vs = sorted(tree.vertices())
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            yield tuple(tree.path_between(vs[i], vs[j]))
+    """Every simple path with at least one edge, once per endpoint pair
+    u < v in sorted order, spliced from root paths built in one pass."""
+    paths = {}
+    for v in tree.planar_order():
+        p = tree.parent[v]
+        paths[v] = (v,) if p is None else paths[p] + (v,)
+    vs = sorted(paths)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            yield _splice(paths[u], paths[v])

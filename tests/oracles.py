@@ -459,3 +459,24 @@ def f2xz_unit_greedy_reference(oracle, g):
         k, d = ks[j], picks[j]
         heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))
     return len(signs) + sum(map(cost, ks, picks)), picks
+
+
+def tree_path_reference(tree, u, v):
+    """The u–v path of a tree by breadth-first search over its undirected
+    edges from u, traced back from v along the search's predecessors."""
+    neighbours = {w: list(kids) for w, kids in tree.children.items()}
+    for w, p in tree.parent.items():
+        if p is not None:
+            neighbours[w].append(p)
+    came_from = {u: None}
+    queue = deque([u])
+    while queue:
+        w = queue.popleft()
+        for x in neighbours[w]:
+            if x not in came_from:
+                came_from[x] = w
+                queue.append(x)
+    path = [v]
+    while path[-1] != u:
+        path.append(came_from[path[-1]])
+    return path[::-1]

@@ -430,7 +430,17 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
     ["folner", "demo", "--box", "0:x", "--xi", "1,0"],
     ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--jobs", "0"],
     ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--jobs", "-1"],
-], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg"])
+    # a search that tries nothing would report no counterexample
+    ["property", "test", "--family", "P", "--r", "2", "--group", "abelian:2", "--xi", "1,1",
+     "--k-max", "0"],
+    ["property", "test", "--family", "P", "--r", "2", "--xi", "a b", "--samples", "-3"],
+    ["property", "test", "--family", "P", "--r", "2", "--xi", "a b", "--budget", "-3"],
+    ["property", "test", "--family", "P", "--r", "2", "--xi", "a b", "--budget", "0"],
+    ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--samples", "-1"],
+    ["burnside", "pipeline", "--samples", "-1", "--desk-scale"],
+], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg", "k-max-0",
+        "property-samples-neg", "property-budget-neg", "property-budget-0",
+        "ts-lambda-samples-neg", "burnside-samples-neg"])
 def test_malformed_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2

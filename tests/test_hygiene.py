@@ -102,3 +102,27 @@ def test_locals_are_read(path):
     """Every local a function assigns is read; an unread local is dead
     work or a value that was meant to be used."""
     assert _unread_locals(path) == []
+
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_SPANS = next(ast.literal_eval(node.value) for node in ast.parse(SPANS_PY.read_text()).body
+              if isinstance(node, ast.Assign) and node.targets[0].id == "SPANS")
+# the targets spans.py hooks outside its SPANS table
+_HOOKS = [("ts_groups.groups", "F2xZOracle.geodesic_steps"),
+          ("ts_groups.sequences", "InadmissibleEngine.observe"),
+          ("ts_groups.trees", "enumerate_simple_paths")]
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for _, m, a in _SPANS] + _HOOKS,
+                         ids=lambda x: x)
+def test_benchmark_trace_targets_resolve(module, attr):
+    """Every function the benchmark's tracer wraps still exists; a
+    renamed one would break only the traced benchmark run."""
+    mod = importlib.import_module(module)
+    owner, _, name = attr.rpartition(".")
+    if owner == "*":
+        owners = [c for c in vars(mod).values()
+                  if isinstance(c, type) and c.__module__ == module]
+    else:
+        owners = [getattr(mod, owner)] if owner else [mod]
+    assert any(name in vars(o) for o in owners)

@@ -55,7 +55,7 @@ def test_squarefree_prefix_stability():
 
 
 def test_label_three_letters_single_vertex():
-    lt = label_tree_three_letters(PlaneTernaryTree.single())
+    lt = label_tree_three_letters(PlaneTernaryTree())
     assert lt.edge_labels == {}
 
 

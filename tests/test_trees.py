@@ -1,20 +1,26 @@
+import hashlib
 import math
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import tree_path_reference
 from ts_groups.errors import MalformedInputError
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 
 
 def test_single_vertex():
-    t = PlaneTernaryTree.single()
+    t = PlaneTernaryTree()
     assert t.n_vertices == 1
     assert t.is_ternary()
     assert list(enumerate_simple_paths(t)) == []
 
 
 def test_two_vertex_tree_one_path():
-    t = PlaneTernaryTree.single()
+    t = PlaneTernaryTree()
     t.add_child(0)
     assert t.is_ternary()  # two end vertices, no internal ones
     assert len(list(enumerate_simple_paths(t))) == 1
@@ -53,7 +59,8 @@ def test_random_trees_are_ternary():
 def test_planar_order_sorted_by_level():
     t = PlaneTernaryTree.random(40, 3)
     order = t.planar_order()
-    levels = [t.level(v) for v in order]
+    level = t.levels()
+    levels = [level[v] for v in order]
     assert levels == sorted(levels)
     assert len(order) == t.n_vertices
 
@@ -80,3 +87,77 @@ def test_serialize_parse_round_trip():
 def test_parse_rejects_bad_level():
     with pytest.raises(MalformedInputError):
         PlaneTernaryTree.parse("0 - 0\n1 0 2\n")
+
+
+def test_random_trees_pinned():
+    # a seed names one tree: `tree label --seed` output and the
+    # benchmark's tree-paths digests depend on it
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for n in (1, 4, 40, 200, 1000):
+            digest.update(PlaneTernaryTree.random(n, seed).serialize().encode())
+    assert digest.hexdigest()[:16] == "ad6f42f6ea826493"
+
+
+def _relabelled(tree, seed):
+    """The tree through its text format, with the non-origin ids moved to
+    shuffled, non-contiguous values and the rows (so the sibling order)
+    shuffled."""
+    rng = random.Random(seed)
+    others = [v for v in tree.vertices() if v != 0]
+    new = dict(zip(others, rng.sample(range(1, 5 * len(others) + 2), len(others))))
+    new[0] = 0
+    level = tree.levels()
+    rows = [f"{new[v]} {'-' if p is None else new[p]} {level[v]}" for v, p in tree.parent.items()]
+    rng.shuffle(rows)
+    return PlaneTernaryTree.parse("\n".join(rows) + "\n")
+
+
+_TREES = st.one_of(
+    st.builds(PlaneTernaryTree.random, st.integers(1, 40), st.integers(0, 2**16)),
+    st.builds(PlaneTernaryTree.ray_tree, st.integers(0, 12)),
+    st.builds(PlaneTernaryTree.complete, st.integers(0, 3)),
+    st.builds(_relabelled, st.builds(PlaneTernaryTree.random, st.integers(1, 30),
+                                     st.integers(0, 2**16)), st.integers(0, 2**16)),
+)
+
+
+@settings(deadline=None)
+@given(_TREES)
+def test_paths_match_the_search_reference(tree):
+    vs = sorted(tree.vertices())
+    expected = [tuple(tree_path_reference(tree, u, v))
+                for i, u in enumerate(vs) for v in vs[i + 1 :]]
+    assert list(enumerate_simple_paths(tree)) == expected
+    for u in vs:
+        for v in vs:
+            assert tree.path_between(u, v) == tree_path_reference(tree, u, v)
+
+
+def test_ray_and_random_trees_take_linear_time():
+    # one breadth-first pass per call; a walk to the origin per vertex
+    # (or a leaf rescan per growth step) makes these quadratic
+    start = time.perf_counter()
+    ray = PlaneTernaryTree.ray_tree(19_999)
+    assert PlaneTernaryTree.parse(ray.serialize()).n_vertices == 20_000
+    assert PlaneTernaryTree.random(20_000, 1).n_vertices == 20_000
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("parent, children", [
+    ({0: None, 1: 2, 2: 1}, {0: [], 1: [2], 2: [1]}),
+    ({0: None, 1: 0, 2: 0}, {0: [1, 2], 1: [2], 2: []}),
+    ({0: None, 1: 0}, {0: [1, 1], 1: []}),
+    ({0: None, 1: 0}, {0: [1]}),
+    ({0: None, 1: 0}, {0: [1], 1: [0]}),
+], ids=["parent-cycle", "child-of-two", "child-twice", "no-children-list", "origin-as-child"])
+def test_constructor_rejects_all_but_one_tree(parent, children):
+    with pytest.raises(MalformedInputError):
+        PlaneTernaryTree(parent, children)
+
+
+def test_add_child_skips_ids_in_use():
+    t = PlaneTernaryTree.parse("0 - 0\n2 0 1\n")
+    assert t.add_child(0) == 3
+    assert t.children[0] == [2, 3]
+    assert t.planar_order() == [0, 2, 3]
