@@ -15,7 +15,7 @@ one ray leg).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .errors import MalformedInputError
@@ -81,17 +81,35 @@ class LabeledTree:
     tree: PlaneTernaryTree
     edge_labels: Dict[int, object]
     inadmissibles: Optional[Dict[int, object]] = None
+    # per vertex: the vertices and the labels from the origin down to
+    # it, built by the first path_labels call
+    _root: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _down: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def path_labels(self, path: Sequence[int]) -> List[object]:
-        out = []
-        for x, y in zip(path, path[1:]):
-            if self.tree.parent[y] == x:
-                out.append(self.edge_labels[y])
-            elif self.tree.parent[x] == y:
-                out.append(self.edge_labels[x])
-            else:
-                raise MalformedInputError("not a path in the tree")
-        return out
+        """Labels along a simple path, spliced from the root label tuples
+        of its two ends at their deepest shared vertex.  The first call
+        builds the tuples, so memory grows with the sum of the vertex
+        depths, as in enumerate_simple_paths."""
+        root, down = self._root, self._down
+        if not root:
+            for v in self.tree.planar_order():
+                p = self.tree.parent[v]
+                root[v] = (v,) if p is None else root[p] + (v,)
+                down[v] = () if p is None else down[p] + (self.edge_labels[v],)
+        try:
+            u, v = path[0], path[-1]
+            ru, rv = root[u], root[v]
+        except (IndexError, KeyError, TypeError):
+            raise MalformedInputError("not a path in the tree") from None
+        # if path is the simple u-v path, it goes up from u to the deepest
+        # vertex u and v share, at depth d, then down to v
+        d = (len(ru) + len(rv) - len(path) - 1) // 2
+        if not (0 <= d < len(ru) and d < len(rv) and ru[d] == rv[d]
+                and tuple(path) == ru[d:][::-1] + rv[d + 1 :]
+                and (d + 1 == len(ru) or d + 1 == len(rv) or ru[d + 1] != rv[d + 1])):
+            raise MalformedInputError("not a path in the tree")
+        return list(down[u][d:][::-1] + down[v][d:])
 
 
 def label_tree_three_letters(tree: PlaneTernaryTree) -> LabeledTree:

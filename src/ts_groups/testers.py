@@ -395,11 +395,11 @@ def _block_word(params: XiParams):
     in the target interval."""
     blocks = {"A": (2,), "B": (1, 2, 1), "C": (1, 1, 2, 1, 1)}
     letters: List[int] = []
-    i = 0
-    while len(letters) <= params.total_low:
-        sym = squarefree_ternary(i + 1)[i]
+    # every block has a letter, so total_low + 1 symbols are enough
+    for sym in squarefree_ternary(params.total_low + 1):
+        if len(letters) > params.total_low:
+            break
         letters.extend(blocks[sym])
-        i += 1
     n = len(letters)
     if not (params.total_low < n < params.total_high):
         raise ResourceLimitError(f"block word landed at {n}, outside the target")

@@ -174,6 +174,36 @@ def _has_repeated_window(sset, length):
     return None
 
 
+# The cyclic C'(lambda) scan before the key filter, kept literal: every
+# cyclic position's window goes through the dict.
+
+
+def repeated_window_reference(base, num, den):
+    """Two distinct cyclic occurrences sharing a window of length
+    ceil(num/den * n), n the shorter host's length, or None."""
+    doubled = [_doubled_windows(w) for w in base]
+    for n in sorted({len(w) for w in base}):
+        t = -(-num * n // den)  # ceil
+        if t > n - 1:
+            continue
+        # windows of the length-n relators go in, longer ones look up
+        hosts = sorted(
+            (wi for wi, w in enumerate(base) if len(w) >= n),
+            key=lambda wi: len(base[wi]) > n,
+        )
+        seen = {}
+        for wi in hosts:
+            windows, insert = doubled[wi], len(base[wi]) == n
+            for i in range(len(base[wi])):
+                key = windows[i : i + t]
+                other = seen.get(key)
+                if other is not None:
+                    return other, (wi, i)
+                if insert:
+                    seen[key] = (wi, i)
+    return None
+
+
 def max_piece_length(sset):
     """Length of the longest piece (0 when there is none)."""
     if sum(len(w) for w in sset.base) <= _ENUMERATION_CAP:
@@ -480,3 +510,17 @@ def tree_path_reference(tree, u, v):
     while path[-1] != u:
         path.append(came_from[path[-1]])
     return path[::-1]
+
+
+def path_labels_reference(labeled, path):
+    """Labels along a path, read edge by edge: each step must go to the
+    parent or to a child."""
+    out = []
+    for x, y in zip(path, path[1:]):
+        if labeled.tree.parent[y] == x:
+            out.append(labeled.edge_labels[y])
+        elif labeled.tree.parent[x] == y:
+            out.append(labeled.edge_labels[x])
+        else:
+            raise ValueError("not a path in the tree")
+    return out

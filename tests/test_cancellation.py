@@ -1,18 +1,28 @@
+import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.cancellation import (
     SymmetrizedSet,
+    _WindowKeys,
     _doubled_windows,
+    _repeated_window,
     satisfies_small_cancellation,
 )
 from ts_groups.errors import MalformedInputError
-from ts_groups.words import Alphabet, Word, parse_word, reduce
+from ts_groups.words import Alphabet, Word, format_word, parse_word, reduce
 
-from oracles import max_piece_length, naive_pieces, pieces, _has_repeated_window
+from oracles import (
+    _has_repeated_window,
+    max_piece_length,
+    naive_pieces,
+    pieces,
+    repeated_window_reference,
+)
 
 LAMBDAS = [(1, 6), (1, 5), (1, 3), (1, 2), (2, 3), (5, 6)]
 
@@ -316,3 +326,64 @@ def test_full_scale_marker_threshold(full_scale_marker, side):
     if not ok:
         assert len(viol.word) == mp
         assert_real_violation(s, viol, num, den)
+
+
+# -- the key-filtered window scan against the unfiltered one -----------------
+
+
+@st.composite
+def rank_80_sets(draw):
+    """1-3 cyclically reduced relators over 80 generators, drawn from a
+    few of them so that windows repeat; the scan slices tuples here."""
+    words = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.sampled_from([1, -1, 2, 79, -80]), min_size=1, max_size=24))
+        word = _cyclically_reduced(letters, 80)
+        if not word.is_identity:
+            words.append(word)
+    if not words:
+        words.append(Word((1, 80), 80))
+    return SymmetrizedSet.of(words, cyclic=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cyclic_sets(), rank_80_sets()))
+@example(SymmetrizedSet.of([w("a b a b a b"), w("a b")], cyclic=True))
+@example(SymmetrizedSet.of([w("B C B c", 3), w("c c a c A B a", 3), w("C B B A A C", 3)], cyclic=True))
+def test_window_scan_matches_unfiltered_scan(s):
+    for num, den in LAMBDAS:
+        assert _repeated_window(s.base, num, den) == repeated_window_reference(s.base, num, den)
+
+
+def _thue_morse(n):
+    return Word(tuple(1 + bin(i).count("1") % 2 for i in range(n)), 2)
+
+
+@pytest.mark.parametrize("lam", [(1, 5), (1, 2), (9, 10)])
+def test_thue_morse_window_scan(lam):
+    # Thue-Morse words make polynomial hashes modulo 2**64 collide for
+    # every base; the two-prime keys must neither mislead nor slow it
+    base = SymmetrizedSet.of([_thue_morse(8192)], cyclic=True).base
+    hit = repeated_window_reference(base, *lam)
+    assert _repeated_window(base, *lam) == hit
+    if hit is None:
+        # all windows differ, so no two keys may agree
+        t = -(-lam[0] * 8192 // lam[1])
+        keys = _WindowKeys(base)
+        assert len(set(np.concatenate([keys.keys(0, t), keys.keys(1, t)]).tolist())) == 2 * 8192
+
+
+def test_full_scale_violating_piece_pinned():
+    # the full-scale marker word with its letters 5000..7099 appended:
+    # the repeated factor, one letter longer, is the piece at 1/6
+    from ts_groups.testers import construct_xi
+
+    xi = construct_xi(1).word
+    s = SymmetrizedSet.of([Word(xi.letters + xi.letters[5000:7100], 2)], cyclic=True)
+    assert satisfies_small_cancellation(s, 1, 5) == (True, None)
+    ok, viol = satisfies_small_cancellation(s, 1, 6)
+    assert not ok
+    assert viol.locations == (((0, 4999), (0, 10004)),)
+    assert len(viol.word) == 2101
+    assert hashlib.sha256(format_word(viol.word).encode()).hexdigest()[:16] == "cfd3254c5512049e"
+    assert_real_violation(s, viol, 1, 6)

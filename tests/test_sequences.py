@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ts_groups.errors import MalformedInputError
 from ts_groups.sequences import (
@@ -16,6 +18,9 @@ from ts_groups.sequences import (
 )
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 from ts_groups.words import is_k_aperiodic, max_power_order
+
+from oracles import path_labels_reference
+from strategies import trees
 
 
 # -- square-free generator ---------------------------------------------------
@@ -172,6 +177,34 @@ def test_designation_emitted_before_choice():
     # histories now differ; both still designate deterministically
     assert engine.designate({"a", "b", "c"}) in {"a", "b", "c"}
     assert clone.designate({"a", "b", "c"}) in {"a", "b", "c"}
+
+
+# -- path labels -------------------------------------------------------------
+
+
+@settings(deadline=None)
+@given(trees(), st.integers(0, 2**16))
+def test_path_labels_match_the_edge_reference(tree, seed):
+    # every simple path both ways and every single vertex, under both
+    # labelings
+    fixed = label_tree_three_letters(tree)
+    advers = label_tree_adversarial(tree, set("wxyz"), random_tree_adversary(seed))
+    paths = [(v,) for v in tree.vertices()]
+    for path in enumerate_simple_paths(tree):
+        paths += [path, path[::-1], list(path)]
+    for labeled in (fixed, advers):
+        for path in paths:
+            assert labeled.path_labels(path) == path_labels_reference(labeled, path)
+
+
+@pytest.mark.parametrize("path", [(1, 2), (1, 99), (), (1, 0, 2, 0, 3), (1, 0, 1), (4, 0), (0, 4, 1),
+                                  (4, 1, 6)],
+                         ids=["siblings", "unknown", "empty", "detour", "back-and-forth",
+                              "skips-a-vertex", "wrong-order", "wrong-apex"])
+def test_path_labels_reject_all_but_simple_paths(path):
+    labeled = label_tree_three_letters(PlaneTernaryTree.complete(2))
+    with pytest.raises(MalformedInputError):
+        labeled.path_labels(path)
 
 
 # -- adversarial tree labeling -------------------------------------------------

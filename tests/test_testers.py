@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from unittest import mock
 
@@ -304,6 +306,17 @@ def test_construct_xi_full_scale_single_seed():
     beta = rep.word.subword(rep.n - 400, rep.n)
     ok, _ = satisfies_small_cancellation(SymmetrizedSet.of([alpha, beta]), 1, 3)
     assert ok
+
+
+def test_marker_reports_pinned():
+    # every full-scale report and word for seeds 0-9, recorded before
+    # the C'(1/5) scan went through window keys
+    digest = hashlib.sha256()
+    for seed in range(10):
+        rep = construct_xi(seed)
+        digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+        digest.update(format_word(rep.word).encode())
+    assert digest.hexdigest()[:16] == "b99e7f8ed21a1cd0"
 
 
 def test_flip_conditions_reported():

@@ -1,13 +1,11 @@
 import hashlib
-import math
-import random
 import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import tree_path_reference
+from strategies import trees
 from ts_groups.errors import MalformedInputError
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 
@@ -99,31 +97,8 @@ def test_random_trees_pinned():
     assert digest.hexdigest()[:16] == "ad6f42f6ea826493"
 
 
-def _relabelled(tree, seed):
-    """The tree through its text format, with the non-origin ids moved to
-    shuffled, non-contiguous values and the rows (so the sibling order)
-    shuffled."""
-    rng = random.Random(seed)
-    others = [v for v in tree.vertices() if v != 0]
-    new = dict(zip(others, rng.sample(range(1, 5 * len(others) + 2), len(others))))
-    new[0] = 0
-    level = tree.levels()
-    rows = [f"{new[v]} {'-' if p is None else new[p]} {level[v]}" for v, p in tree.parent.items()]
-    rng.shuffle(rows)
-    return PlaneTernaryTree.parse("\n".join(rows) + "\n")
-
-
-_TREES = st.one_of(
-    st.builds(PlaneTernaryTree.random, st.integers(1, 40), st.integers(0, 2**16)),
-    st.builds(PlaneTernaryTree.ray_tree, st.integers(0, 12)),
-    st.builds(PlaneTernaryTree.complete, st.integers(0, 3)),
-    st.builds(_relabelled, st.builds(PlaneTernaryTree.random, st.integers(1, 30),
-                                     st.integers(0, 2**16)), st.integers(0, 2**16)),
-)
-
-
 @settings(deadline=None)
-@given(_TREES)
+@given(trees())
 def test_paths_match_the_search_reference(tree):
     vs = sorted(tree.vertices())
     expected = [tuple(tree_path_reference(tree, u, v))
