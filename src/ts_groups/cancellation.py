@@ -107,14 +107,6 @@ def _linear_lcp(w1: Word, w2: Word) -> int:
     return k
 
 
-def _doubled_windows(w: Word):
-    # letters fit a byte for rank <= 63; wider alphabets fall back to
-    # tuple slices (slower, same semantics)
-    if w.rank <= 63:
-        return bytes(128 + a for a in w.letters) * 2
-    return w.letters * 2
-
-
 # two primes below 2**31: every product of two residues (letter codes
 # a + rank + 1 among them) fits int64, and the pair of residues packs
 # into one int64 key
@@ -167,7 +159,7 @@ class _WindowKeys:
 def _repeated_window(base: Tuple[Word, ...], num: int, den: int) -> Optional[tuple]:
     """Two distinct cyclic occurrences sharing a window of length
     ceil(num/den * n), n the shorter host's length, or None."""
-    doubled = [_doubled_windows(w) for w in base]
+    doubled = [w.letters * 2 for w in base]
     window_keys = _WindowKeys(base)
     for n in sorted({len(w) for w in base}):
         t = -(-num * n // den)  # ceil

@@ -50,7 +50,6 @@ class PieceDecomposition:
     """
 
     order: Tuple[object, ...]
-    threshold: Fraction
     cuts: Tuple[int, ...]
     pieces: Tuple[Tuple[object, ...], ...]
     dedup_log: Tuple[object, ...]
@@ -95,7 +94,6 @@ def decompose_pieces(rset: RelatedSet, tour: Tour, threshold) -> PieceDecomposit
             start = j + 1
     return PieceDecomposition(
         order=tuple(order),
-        threshold=threshold,
         cuts=tuple(cuts),
         pieces=tuple(pieces),
         dedup_log=tuple(dropped),
@@ -283,8 +281,7 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
 
     # engine ground: all pairwise differences seen from an entry element.
     # A revised set holds a pair {x, x*xi}, so the ground has xi and
-    # xi^-1, which differ in every supported (torsion-free) group.  The
-    # root engine is only ever cloned, so every tree can start from it.
+    # xi^-1, which differ in every supported (torsion-free) group.
     ground = set()
     for x in rset.elements:
         for y in rset.elements:
@@ -353,9 +350,9 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
                 if y in used:
                     continue
                 used.add(y)
-                engine = engines[v].clone()
+                engine = engines[v]
                 if vert.entry is not None:
-                    engine.observe(oracle.multiply(oracle.inverse(vert.entry), w))
+                    engine = engine.observe(oracle.multiply(oracle.inverse(vert.entry), w))
                 elems = open_vertex(y, engine)
                 used.update(elems)
                 tree.add(

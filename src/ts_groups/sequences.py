@@ -9,11 +9,14 @@ future adversary choices; all the interesting state lives in the
 threat-tracking engine below, which keeps the label sequence along any
 ray 4-aperiodic and hence along any simple tree path 10-aperiodic (an
 eleventh power crossing a path's apex would put five whole copies into
-one ray leg).
+one ray leg).  The engine is an immutable value: observing a label
+returns the next engine, so the tree labeler gives each child its own
+engine without copying or undoing anything.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -152,60 +155,55 @@ def _token_sort_key(t):
 
 
 class InadmissibleEngine:
-    """Online designator of inadmissible elements.
+    """Online designator of inadmissible elements, as an immutable value.
 
-    ``designate`` is a pure function of the state; ``observe`` consumes
-    the adversary's actual label.  Per-vertex forking (clone) turns the
-    ray guarantee into the tree guarantee: every root-to-vertex label
-    path is one honest run of the engine.
+    ``designate`` is a pure function of the engine; ``observe`` returns
+    the engine that has also seen the adversary's actual label and
+    leaves this one as it was.  So a tree labeler hands each child the
+    engine its parent observed into, and every root-to-vertex label
+    path is one honest run of the engine: the ray guarantee becomes the
+    tree guarantee.
     """
 
-    def __init__(self, ground, _history=None, _runs=None):
+    def __init__(self, ground):
         tokens = sorted(set(ground), key=_token_sort_key)
         if len(tokens) < 2:
             raise MalformedInputError("ground set needs at least 2 elements")
         self.ground = tuple(tokens)
-        self.history = _history if _history is not None else []
+        self.history = ()
         # runs[p-1]: consecutive positions i ending the history with
         # history[i] == history[i-p]; the p-periodic suffix has length
         # runs[p-1] + p
-        self.runs = _runs if _runs is not None else []
-
-    def _threats(self):
-        n = len(self.history)
-        out = []
-        for p in range(1, n // 4 + 1):
-            suffix_len = self.runs[p - 1] + p
-            if suffix_len >= 4 * p:
-                remaining = 5 * p - suffix_len
-                out.append((remaining, p, self.history[n - p]))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        self.runs = ()
 
     def designate(self, candidates) -> object:
         """The inadmissible element for the current step, drawn from the
         candidate set."""
-        for _remaining, _p, letter in self._threats():
-            if letter in candidates:
-                return letter
-        pad = _pair_stream_letter(len(self.history), self.ground[0], self.ground[1])
+        h, runs = self.history, self.runs
+        n = len(h)
+        # a live threat (4 copies of period p) as (letters left to a
+        # fifth power, p, continuation letter); p differs between
+        # threats, so letters are never compared
+        threat = min(
+            ((4 * p - runs[p - 1], p, h[n - p]) for p in range(1, n // 4 + 1)
+             if runs[p - 1] >= 3 * p and h[n - p] in candidates),
+            default=None,
+        )
+        if threat is not None:
+            return threat[2]
+        pad = _pair_stream_letter(n, self.ground[0], self.ground[1])
         if pad in candidates:
             return pad
         return min(candidates, key=_token_sort_key)
 
-    def observe(self, x):
-        n = len(self.history)
-        new_runs = []
-        for p in range(1, n + 1):
-            prev = self.runs[p - 1] if p <= len(self.runs) else 0
-            new_runs.append(prev + 1 if self.history[n - p] == x else 0)
-        self.history.append(x)
-        self.runs = new_runs
-
-    def clone(self) -> "InadmissibleEngine":
-        return InadmissibleEngine(
-            self.ground, _history=list(self.history), _runs=list(self.runs)
+    def observe(self, x) -> "InadmissibleEngine":
+        """The engine after the label x; this one is unchanged."""
+        nxt = copy.copy(self)
+        nxt.runs = tuple(
+            r + 1 if y == x else 0 for r, y in zip(self.runs + (0,), reversed(self.history))
         )
+        nxt.history = self.history + (x,)
+        return nxt
 
 
 def _normalize_candidates(candidates, count, minimum):
@@ -249,7 +247,7 @@ def label_ray_adversarial(length: int, candidates, adversary: Callable):
             raise MalformedInputError(
                 f"adversary chose {x!r} at step {i}, not an admissible element"
             )
-        engine.observe(x)
+        engine = engine.observe(x)
         xs.append(x)
         zs.append(z)
     return xs, zs
@@ -299,9 +297,7 @@ def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callab
                 )
         for child, x in zip(kids, picks):
             labels[child] = x
-            forked = engine.clone()
-            forked.observe(x)
-            states[child] = forked
+            states[child] = engine.observe(x)
     return LabeledTree(tree, labels, inadmissibles=inadmissibles)
 
 

@@ -210,10 +210,10 @@ class Tour:
 
     order: Tuple[object, ...]
     length: int
-    kind: str  # exact | heuristic-upper | mst-lower
+    kind: str  # exact | heuristic-upper
 
     def __post_init__(self):
-        if self.kind not in ("exact", "heuristic-upper", "mst-lower"):
+        if self.kind not in ("exact", "heuristic-upper"):
             raise MalformedInputError(f"unknown tour kind {self.kind!r}")
 
 
@@ -392,44 +392,23 @@ class LPrimeResult:
 
 def _free_hull(pts):
     """Vertex set of the minimal subtree of the Cayley tree spanning
-    pts (union of the paths from every point to the first)."""
+    pts: every prefix of a point at least as long as the prefix all the
+    points share (the common prefix of the lexicographic extremes)."""
     words = [p.letters for p in pts]
-    base = words[0]
-    hull = set()
-
-    def path_vertices(u, v):
-        # meet = longest common prefix
-        m = 0
-        while m < len(u) and m < len(v) and u[m] == v[m]:
-            m += 1
-        out = [u[:i] for i in range(len(u), m - 1, -1)]
-        out.extend(v[:i] for i in range(m + 1, len(v) + 1))
-        return out
-
-    for w in words:
-        for vert in path_vertices(w, base):
-            hull.add(vert)
-    return hull
+    lo, hi = min(words), max(words)
+    meet = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
+    return {w[:i] for w in words for i in range(meet, len(w) + 1)}
 
 
 def _l_prime_free(pts) -> int:
     hull = _free_hull(pts)
     members = {p.letters for p in pts}
-    edges = 0
-    deg = {w: 0 for w in members}
-    for v in hull:
-        if len(v) == 0:
-            continue
-        parent = v[:-1]
-        if parent in hull:
-            edges += 1
-            if v in deg:
-                deg[v] += 1
-            if parent in deg:
-                deg[parent] += 1
+    top = min(map(len, hull))
+    # every hull vertex but the shallowest has one edge, to its parent
+    edges = [(v, v[:-1]) for v in hull if len(v) > top]
     # every walk covering the points doubles each hull edge; landing on
     # a point earns one credit per adjacent traversal pair
-    return 2 * edges - sum(deg.values()) - 1
+    return 2 * len(edges) - sum((v in members) + (u in members) for v, u in edges) - 1
 
 
 def _l_prime_dijkstra(oracle: GroupOracle, pts, region):

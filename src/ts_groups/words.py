@@ -56,10 +56,6 @@ class Alphabet:
             out.append(-i)
         return out
 
-    def inverse(self, letter: int) -> int:
-        self.check(letter)
-        return -letter
-
     def check(self, letter: int):
         if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
             raise MalformedInputError(
@@ -406,27 +402,28 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
     if rank < 1 or length < 0 or k < 1:
         raise MalformedInputError("rank and k must be >= 1 and length >= 0")
     order = Alphabet(rank).letters()
-
-    def extend(prefix):
-        if len(prefix) == length:
-            return prefix
-        for a in order:
-            if prefix and prefix[-1] == -a:
-                continue
-            prefix.append(a)
-            # the prefix before the new letter is k-aperiodic, so any
-            # (k+1)-th power ends at the new letter
-            if is_k_aperiodic(prefix, k)[0]:
-                result = extend(prefix)
-                if result is not None:
-                    return result
+    # depth-first search in shortlex order; tried[i] counts the letters
+    # already tried at position i, so len(tried) == len(prefix) + 1
+    prefix = []
+    tried = [0]
+    while len(prefix) < length:
+        if tried[-1] == len(order):
+            tried.pop()
+            if not prefix:
+                raise MalformedInputError(
+                    f"no {k}-aperiodic word of length {length} over rank {rank}"
+                )
             prefix.pop()
-        return None
-
-    found = extend([])
-    if found is None:
-        raise MalformedInputError(
-            f"no {k}-aperiodic word of length {length} over rank {rank}"
-        )
-    return Word._trusted(tuple(found), rank)
-
+            continue
+        a = order[tried[-1]]
+        tried[-1] += 1
+        if prefix and prefix[-1] == -a:
+            continue
+        prefix.append(a)
+        # the prefix before the new letter is k-aperiodic, so any
+        # (k+1)-th power ends at the new letter
+        if is_k_aperiodic(prefix, k)[0]:
+            tried.append(0)
+        else:
+            prefix.pop()
+    return Word._trusted(tuple(prefix), rank)

@@ -9,7 +9,8 @@ import itertools
 from collections import deque
 
 from ts_groups.cancellation import Piece
-from ts_groups.errors import InternalInvariantError, ResourceLimitError
+from ts_groups.errors import InternalInvariantError, MalformedInputError, ResourceLimitError
+from ts_groups.sequences import _pair_stream_letter, _token_sort_key
 from ts_groups.words import Word
 
 
@@ -524,3 +525,57 @@ def path_labels_reference(labeled, path):
         else:
             raise ValueError("not a path in the tree")
     return out
+
+
+class InadmissibleEngineReference:
+    """The mutable inadmissible-element engine that the immutable
+    `sequences.InadmissibleEngine` replaced, kept literal: `observe`
+    changes the engine in place, so a caller forks it with `clone`
+    first, and threats are sorted before the candidate scan."""
+
+    def __init__(self, ground, _history=None, _runs=None):
+        tokens = sorted(set(ground), key=_token_sort_key)
+        if len(tokens) < 2:
+            raise MalformedInputError("ground set needs at least 2 elements")
+        self.ground = tuple(tokens)
+        self.history = _history if _history is not None else []
+        # runs[p-1]: consecutive positions i ending the history with
+        # history[i] == history[i-p]; the p-periodic suffix has length
+        # runs[p-1] + p
+        self.runs = _runs if _runs is not None else []
+
+    def _threats(self):
+        n = len(self.history)
+        out = []
+        for p in range(1, n // 4 + 1):
+            suffix_len = self.runs[p - 1] + p
+            if suffix_len >= 4 * p:
+                remaining = 5 * p - suffix_len
+                out.append((remaining, p, self.history[n - p]))
+        out.sort(key=lambda t: (t[0], t[1]))
+        return out
+
+    def designate(self, candidates) -> object:
+        """The inadmissible element for the current step, drawn from the
+        candidate set."""
+        for _remaining, _p, letter in self._threats():
+            if letter in candidates:
+                return letter
+        pad = _pair_stream_letter(len(self.history), self.ground[0], self.ground[1])
+        if pad in candidates:
+            return pad
+        return min(candidates, key=_token_sort_key)
+
+    def observe(self, x):
+        n = len(self.history)
+        new_runs = []
+        for p in range(1, n + 1):
+            prev = self.runs[p - 1] if p <= len(self.runs) else 0
+            new_runs.append(prev + 1 if self.history[n - p] == x else 0)
+        self.history.append(x)
+        self.runs = new_runs
+
+    def clone(self) -> "InadmissibleEngineReference":
+        return InadmissibleEngineReference(
+            self.ground, _history=list(self.history), _runs=list(self.runs)
+        )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ts_groups.cancellation import (
     SymmetrizedSet,
     _WindowKeys,
-    _doubled_windows,
     _repeated_window,
     satisfies_small_cancellation,
 )
@@ -218,10 +217,9 @@ def test_window_scan_vs_enumeration_on_marker_word():
 
 
 def test_high_rank_window_fallback():
-    # rank 80 does not fit the byte windows, so the scan slices tuples
+    # a wide (rank-80) alphabet
     letters = tuple((i % 70) + 1 for i in range(40)) * 2
     word = Word(letters, 80)
-    assert isinstance(_doubled_windows(word), tuple)
     s = SymmetrizedSet.of([word], cyclic=True)
     # the word is two copies of a 40-letter block: max proper cyclic
     # piece is one letter short of the full length

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,11 +16,12 @@ from ts_groups.sequences import (
     random_ray_adversary,
     random_tree_adversary,
     squarefree_ternary,
+    _token_sort_key,
 )
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
-from ts_groups.words import is_k_aperiodic, max_power_order
+from ts_groups.words import is_k_aperiodic, max_power_order, parse_word
 
-from oracles import path_labels_reference
+from oracles import InadmissibleEngineReference, path_labels_reference
 from strategies import trees
 
 
@@ -166,17 +168,79 @@ def test_ray_rejects_cheating_adversary():
 
 def test_designation_emitted_before_choice():
     # the designation is a pure function of past observations only: the
-    # same engine state designates identically no matter what the
-    # adversary is about to play
+    # same engine designates identically no matter what the adversary
+    # is about to play
     engine = InadmissibleEngine({"a", "b", "c"})
     z1 = engine.designate({"a", "b", "c"})
-    clone = engine.clone()
-    assert clone.designate({"a", "b", "c"}) == z1
-    engine.observe("a")
-    clone.observe("b")
+    after_a = engine.observe("a")
+    after_b = engine.observe("b")
+    assert engine.designate({"a", "b", "c"}) == z1
     # histories now differ; both still designate deterministically
-    assert engine.designate({"a", "b", "c"}) in {"a", "b", "c"}
-    assert clone.designate({"a", "b", "c"}) in {"a", "b", "c"}
+    assert after_a.designate({"a", "b", "c"}) in {"a", "b", "c"}
+    assert after_b.designate({"a", "b", "c"}) in {"a", "b", "c"}
+
+
+_TOKEN_POOLS = {
+    "str": list("abcdefg"),
+    "int": [-2, 0, 1, 2, 3, 5, 8],
+    "word": [parse_word(t, 2) for t in ("a", "A", "b", "a b", "b a", "a B", "a b A")],
+}
+
+
+def _steering_adversary(rng, history, fv, z):
+    """Mostly repeats the letter one random short period back, which
+    builds the powers the engine has to break; otherwise plays at
+    random."""
+    if history and rng.random() < 0.8:
+        want = history[-rng.randint(1, min(len(history), 6))]
+        if want in fv and want != z:
+            return want
+    return rng.choice(sorted((t for t in fv if t != z), key=_token_sort_key))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(sorted(_TOKEN_POOLS)),
+    size=st.integers(2, 5),
+    steps=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_value_matches_mutable_reference(kind, size, steps, seed):
+    rng = random.Random(seed)
+    ground = rng.sample(_TOKEN_POOLS[kind], size)
+    engine = InadmissibleEngine(ground)
+    reference = InadmissibleEngineReference(ground)
+    for _ in range(steps):
+        fv = frozenset(rng.sample(ground, rng.randint(2, size)))
+        z = engine.designate(fv)
+        assert z == reference.designate(fv)
+        x = _steering_adversary(rng, engine.history, fv, z)
+        history, runs = engine.history, engine.runs
+        nxt = engine.observe(x)
+        # observing leaves the receiver as it was
+        assert (engine.history, engine.runs) == (history, runs)
+        assert engine.designate(fv) == z
+        reference.observe(x)
+        assert (nxt.history, nxt.runs) == (tuple(reference.history), tuple(reference.runs))
+        engine = nxt
+    assert is_k_aperiodic(engine.history, 4)[0]
+
+
+def test_adversarial_tree_labelings_pinned():
+    # sha256 of edge labels and inadmissibles, recorded with the mutable
+    # engine that clone()d before every observe
+    cases = [(PlaneTernaryTree.random(size, seed), random_tree_adversary(seed))
+             for seed in range(30) for size in (4, 40, 200)]
+    cases += [(PlaneTernaryTree.ray_tree(300), random_tree_adversary(0)),
+              (PlaneTernaryTree.ray_tree(300), greedy_tree_adversary())]
+    lines = []
+    for tree, adversary in cases:
+        lt = label_tree_adversarial(tree, set("wxyz"), adversary)
+        lines.append(" ".join(f"{v}:{lt.edge_labels[v]}" for v in sorted(lt.edge_labels)))
+        lines.append(" ".join(f"{v}:{lt.inadmissibles[v]}" for v in sorted(lt.inadmissibles)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b705349f8a8d6bb03518ea4ef965a2ce6a16d244658b6b6c33a597299ab01ba8"
+    )
 
 
 # -- path labels -------------------------------------------------------------
@@ -264,6 +328,6 @@ def test_engine_integer_tokens():
     for _ in range(100):
         z = engine.designate({1, 2, 3})
         x = min(t for t in (1, 2, 3) if t != z)
-        engine.observe(x)
+        engine = engine.observe(x)
         seen.append(x)
     assert is_k_aperiodic(seen, 4)[0]

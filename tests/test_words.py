@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -262,6 +263,37 @@ def test_first_aperiodic_word_pinned():
         "a a b a a b a a B a a b a a b a a B a a b a a b a a c "
         "a a b a a b a a B a a b a a b a a B a a b a a b a a c a a b a a b"
     )
+
+
+def test_first_aperiodic_word_digests_pinned():
+    # sha256 of format_word, recorded with the recursive search this
+    # iterative one replaced (the 1,050-letter word with its recursion
+    # limit raised: it overflowed the default one)
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest("\n".join(format_word(first_aperiodic_word(2, n)) for n in range(60))) == (
+        "4ffad656a11e82fe00c6cc9fff467f16ac4dd9062bc3867293757e491bdc172d"
+    )
+    pinned = {
+        (2, 97): "f310d8ca4bed299dc1fb433a61478a68aa34d1fdc8245494e44e6c8f40d1b1e1",
+        (2, 300): "40023cf5fa6057c81d8cd42b329a1fa4c229e3f8590c2a7c7528f63473b97a2f",
+        (2, 49, 2): "372935079a52323b0895f437d56d11c1506505d80337e5e179df43c116085f24",
+        (3, 40, 1): "e476d0fe06280e94eeb1628a405446c2bfba485fbb662204591cc9267369a351",
+        (3, 60, 2): "c4b0cdae22d81293a376ae9477f358ef19093192b6e5c16e00ebd1e8d1aae184",
+        (2, 1050): "985278e7c3e32749a4cea378783dc1e53d576527ea681b778b31f00c48fec182",
+    }
+    for args, expected in pinned.items():
+        word = first_aperiodic_word(*args)
+        assert len(word) == args[1]
+        assert digest(format_word(word)) == expected, args
+
+
+@pytest.mark.parametrize("rank, length, k", [(1, 2, 1), (1, 3, 2), (1, 5, 3)])
+def test_first_aperiodic_word_rejects_infeasible(rank, length, k):
+    # a rank-1 reduced word is a power of one letter
+    with pytest.raises(MalformedInputError):
+        first_aperiodic_word(rank, length, k)
 
 
 def test_first_aperiodic_word_rejects_order_zero():
