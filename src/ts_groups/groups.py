@@ -102,6 +102,16 @@ class GroupOracle:
         return f"<oracle {self.descriptor}>"
 
 
+def _common_prefix(s, e) -> int:
+    """Length of the longest common prefix of two letter tuples."""
+    common = 0
+    for a, b in zip(s, e):
+        if a != b:
+            break
+        common += 1
+    return common
+
+
 class FreeOracle(GroupOracle):
     def __init__(self, rank: int):
         if rank < 1:
@@ -124,18 +134,23 @@ class FreeOracle(GroupOracle):
 
     def distance(self, g: Word, h: Word) -> int:
         # g^-1 h cancels exactly the longest common prefix of g and h
-        common = 0
-        for a, b in zip(g.letters, h.letters):
-            if a != b:
-                break
-            common += 1
-        return len(g) + len(h) - 2 * common
+        return len(g) + len(h) - 2 * _common_prefix(g.letters, h.letters)
 
     def generators(self):
         return [Word((a,), self.rank) for a in self.alphabet.letters()]
 
     def geodesic_steps(self, g: Word):
         return [Word((a,), self.rank) for a in g.letters]
+
+    def geodesic_points(self, start: Word, end: Word):
+        # the tree geodesic climbs from start to the longest common
+        # prefix and descends to end, so its points are prefixes
+        if start.rank != self.rank or end.rank != self.rank:
+            raise MalformedInputError(f"geodesic endpoints must be words of rank {self.rank}")
+        s, e = start.letters, end.letters
+        common = _common_prefix(s, e)
+        return ([Word._trusted(s[:i], self.rank) for i in range(len(s), common - 1, -1)]
+                + [Word._trusted(e[:i], self.rank) for i in range(common + 1, len(e) + 1)])
 
     def sort_key(self, g: Word):
         return (len(g), g.letters)
@@ -242,6 +257,12 @@ class ProductOracle(GroupOracle):
             (il, s) for s in self.right.geodesic_steps(g[1])
         ]
 
+    def geodesic_points(self, start, end):
+        # the order of geodesic_steps: the left factor moves first
+        left = self.left.geodesic_points(start[0], end[0])
+        right = self.right.geodesic_points(start[1], end[1])
+        return [(p, start[1]) for p in left] + [(end[0], q) for q in right[1:]]
+
     def sort_key(self, g):
         return (self.length(g), self.left.sort_key(g[0]), self.right.sort_key(g[1]))
 
@@ -332,7 +353,8 @@ class F2xZOracle(GroupOracle):
         def cost(k, d):
             return abs(d) + abs(k - n * d)
 
-        picks = [min(k // n, k // n + 1, key=lambda d: cost(k, d)) for k in ks]
+        # each syllable's minimiser; on a tie the lower one, as min() picked
+        picks = [k // n + (cost(k, k // n + 1) < cost(k, k // n)) for k in ks]
         gap = t - sum(picks)
         step = 1 if gap > 0 else -1
         heap = [(cost(k, d + step) - cost(k, d), j) for j, (k, d) in enumerate(zip(ks, picks))]

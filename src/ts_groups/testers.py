@@ -33,8 +33,6 @@ from .tours import random_element
 from .words import (
     Alphabet,
     Word,
-    _reduced_runs,
-    _run_letters,
     format_word,
     inverse_letters,
     is_k_aperiodic,
@@ -582,6 +580,33 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
 # ---------------------------------------------------------------------------
 
 
+def _reduced_runs(blocks):
+    """Free reduction of a product of freely reduced blocks.
+
+    ``blocks`` yields ``(letters, tag)`` pairs.  Since every block is
+    reduced, letters cancel only where a block meets the reduced product
+    of the blocks before it, so the product is kept as a stack of runs
+    ``[letters, lo, hi, tag]`` (the surviving window of one block) and
+    each junction cancels inward from both ends; a run left empty is
+    popped, so one block can cancel across several earlier ones.
+    Returns the runs in product order.
+    """
+    runs = []
+    for block, tag in blocks:
+        lo, hi = 0, len(block)
+        while runs and lo < hi:
+            top = runs[-1]
+            if top[0][top[2] - 1] != -block[lo]:
+                break
+            top[2] -= 1
+            lo += 1
+            if top[1] == top[2]:
+                runs.pop()
+        if lo < hi:
+            runs.append([block, lo, hi, tag])
+    return runs
+
+
 def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
     """Reduced alternating product and the [start, end) spans of its
     surviving xi letters, adjacent spans merged (as when a whole x_i
@@ -603,7 +628,8 @@ def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
             else:
                 xi_runs.append((offset, end))
         offset = end
-    return Word._trusted(_run_letters(runs), xi.rank), xi_runs
+    letters = tuple(itertools.chain.from_iterable(block[lo:hi] for block, lo, hi, _ in runs))
+    return Word._trusted(letters, xi.rank), xi_runs
 
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],

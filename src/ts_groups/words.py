@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import MalformedInputError
@@ -102,7 +101,13 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise MalformedInputError("cannot multiply words of different ranks")
-        return concat(self, other)
+        # both words are reduced, so letters cancel only at the junction
+        g, h = self.letters, other.letters
+        n, c = len(g), 0
+        top = min(n, len(h))
+        while c < top and g[n - 1 - c] == -h[c]:
+            c += 1
+        return Word._trusted(g[: n - c] + h[c:], self.rank)
 
     def __invert__(self) -> "Word":
         return Word._trusted(inverse_letters(self.letters), self.rank)
@@ -188,46 +193,14 @@ def reduce(letters: Iterable[int], alphabet: Alphabet) -> Word:
     return Word._trusted(tuple(stack), alphabet.rank)
 
 
-def _reduced_runs(blocks):
-    """Free reduction of a product of freely reduced blocks.
-
-    ``blocks`` yields ``(letters, tag)`` pairs.  Since every block is
-    reduced, letters cancel only where a block meets the reduced product
-    of the blocks before it, so the product is kept as a stack of runs
-    ``[letters, lo, hi, tag]`` (the surviving window of one block) and
-    each junction cancels inward from both ends; a run left empty is
-    popped, so one block can cancel across several earlier ones.
-    Returns the runs in product order; `_run_letters` joins them.
-    """
-    runs = []
-    for block, tag in blocks:
-        lo, hi = 0, len(block)
-        while runs and lo < hi:
-            top = runs[-1]
-            if top[0][top[2] - 1] != -block[lo]:
-                break
-            top[2] -= 1
-            lo += 1
-            if top[1] == top[2]:
-                runs.pop()
-        if lo < hi:
-            runs.append([block, lo, hi, tag])
-    return runs
-
-
-def _run_letters(runs) -> Tuple[int, ...]:
-    return tuple(chain.from_iterable(block[lo:hi] for block, lo, hi, _ in runs))
-
-
 def concat(*words: Word) -> Word:
     """Reduced product of several words of a common rank."""
     if not words:
         raise MalformedInputError("concat needs at least one word")
-    rank = words[0].rank
-    if any(w.rank != rank for w in words):
-        raise MalformedInputError("cannot concat words of different ranks")
-    runs = _reduced_runs((w.letters, None) for w in words)
-    return Word._trusted(_run_letters(runs), rank)
+    product = words[0]
+    for w in words[1:]:
+        product = product * w
+    return product
 
 
 _TOKEN_RE = re.compile(r"^([a-z]|[A-Z]|g[0-9]+|G[0-9]+)$")
@@ -422,8 +395,23 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
         prefix.append(a)
         # the prefix before the new letter is k-aperiodic, so any
         # (k+1)-th power ends at the new letter
-        if is_k_aperiodic(prefix, k)[0]:
-            tried.append(0)
-        else:
+        if _power_ends_last(prefix, k):
             prefix.pop()
+        else:
+            tried.append(0)
     return Word._trusted(tuple(prefix), rank)
+
+
+def _power_ends_last(tokens, k: int) -> bool:
+    """True iff a (k+1)-th power ends at the last token: at some period
+    p, the k*p positions i before the last p have tokens[i] ==
+    tokens[i + p]."""
+    last = len(tokens) - 1
+    for p in range(1, len(tokens) // (k + 1) + 1):
+        i = last - p
+        stop = i - k * p
+        while i > stop and tokens[i] == tokens[i + p]:
+            i -= 1
+        if i == stop:
+            return True
+    return False

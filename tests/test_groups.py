@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ts_groups.errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from ts_groups.groups import make_oracle
+from ts_groups.groups import GroupOracle, make_oracle
 from ts_groups.tours import random_element
 from ts_groups.words import Alphabet, Word, parse_word, reduce
 
@@ -169,6 +169,35 @@ def test_metric_invariants(descriptor):
             oracle.multiply(x, g), oracle.multiply(x, h)
         )
         assert oracle.distance(g, h) <= oracle.distance(g, x) + oracle.distance(x, h)
+
+
+# Oracles whose classes override GroupOracle.geodesic_points or
+# GroupOracle.distance; tests/test_hygiene.py checks that every
+# overriding class is listed here.
+BASE_METHOD_GROUPS = ["free:2", "free:3", "prod(free:2,abelian:1)", "prod(f2xz:n=2,abelian:2)",
+                      "prod(prod(free:2,abelian:1),free:3)"]
+
+
+@given(st.sampled_from(BASE_METHOD_GROUPS), st.integers(0, 2**32), st.integers(0, 6),
+       st.booleans())
+@example(descriptor="free:2", seed=0, size=0, shared=False)
+def test_overrides_match_base_methods(descriptor, seed, size, shared):
+    oracle = make_oracle(descriptor)
+    rng = random.Random(seed)
+    start, end = random_element(oracle, rng, size), random_element(oracle, rng, size)
+    if shared:  # end extends start, so the free parts share a prefix
+        end = oracle.multiply(start, end)
+    for s, e in ((start, end), (end, start), (start, start)):
+        assert oracle.geodesic_points(s, e) == GroupOracle.geodesic_points(oracle, s, e)
+        assert oracle.distance(s, e) == GroupOracle.distance(oracle, s, e)
+
+
+def test_mixed_rank_geodesic_endpoints_are_malformed():
+    a2, a3 = Word((1,), 2), Word((1,), 3)
+    for oracle, s, e in [(FREE2, a2, a3), (FREE2, a3, a2),
+                         (PROD, (a2, (0,)), (a3, (1,))), (PROD, (a3, (0,)), (a2, (0,)))]:
+        with pytest.raises(MalformedInputError):
+            oracle.geodesic_points(s, e)
 
 
 def test_geodesics_realize_lengths():

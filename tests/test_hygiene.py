@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ts_groups
+from ts_groups import groups
 from ts_groups.testers import SearchBudget, XiParams
 from ts_groups.tours import SamplerConfig
 
@@ -126,3 +127,21 @@ def test_benchmark_trace_targets_resolve(module, attr):
     else:
         owners = [getattr(mod, owner)] if owner else [mod]
     assert any(name in vars(o) for o in owners)
+
+
+TEST_GROUPS_PY = Path(__file__).resolve().parent / "test_groups.py"
+_BASE_METHOD_GROUPS = next(
+    ast.literal_eval(node.value) for node in ast.parse(TEST_GROUPS_PY.read_text()).body
+    if isinstance(node, ast.Assign) and node.targets[0].id == "BASE_METHOD_GROUPS")
+
+
+def test_oracle_overrides_are_cross_checked():
+    """Every oracle class that overrides `geodesic_points` or `distance`
+    builds an oracle in the list that test_groups checks against the
+    base methods; an override left out of it has no reference."""
+    overriding = {c for c in vars(groups).values()
+                  if isinstance(c, type) and issubclass(c, groups.GroupOracle)
+                  and c is not groups.GroupOracle
+                  and {"geodesic_points", "distance"} & set(vars(c))}
+    checked = {type(groups.make_oracle(d)) for d in _BASE_METHOD_GROUPS}
+    assert sorted(c.__name__ for c in overriding - checked) == []

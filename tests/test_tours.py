@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import random
@@ -592,6 +593,32 @@ def test_mst_witness_matches_recursive_walk(descriptor, seed, count):
     rng = random.Random(seed)
     rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 4) for _ in range(count)))
     assert mst_bounds(rset)[2].points == mst_witness_reference(rset)
+
+
+# sha256 of the witness points of 12 seeded sets (sizes 1..12) per
+# group, recorded while every geodesic point was built by `multiply`
+WITNESS_DIGESTS = {
+    "free:2": "371aa40645f27d1d5bd957f95ca4031e2aae31002c23fc90c93b12530ea26064",
+    "free:3": "aa2e59d55bb3a6eae7b52f0b616066b7cad09c22b43fdff2044275a436f1d6d8",
+    "abelian:2": "1ad57e70f61f2246db6356e61cb642f41baa83b2f26e690904e3ef71f693b7d0",
+    "abelian:3": "b08fd5ad2c92476863a7a4724c7f66f597dec1ed0204911062bc8c4b8939a2cb",
+    "prod(free:2,abelian:1)": "2789b2f36403e3f71229c5f6744278423d91e56938705f5e446a1703eef51249",
+    "f2xz:n=2": "6992e300c6d3fe0fe2dbd36a1c2196cd8caa2c7b9a0806ea17cef98db3b2181b",
+    "f2xz:n=3": "c465cf9dc16a8adefa662ac999cfeaa2d44842d66471760d0a3754b03c0386c4",
+    "prod(prod(free:2,abelian:1),f2xz:n=2)":
+        "4f1869348f3f85cd461bf41b2981dfb9558f4da21b384fae457cf17907c4b6e8",
+}
+
+
+@pytest.mark.parametrize("descriptor", WITNESS_DIGESTS)
+def test_mst_witness_points_pinned(descriptor):
+    oracle = make_oracle(descriptor)
+    rng = random.Random(7)
+    lines = []
+    for count in range(1, 13):
+        rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 4) for _ in range(count)))
+        lines.append(" / ".join(map(oracle.format_element, mst_bounds(rset)[2].points)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGESTS[descriptor]
 
 
 @settings(max_examples=40, deadline=None)

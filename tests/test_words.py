@@ -2,12 +2,13 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.errors import MalformedInputError
 from ts_groups.sequences import squarefree_ternary
 from ts_groups.words import (
+    _power_ends_last,
     Alphabet,
     Occurrence,
     PowerWitness,
@@ -15,6 +16,7 @@ from ts_groups.words import (
     concat,
     first_aperiodic_word,
     format_word,
+    inverse_letters,
     is_k_aperiodic,
     max_power_order,
     parse_word,
@@ -111,6 +113,28 @@ def test_concat_matches_letter_reduction(parts, data):
     for wd in words[1:]:
         product = product * wd
     assert product == reduce(flat, A2)
+
+
+def _random_letters(rng, n):
+    letters = []
+    for _ in range(n):
+        letters.append(rng.choice([a for a in (1, -1, 2, -2) if not letters or a != -letters[-1]]))
+    return letters
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 1500), st.integers(0, 1500), st.integers(0, 40))
+@example(seed=0, n=1200, cut=1200, m=0)
+@example(seed=1, n=1100, cut=700, m=900)
+@example(seed=2, n=0, cut=0, m=5)
+def test_product_matches_letter_reduction(seed, n, cut, m):
+    # h opens with the inverse of g's last `cut` letters, less any that
+    # its tail cancels, so the junction cancels up to min(cut, n) letters
+    rng = random.Random(seed)
+    g = Word(tuple(_random_letters(rng, n)), 2)
+    h = reduce(list(inverse_letters(g.letters)[:cut]) + _random_letters(rng, m), A2)
+    assert g * h == reduce(g.letters + h.letters, A2)
+    assert (g * ~g).is_identity and (~g * g).is_identity
 
 
 # -- aperiodicity scanning ---------------------------------------------------
@@ -287,6 +311,16 @@ def test_first_aperiodic_word_digests_pinned():
         word = first_aperiodic_word(*args)
         assert len(word) == args[1]
         assert digest(format_word(word)) == expected, args
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=60), st.integers(1, 3))
+def test_power_ends_last_matches_scan(tokens, k):
+    # on a k-aperiodic prefix, a power ending at the new token is the
+    # only way the whole sequence can fail
+    while not is_k_aperiodic(tokens[:-1], k)[0]:
+        tokens = tokens[:-1]
+    assert _power_ends_last(tokens, k) == (not is_k_aperiodic(tokens, k)[0])
 
 
 @pytest.mark.parametrize("rank, length, k", [(1, 2, 1), (1, 3, 2), (1, 5, 3)])
