@@ -133,6 +133,8 @@ class FreeOracle(GroupOracle):
         return len(g)
 
     def distance(self, g: Word, h: Word) -> int:
+        if g.rank != h.rank:
+            raise MalformedInputError("cannot measure between words of different ranks")
         # g^-1 h cancels exactly the longest common prefix of g and h
         return len(g) + len(h) - 2 * _common_prefix(g.letters, h.letters)
 

@@ -16,7 +16,6 @@ engine without copying or undoing anything.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -84,35 +83,42 @@ class LabeledTree:
     tree: PlaneTernaryTree
     edge_labels: Dict[int, object]
     inadmissibles: Optional[Dict[int, object]] = None
-    # per vertex: the vertices and the labels from the origin down to
-    # it, built by the first path_labels call
-    _root: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _down: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per vertex: (the vertices, the labels) from the origin down to it,
+    # built by the first path_labels call
+    _paths: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def path_labels(self, path: Sequence[int]) -> List[object]:
         """Labels along a simple path, spliced from the root label tuples
         of its two ends at their deepest shared vertex.  The first call
         builds the tuples, so memory grows with the sum of the vertex
         depths, as in enumerate_simple_paths."""
-        root, down = self._root, self._down
-        if not root:
+        paths = self._paths
+        if not paths:
             for v in self.tree.planar_order():
                 p = self.tree.parent[v]
-                root[v] = (v,) if p is None else root[p] + (v,)
-                down[v] = () if p is None else down[p] + (self.edge_labels[v],)
+                if p is None:
+                    paths[v] = ((v,), ())
+                else:
+                    rp, dp = paths[p]
+                    paths[v] = (rp + (v,), dp + (self.edge_labels[v],))
         try:
             u, v = path[0], path[-1]
-            ru, rv = root[u], root[v]
+            ru, du = paths[u]
+            rv, dv = paths[v]
         except (IndexError, KeyError, TypeError):
             raise MalformedInputError("not a path in the tree") from None
         # if path is the simple u-v path, it goes up from u to the deepest
         # vertex u and v share, at depth d, then down to v
-        d = (len(ru) + len(rv) - len(path) - 1) // 2
-        if not (0 <= d < len(ru) and d < len(rv) and ru[d] == rv[d]
+        nu, nv = len(ru), len(rv)
+        d = (nu + nv - len(path) - 1) // 2
+        if not (0 <= d < nu and d < nv and ru[d] == rv[d]
                 and tuple(path) == ru[d:][::-1] + rv[d + 1 :]
-                and (d + 1 == len(ru) or d + 1 == len(rv) or ru[d + 1] != rv[d + 1])):
+                and (d + 1 == nu or d + 1 == nv or ru[d + 1] != rv[d + 1])):
             raise MalformedInputError("not a path in the tree")
-        return list(down[u][d:][::-1] + down[v][d:])
+        out = list(du[d:])
+        out.reverse()
+        out += dv[d:]
+        return out
 
 
 def label_tree_three_letters(tree: PlaneTernaryTree) -> LabeledTree:
@@ -198,9 +204,10 @@ class InadmissibleEngine:
 
     def observe(self, x) -> "InadmissibleEngine":
         """The engine after the label x; this one is unchanged."""
-        nxt = copy.copy(self)
+        nxt = object.__new__(type(self))
+        nxt.ground = self.ground
         nxt.runs = tuple(
-            r + 1 if y == x else 0 for r, y in zip(self.runs + (0,), reversed(self.history))
+            [r + 1 if y == x else 0 for r, y in zip(self.runs + (0,), reversed(self.history))]
         )
         nxt.history = self.history + (x,)
         return nxt

@@ -137,7 +137,9 @@ class PlaneTernaryTree:
         for path in (up, vp):
             while self.parent[path[-1]] is not None:
                 path.append(self.parent[path[-1]])
-        return _splice(up[::-1], vp[::-1])
+        a, b = up[::-1], vp[::-1]
+        d = _meet(a, b)
+        return a[d:][::-1] + b[d + 1 :]
 
     # -- text format -------------------------------------------------------
 
@@ -176,23 +178,28 @@ class PlaneTernaryTree:
         return tree
 
 
-def _splice(a, b):
-    """The path from a's last vertex to b's, given both root paths: up
-    a to the deepest vertex the two share, then down b."""
+def _meet(a, b) -> int:
+    """Depth of the deepest vertex that the root paths a and b share."""
     d = 1
     while d < len(a) and d < len(b) and a[d] == b[d]:
         d += 1
-    return a[d - 1 :][::-1] + b[d:]
+    return d - 1
 
 
 def enumerate_simple_paths(tree: PlaneTernaryTree) -> Iterator[Tuple[int, ...]]:
     """Every simple path with at least one edge, once per endpoint pair
-    u < v in sorted order, spliced from root paths built in one pass."""
+    u < v in sorted order: up from u to the deepest vertex shared with
+    v, then down to v.  Root paths come from one pass, and the upward
+    halves from each u once."""
     paths = {}
     for v in tree.planar_order():
         p = tree.parent[v]
         paths[v] = (v,) if p is None else paths[p] + (v,)
     vs = sorted(paths)
     for i, u in enumerate(vs):
+        ru = paths[u]
+        ups = [ru[d:][::-1] for d in range(len(ru))]
         for v in vs[i + 1 :]:
-            yield _splice(paths[u], paths[v])
+            rv = paths[v]
+            d = _meet(ru, rv)
+            yield ups[d] + rv[d + 1 :]

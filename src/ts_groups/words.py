@@ -14,9 +14,10 @@ string is the identity.  Compact strings without whitespace
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import MalformedInputError
 
@@ -178,7 +179,7 @@ class PowerWitness:
 
 
 def inverse_letters(letters: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(-a for a in reversed(letters))
+    return tuple(map(operator.neg, reversed(letters)))
 
 
 def reduce(letters: Iterable[int], alphabet: Alphabet) -> Word:
@@ -264,28 +265,13 @@ def format_word(word: Word) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tokens_of(seq) -> Sequence:
-    return seq.letters if isinstance(seq, Word) else seq
-
-
-def _power_scan(tokens, max_period=None, stop_at_order=None):
-    """Scan all periods up to max_period; return the best power found.
-
-    Returns (order, start, period): the highest order, at its smallest
-    period and the first longest run there; order 1 with no meaningful
-    window when the sequence is square-free in the scanned period range.
-    If stop_at_order is given, returns the first period's power of at
-    least that order, or order 1 if there is none.
-    """
+def _first_power(tokens, order, first=1):
+    """(order, start, period) of a power of at least the given order
+    (>= 2) at the first period from `first` on that hosts one, taking
+    the first longest run there; None if there is no such power."""
     n = len(tokens)
-    if n == 0:
-        return 1, 0, 0
-    limit = n // 2 if max_period is None else min(max_period, n // 2)
-    best_order, best_start, best_period = 1, 0, 0
-    for p in range(1, limit + 1):
-        if stop_at_order is None and n // p <= best_order:
-            break
-        need = p * (best_order if stop_at_order is None else stop_at_order - 1)
+    for p in range(first, n // order + 1):
+        need = p * (order - 1)
         m = n - p
         run, start = 0, 0
         i = need - 1
@@ -302,15 +288,24 @@ def _power_scan(tokens, max_period=None, stop_at_order=None):
                 run, start = hi - lo, lo
             i = hi + need
         if run:
-            best_order, best_start, best_period = (run + p) // p, start, p
-            if stop_at_order is not None:
-                break
-    return best_order, best_start, best_period
+            return (run + p) // p, start, p
+    return None
 
 
-def _witness(tokens, order, start, period) -> Optional[PowerWitness]:
-    if order < 2:
-        return None
+def _max_power(tokens):
+    """(order, start, period) of the highest power, at its smallest
+    period and the first longest run there; order 1 with no meaningful
+    window when the sequence is square-free.  Each search asks for one
+    order more than the last hit, from the period after it (no period up
+    to it hosts that order), so the last hit is at the first period of
+    the highest order."""
+    best = 1, 0, 0
+    while (found := _first_power(tokens, best[0] + 1, best[2] + 1)) is not None:
+        best = found
+    return best
+
+
+def _witness(tokens, order, start, period) -> PowerWitness:
     return PowerWitness(
         start=start,
         period=period,
@@ -326,9 +321,9 @@ def max_power_order(seq):
     input.  Agrees with brute-force scanning of all (start, period)
     pairs.
     """
-    tokens = _tokens_of(seq)
-    order, start, period = _power_scan(tokens)
-    return order, _witness(tokens, order, start, period)
+    tokens = seq.letters if isinstance(seq, Word) else seq
+    order, start, period = _max_power(tokens)
+    return order, _witness(tokens, order, start, period) if order > 1 else None
 
 
 def is_k_aperiodic(seq, k: int):
@@ -340,16 +335,11 @@ def is_k_aperiodic(seq, k: int):
     """
     if k < 1:
         raise MalformedInputError(f"aperiodicity order must be >= 1, got {k}")
-    tokens = _tokens_of(seq)
-    n = len(tokens)
-    if n < k + 1:
+    tokens = seq.letters if isinstance(seq, Word) else seq
+    found = _first_power(tokens, k + 1)
+    if found is None:
         return True, None
-    order, start, period = _power_scan(
-        tokens, max_period=n // (k + 1), stop_at_order=k + 1
-    )
-    if order >= k + 1:
-        return False, _witness(tokens, order, start, period)
-    return True, None
+    return False, _witness(tokens, *found)
 
 
 def shift_right(host: Word, occ: Occurrence, m: int) -> Word:

@@ -200,6 +200,15 @@ def test_mixed_rank_geodesic_endpoints_are_malformed():
             oracle.geodesic_points(s, e)
 
 
+def test_mixed_rank_distance_is_malformed():
+    a2, a3 = Word((1,), 2), Word((1,), 3)
+    for oracle, s, e in [(FREE2, a2, a3), (FREE2, a3, a2),
+                         (PROD, (a2, (0,)), (a3, (1,))), (PROD, (a3, (0,)), (a2, (0,)))]:
+        for distance in (type(oracle).distance, GroupOracle.distance):
+            with pytest.raises(MalformedInputError):
+                distance(oracle, s, e)
+
+
 def test_geodesics_realize_lengths():
     rng = random.Random(3)
     for descriptor in ("free:2", "abelian:3", "prod(free:2,abelian:1)", "f2xz:n=2"):

@@ -271,6 +271,30 @@ def test_path_labels_reject_all_but_simple_paths(path):
         labeled.path_labels(path)
 
 
+@pytest.mark.parametrize("size, seed, census, digest", [
+    (40, 0, (780, 0, 0), "16485c2e8d189c178b1de7782fb05330d6d20f91dd0bddd5361e042adb575eca"),
+    (100, 1, (4950, 0, 0), "cacebe950b9903f01f934e80d0454fffb34d56d1ebea7c4f699909766db32068"),
+    (200, 2, (19900, 0, 0), "1f6487e00c25e60994313c558ef12f1c86a420e149457378294d09ddb2c386b5"),
+])
+def test_tree_path_check_pinned(size, seed, census, digest):
+    # (paths, 3-violations, 10-violations) and a sha256 over every path
+    # and its two label lists in enumeration order, recorded before the
+    # per-path scan, the root table and the half-paths were rewritten
+    tree = PlaneTernaryTree.random(size, seed)
+    fixed = label_tree_three_letters(tree)
+    advers = label_tree_adversarial(tree, set("wxyz"), random_tree_adversary(seed))
+    h = hashlib.sha256()
+    paths = bad3 = bad10 = 0
+    for path in enumerate_simple_paths(tree):
+        labels3, labels10 = fixed.path_labels(path), advers.path_labels(path)
+        paths += 1
+        bad3 += not is_k_aperiodic(labels3, 3)[0]
+        bad10 += not is_k_aperiodic(labels10, 10)[0]
+        h.update(repr((path, labels3, labels10)).encode())
+    assert (paths, bad3, bad10) == census
+    assert h.hexdigest() == digest
+
+
 # -- adversarial tree labeling -------------------------------------------------
 
 

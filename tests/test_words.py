@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -413,6 +414,27 @@ def test_power_scan_matches_reference_on_planted_500th_power(desk_product):
     span = wit.base * wit.exponent
     assert tokens[wit.start : wit.start + len(span)] == span
     assert_aperiodicity_matches_reference(tokens, (499,))
+
+
+def test_power_scans_match_reference_on_every_short_sequence():
+    # tree paths are at most 25 letters, so short input is where the
+    # scans run hottest: every sequence over 3 symbols of length 0-8
+    for n in range(9):
+        for tokens in itertools.product((0, 1, 2), repeat=n):
+            assert_max_order_matches_reference(tokens)
+            assert_aperiodicity_matches_reference(tokens, (1, 2, 3))
+
+
+@given(
+    st.lists(st.sampled_from((1, -1, 2, -2)), max_size=12),
+    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=6),
+    st.integers(0, 8),
+    st.integers(1, 4),
+)
+def test_power_scans_read_a_word_as_its_letters(prefix, base, copies, k):
+    word = reduce(prefix + base * copies, A2)
+    assert is_k_aperiodic(word, k) == is_k_aperiodic(word.letters, k)
+    assert max_power_order(word) == max_power_order(word.letters)
 
 
 def test_power_scan_matches_reference_on_square_free_input():
