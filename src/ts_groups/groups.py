@@ -16,7 +16,7 @@ import re
 from typing import List
 
 from .errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from .words import Alphabet, Word, format_word, parse_word
+from .words import Alphabet, Word, format_word, inverse_letters, parse_word
 
 __all__ = ["GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
@@ -190,6 +190,9 @@ class AbelianOracle(GroupOracle):
     def length(self, g):
         return sum(abs(a) for a in g)
 
+    def distance(self, g, h):
+        return sum(abs(b - a) for a, b in zip(g, h))
+
     def generators(self):
         out = []
         for i in range(self.dim):
@@ -207,6 +210,16 @@ class AbelianOracle(GroupOracle):
             e[i] = 1 if a > 0 else -1
             steps.extend([tuple(e)] * abs(a))
         return steps
+
+    def geodesic_points(self, start, end):
+        # the order of geodesic_steps: each coordinate in turn walks from
+        # start's value to end's, the ones before it already at end's
+        pts = [start]
+        for i, (a, b) in enumerate(zip(start, end)):
+            head, tail = end[:i], start[i + 1:]
+            unit = 1 if b > a else -1
+            pts.extend(head + (v,) + tail for v in range(a + unit, b + unit, unit))
+        return pts
 
     def sort_key(self, g):
         return (self.length(g), g)
@@ -246,6 +259,9 @@ class ProductOracle(GroupOracle):
 
     def length(self, g):
         return self.left.length(g[0]) + self.right.length(g[1])
+
+    def distance(self, g, h):
+        return self.left.distance(g[0], h[0]) + self.right.distance(g[1], h[1])
 
     def generators(self):
         il, ir = self.left.identity(), self.right.identity()
@@ -306,9 +322,11 @@ class F2xZOracle(GroupOracle):
     on the linear tail of its syllable's cost, where every later step of
     that syllable costs n + 1 too; once the cheapest step costs n + 1,
     all the steps left go to that syllable at once, so a huge z exponent
-    costs no more than a small one.  The test suite cross-checks it against BFS on
-    whole balls, against a balance DP over the syllables and against the
-    one-step-at-a-time greedy.
+    costs no more than a small one.  ``distance`` and ``geodesic_points``
+    solve once for g^-1 h, whose free part is g's letters past the common
+    prefix of the free parts, inverted, then h's.  The test suite
+    cross-checks the solve against BFS on whole balls, against a balance
+    DP over the syllables and against the one-step-at-a-time greedy.
     """
 
     def __init__(self, n: int):
@@ -341,61 +359,97 @@ class F2xZOracle(GroupOracle):
         signs = []
         for letter in w.letters:
             if abs(letter) == 1:
-                ks[-1] += 1 if letter > 0 else -1
+                ks[-1] += letter
             else:
-                signs.append(1 if letter > 0 else -1)
+                signs.append(letter // 2)
                 ks.append(0)
         return ks, signs
 
-    def _solve(self, g):
-        """(length of g, the block counts d_0..d_L of one geodesic)."""
-        ks, signs = self._syllables(g[0])
-        t, n = g[1], self.n
+    def _quotient_syllables(self, g, h):
+        """Syllables of the free part of g^-1 h, read from the letters
+        past the common prefix of the two free parts."""
+        s, e = g[0].letters, h[0].letters
+        c = _common_prefix(s, e)
+        return self._syllables(Word._trusted(inverse_letters(s[c:]) + e[c:], 2))
 
-        def cost(k, d):
-            return abs(d) + abs(k - n * d)
-
-        # each syllable's minimiser; on a tie the lower one, as min() picked
-        picks = [k // n + (cost(k, k // n + 1) < cost(k, k // n)) for k in ks]
+    def _solve(self, ks, t):
+        """(length of the element with a-exponents ks and z exponent t,
+        the block counts d_0..d_L of one geodesic)."""
+        n = self.n
+        # each syllable's minimiser of |d| + |k - n d|, one of k // n and
+        # k // n + 1 (r = k - n d is in [0, n)); on a tie the lower one
+        picks = []
+        total = len(ks) - 1  # the b-letters
+        for k in ks:
+            d, r = divmod(k, n)
+            low, high = abs(d) + r, abs(d + 1) + n - r
+            picks.append(d + (high < low))
+            total += min(low, high)
         gap = t - sum(picks)
-        step = 1 if gap > 0 else -1
-        heap = [(cost(k, d + step) - cost(k, d), j) for j, (k, d) in enumerate(zip(ks, picks))]
-        heapq.heapify(heap)
-        for left in range(abs(gap), 0, -1):
-            rise, j = heapq.heappop(heap)
-            if rise == n + 1:
-                # no step costs more than n + 1, so every next step costs
-                # n + 1 from here on, and j, the lowest index among them,
-                # would win every tie: it takes all the steps left
-                picks[j] += step * left
-                break
-            picks[j] += step
-            k, d = ks[j], picks[j]
-            heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))
-        return len(signs) + sum(map(cost, ks, picks)), picks
+        if gap:
+            step = 1 if gap > 0 else -1
+            heap = [(abs(d + step) - abs(d) + abs(k - n * (d + step)) - abs(k - n * d), j)
+                    for j, (k, d) in enumerate(zip(ks, picks))]
+            heapq.heapify(heap)
+            for left in range(abs(gap), 0, -1):
+                rise, j = heapq.heappop(heap)
+                if rise == n + 1:
+                    # no step costs more than n + 1, so every next step
+                    # costs n + 1 from here on, and j, the lowest index
+                    # among them, would win every tie: it takes all the
+                    # steps left
+                    picks[j] += step * left
+                    total += rise * left
+                    break
+                total += rise
+                k, d = ks[j], picks[j] + step
+                picks[j] = d
+                heapq.heappush(heap, (abs(d + step) - abs(d) + abs(k - n * (d + step))
+                                      - abs(k - n * d), j))
+        return total, picks
 
     def length(self, g):
-        return self._solve(g)[0]
+        return self._solve(self._syllables(g[0])[0], g[1])[0]
+
+    def distance(self, g, h):
+        return self._solve(self._quotient_syllables(g, h)[0], h[1] - g[1])[0]
+
+    def _moves(self, ks, signs, picks):
+        """The generators of one geodesic as (free letters, z step)
+        pairs: per syllable its blocks a^+-n z^+-1, then its single
+        a-letters, then the b-letter after it."""
+        n = self.n
+        moves = []
+        for j, (k, d) in enumerate(zip(ks, picks)):
+            jump = 1 if d >= 0 else -1
+            moves += [((jump,) * n, jump)] * abs(d)
+            err = k - n * d
+            moves += [((1 if err >= 0 else -1,), 0)] * abs(err)
+            if j < len(signs):
+                moves.append(((2 * signs[j],), 0))
+        return moves
 
     def geodesic_steps(self, g):
         ks, signs = self._syllables(g[0])
-        _, picks = self._solve(g)
-        a = Word((1,), 2)
-        an = Word((1,) * self.n, 2)
-        steps = []
-        for j, k in enumerate(ks):
-            d = picks[j]
-            jump = (an, 1) if d >= 0 else ((~an), -1)
-            for _ in range(abs(d)):
-                steps.append(jump)
-            err = k - self.n * d
-            step = (a, 0) if err >= 0 else ((~a), 0)
-            for _ in range(abs(err)):
-                steps.append(step)
-            if j < len(signs):
-                bstep = Word((2 if signs[j] > 0 else -2,), 2)
-                steps.append((bstep, 0))
-        return steps
+        _, picks = self._solve(ks, g[1])
+        return [(Word._trusted(letters, 2), dz) for letters, dz in self._moves(ks, signs, picks)]
+
+    def geodesic_points(self, start, end):
+        # the moves of geodesic_steps(start^-1 end), applied to a letter
+        # stack that holds the free part, reduced as each letter lands
+        ks, signs = self._quotient_syllables(start, end)
+        _, picks = self._solve(ks, end[1] - start[1])
+        stack, z = list(start[0].letters), start[1]
+        pts = [start]
+        for letters, dz in self._moves(ks, signs, picks):
+            for x in letters:
+                if stack and stack[-1] == -x:
+                    stack.pop()
+                else:
+                    stack.append(x)
+            z += dz
+            pts.append((Word._trusted(tuple(stack), 2), z))
+        return pts
 
     def sort_key(self, g):
         return (len(g[0]) + abs(g[1]), g[0].letters, g[1])

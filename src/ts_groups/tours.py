@@ -227,25 +227,38 @@ def tour_of_order(rset: RelatedSet, order, kind) -> Tour:
 
 @functools.lru_cache(maxsize=EXACT_SOLVER_CAP)
 def _held_karp_layers(n: int):
-    """Index arrays of the Held-Karp table for n points, one triple per
-    popcount layer.  The table keeps only the masks that hold point 0,
-    row mask >> 1; each (target row, new last point j) pair of a layer
-    comes with its source row, the target without j."""
+    """Index arrays of the Held-Karp table for n points, one quadruple
+    per popcount layer.  The table keeps only the masks that hold point
+    0, row mask >> 1, flattened to row * n + last point.  Each (target
+    row, new last point j) state of a layer comes with its flat index,
+    the flat start of its source row (the target without j), the flat
+    start of row j of an n x n matrix, and, in its column of the last
+    array, the previous points it scores: the points of the source mask
+    but point 0, in ascending order, or point 0 alone from the empty
+    mask."""
     bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
     popcount = bits.sum(1)
     layers = []
     for k in range(1, n):
         rows = np.flatnonzero(popcount == k)
         at, bit = np.nonzero(bits[rows])
-        tgt = rows[at]
-        layers.append((tgt, bit + 1, tgt ^ (1 << bit)))
+        tgt, j = rows[at], bit + 1
+        src = tgt ^ (1 << bit)
+        if k == 1:
+            prevs = np.zeros((1, len(src)))
+        else:
+            prevs = np.nonzero(bits[src])[1].reshape(len(src), k - 1).T + 1
+        # int32 offsets and int16 points keep the cached tables small;
+        # tsp_exact adds them into flat indices per call
+        layers.append(((tgt * n + j).astype(np.int32), (src * n).astype(np.int32),
+                       (j * n).astype(np.int32), prevs.astype(np.int16)))
     return tuple(layers)
 
 
 def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     """Optimal closed tour by dynamic programming over subsets (Held-Karp),
-    one popcount layer at a time.  Ties go to the smallest previous
-    point, since argmin takes the first minimum."""
+    one popcount layer at a time; each state scores only the points of
+    its source mask.  Ties go to the smallest previous point."""
     n = rset.size
     if n > cap:
         raise ResourceLimitError(
@@ -254,28 +267,28 @@ def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     pts = rset.elements
     if n == 1:
         return Tour((pts[0],), 0, "exact")
-    # int32 distances keep the per-layer step array small; sums are int64
-    D = np.array(rset.distances, dtype=np.int32)
-    # unreachable states stay far above any tour, with room to add to them
-    dp = np.full((1 << (n - 1), n), np.iinfo(np.int64).max // 2, dtype=np.int64)
-    par = np.zeros((1 << (n - 1), n), dtype=np.int8)
-    dp[0, 0] = 0
-    for tgt, j, src in _held_karp_layers(n):
-        # D is symmetric, so row j holds the step from every last point to j
-        cand = np.take(dp, src, axis=0)
-        cand += np.take(D, j, axis=0)
-        prev = cand.argmin(1)
-        dp[tgt, j] = np.take_along_axis(cand, prev[:, None], 1)[:, 0]
-        par[tgt, j] = prev
+    D = np.array(rset.distances, dtype=np.int64)
+    # a state's key is its cost << 8 | its previous point, so the least
+    # candidate key is the cheapest with the smallest previous point; D is
+    # symmetric, so row j holds the step from each previous point to j
+    step = (D << 8 | np.arange(n)).ravel()
+    # a layer reads only the states the layer before it wrote
+    key = np.empty((1 << (n - 1)) * n, dtype=np.int64)
+    key[0] = 0
+    for tgt, src, row_j, prevs in _held_karp_layers(n):
+        cand = key.take(prevs + src)
+        cand &= -256  # the source states' own previous points
+        cand += step.take(prevs + row_j)
+        key[tgt] = cand.min(0)
     full = (1 << (n - 1)) - 1
-    closing = dp[full, 1:] + D[1:, 0]
+    closing = (key[full * n + 1:full * n + n] >> 8) + D[1:, 0]
     last = int(closing.argmin()) + 1
     best = int(closing[last - 1])
     order = []
     row = full
     while last:
         order.append(pts[last])
-        row, last = row ^ (1 << (last - 1)), int(par[row, last])
+        row, last = row ^ (1 << (last - 1)), int(key[row * n + last]) & 255
     order.append(pts[0])
     order.reverse()
     return Tour(tuple(order), best, "exact")
@@ -637,6 +650,9 @@ def ts_lambda_experiment(oracle: GroupOracle, xi, lam, config: SamplerConfig,
     over workers.  It must return results in sample order, as the
     builtin does.
     """
+    if xi == oracle.identity():
+        # x and x xi coincide, so the sampler could never build a pair
+        raise MalformedInputError("xi must be a nontrivial element")
     lam = Fraction(str(lam))
     samples = map(_experiment_sample, itertools.repeat(oracle), itertools.repeat(xi),
                   itertools.repeat(config), range(config.samples))

@@ -226,18 +226,16 @@ def max_piece_length(sset):
 
 
 def brute_tour_length(oracle, pts):
-    """Optimal closed tour by permutation sweep."""
+    """Optimal closed tour by permutation sweep over the matrix of
+    ``oracle.distance`` between the points, read once."""
     pts = list(pts)
     if len(pts) == 1:
         return 0
+    D = [[oracle.distance(a, b) for b in pts] for a in pts]
     best = None
-    first = pts[0]
-    for perm in itertools.permutations(pts[1:]):
-        order = [first, *perm]
-        total = sum(
-            oracle.distance(order[i], order[(i + 1) % len(order)])
-            for i in range(len(order))
-        )
+    for perm in itertools.permutations(range(1, len(pts))):
+        order = (0, *perm, 0)
+        total = sum(D[u][v] for u, v in zip(order, order[1:]))
         best = total if best is None else min(best, total)
     return best
 

@@ -438,9 +438,16 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
     ["property", "test", "--family", "P", "--r", "2", "--xi", "a b", "--budget", "0"],
     ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--samples", "-1"],
     ["burnside", "pipeline", "--samples", "-1", "--desk-scale"],
+    # no set is related through the identity
+    ["experiment", "ts-lambda", "--group", "free:2", "--xi", "", "--lambda", "1", "--samples", "2"],
+    ["experiment", "ts-lambda", "--group", "abelian:2", "--xi", "0,0", "--lambda", "1",
+     "--samples", "2"],
+    ["experiment", "ts-lambda", "--group", "f2xz:n=2", "--xi", "|0", "--lambda", "1",
+     "--samples", "2"],
 ], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg", "k-max-0",
         "property-samples-neg", "property-budget-neg", "property-budget-0",
-        "ts-lambda-samples-neg", "burnside-samples-neg"])
+        "ts-lambda-samples-neg", "burnside-samples-neg", "identity-xi-free",
+        "identity-xi-abelian", "identity-xi-f2xz"])
 def test_malformed_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2

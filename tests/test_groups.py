@@ -174,8 +174,15 @@ def test_metric_invariants(descriptor):
 # Oracles whose classes override GroupOracle.geodesic_points or
 # GroupOracle.distance; tests/test_hygiene.py checks that every
 # overriding class is listed here.
-BASE_METHOD_GROUPS = ["free:2", "free:3", "prod(free:2,abelian:1)", "prod(f2xz:n=2,abelian:2)",
+BASE_METHOD_GROUPS = ["free:2", "free:3", "abelian:1", "abelian:3", "f2xz:n=1", "f2xz:n=2",
+                      "f2xz:n=3", "prod(free:2,abelian:1)", "prod(f2xz:n=2,abelian:2)",
                       "prod(prod(free:2,abelian:1),free:3)"]
+
+
+def _assert_overrides_match(oracle, start, end):
+    for s, e in ((start, end), (end, start), (start, start)):
+        assert oracle.geodesic_points(s, e) == GroupOracle.geodesic_points(oracle, s, e)
+        assert oracle.distance(s, e) == GroupOracle.distance(oracle, s, e)
 
 
 @given(st.sampled_from(BASE_METHOD_GROUPS), st.integers(0, 2**32), st.integers(0, 6),
@@ -187,9 +194,19 @@ def test_overrides_match_base_methods(descriptor, seed, size, shared):
     start, end = random_element(oracle, rng, size), random_element(oracle, rng, size)
     if shared:  # end extends start, so the free parts share a prefix
         end = oracle.multiply(start, end)
-    for s, e in ((start, end), (end, start), (start, start)):
-        assert oracle.geodesic_points(s, e) == GroupOracle.geodesic_points(oracle, s, e)
-        assert oracle.distance(s, e) == GroupOracle.distance(oracle, s, e)
+    _assert_overrides_match(oracle, start, end)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [40, -40])
+@pytest.mark.parametrize("word", ["", "b b", "a a a b A", "B a a a a"],
+                         ids=lambda w: w.replace(" ", "") or "empty")
+def test_f2xz_overrides_match_base_methods_on_long_z_powers(n, t, word):
+    # a z exponent far past what the syllables take at cost below n + 1,
+    # so _solve hands every step left to one syllable at once; random
+    # generator walks never get there
+    oracle = make_oracle(f"f2xz:n={n}")
+    _assert_overrides_match(oracle, (parse_word("a b", 2), 3), (parse_word(word, 2), 3 + t))
 
 
 def test_mixed_rank_geodesic_endpoints_are_malformed():
@@ -293,9 +310,9 @@ def test_f2xz_greedy_matches_dp(n, head, syllables, t):
         letters += [b] + [1 if k > 0 else -1] * abs(k)
     oracle = make_oracle(f"f2xz:n={n}")
     g = (reduce(letters, Alphabet(2)), t)
-    length, picks = oracle._solve(g)
-    assert length == f2xz_dp_reference(oracle, g)[0]
     ks, signs = oracle._syllables(g[0])
+    length, picks = oracle._solve(ks, t)
+    assert length == f2xz_dp_reference(oracle, g)[0]
     assert sum(picks) == t
     assert len(signs) + sum(abs(d) + abs(k - n * d) for k, d in zip(ks, picks)) == length
     steps = oracle.geodesic_steps(g)
@@ -327,7 +344,7 @@ def test_f2xz_tail_jump_matches_unit_greedy(n, head, syllables, t):
         letters += [b] + [1 if k > 0 else -1] * abs(k)
     oracle = make_oracle(f"f2xz:n={n}")
     g = (reduce(letters, Alphabet(2)), t)
-    length, picks = oracle._solve(g)
+    length, picks = oracle._solve(oracle._syllables(g[0])[0], t)
     assert (length, picks) == f2xz_unit_greedy_reference(oracle, g)
 
 

@@ -222,9 +222,9 @@ def _oracle_matrix(oracle, pts):
     return tuple(tuple(oracle.distance(a, b) for b in pts) for a in pts)
 
 
-def _assert_matches_reference(rset):
+def _assert_matches_reference(rset, cap=15):
     length, order = held_karp_reference(_oracle_matrix(rset.oracle, rset.elements))
-    tour = tsp_exact(rset)
+    tour = tsp_exact(rset, cap)
     assert tour.length == length
     assert tour.order == tuple(rset.elements[i] for i in order)
 
@@ -253,6 +253,27 @@ def test_exact_matches_held_karp_reference_on_ties():
     _assert_matches_reference(RelatedSet(AB2, None, box(2, 5, -1, -2)))
     _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(1)))
     _assert_matches_reference(RelatedSet(FREE2, None, FREE2.ball(2)[:10]))
+
+
+def _distinct_points(oracle, count, seed):
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < count:
+        pts.add(random_element(oracle, rng, 4))
+    return tuple(pts)
+
+
+@pytest.mark.parametrize("n", range(11, 16))
+def test_exact_matches_held_karp_reference_past_ten_points(n):
+    # the hypothesis test above stops at 10 points; previous points above
+    # 10 and flat indices above 2**15 (from 13 points) only occur past it
+    for oracle in (FREE2, make_oracle("f2xz:n=2")):
+        _assert_matches_reference(RelatedSet(oracle, None, _distinct_points(oracle, n, n)))
+    _assert_matches_reference(RelatedSet(AB2, None, box(4, 4)[:n]))
+
+
+def test_exact_matches_held_karp_reference_at_sixteen_points():
+    _assert_matches_reference(RelatedSet(AB2, None, box(4, 4, -1, -2)), cap=16)
 
 
 def _mix_oracles():
