@@ -214,8 +214,8 @@ class InadmissibleEngine:
 
 
 def _normalize_candidates(candidates, count, minimum):
-    if isinstance(candidates, (list, tuple)) and candidates and isinstance(
-        candidates[0], (set, frozenset, list, tuple)
+    if isinstance(candidates, (list, tuple)) and candidates and all(
+        isinstance(c, (set, frozenset)) for c in candidates
     ):
         sets = [frozenset(c) for c in candidates]
         if len(sets) < count:
@@ -236,8 +236,9 @@ def _normalize_candidates(candidates, count, minimum):
 def label_ray_adversarial(length: int, candidates, adversary: Callable):
     """Label a ray online against an adversary.
 
-    candidates: one token collection reused everywhere, or a sequence of
-    per-vertex collections, each of size >= 2.  adversary(i, F_v, z_v)
+    candidates: one token collection reused everywhere (tuple tokens
+    such as abelian elements included), or a list or tuple of per-vertex
+    sets or frozensets, each of size >= 2.  adversary(i, F_v, z_v)
     returns the label for step i and must avoid z_v.  Returns
     (labels, inadmissibles).
     """

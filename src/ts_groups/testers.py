@@ -31,11 +31,11 @@ from .groups import GroupOracle
 from .sequences import squarefree_ternary
 from .tours import random_element
 from .words import (
-    Alphabet,
     Word,
     format_word,
     inverse_letters,
     is_k_aperiodic,
+    random_word,
 )
 
 __all__ = [
@@ -742,16 +742,8 @@ class PipelineReport:
 
 
 def _random_sequence(rng: random.Random, k_max: int, max_len: int):
-    alphabet = Alphabet(2)
     k = rng.randint(1, k_max)
-    xs = []
-    for _ in range(k):
-        m = rng.randint(1, max_len)
-        letters = []
-        for _ in range(m):
-            opts = [a for a in alphabet.letters() if not letters or a != -letters[-1]]
-            letters.append(rng.choice(opts))
-        xs.append(Word(tuple(letters), 2))
+    xs = [random_word(rng, 2, rng.randint(1, max_len)) for _ in range(k)]
     eps = [rng.choice((1, -1)) for _ in range(k)]
     return xs, eps
 

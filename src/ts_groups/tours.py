@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .groups import AbelianOracle, FreeOracle, GroupOracle, ProductOracle
-from .words import Word
+from .words import random_word
 
 __all__ = [
     "RelatedSet",
@@ -139,18 +139,21 @@ def revise(rset: RelatedSet) -> RelatedSet:
     """
     if rset.xi is None:
         raise PreconditionError("cannot revise a set without xi")
-    ok, orphans = is_xi_related(rset.elements, rset.xi, rset.oracle)
-    if not ok:
-        raise PreconditionError(f"set is not related: {len(orphans)} orphans")
-    oracle = rset.oracle
+    oracle, xi = rset.oracle, rset.xi
+    if xi == oracle.identity():
+        raise DegenerateXiError("xi must be nontrivial")
     members = set(rset.elements)
     succ = {}
     pred = {}
     for x in rset.elements:
-        y = oracle.multiply(x, rset.xi)
+        y = oracle.multiply(x, xi)
         if y in members:
             succ[x] = y
             pred[y] = x
+    # an orphan has neither xi-neighbor in the set: the set's xi-boundary
+    orphans = [x for x in rset.elements if x not in succ and x not in pred]
+    if orphans:
+        raise PreconditionError(f"set is not related: {len(orphans)} orphans")
     pairs = []
     used = set()
     for start in (x for x in rset.elements if x not in pred):
@@ -170,7 +173,7 @@ def revise(rset: RelatedSet) -> RelatedSet:
         raise InternalInvariantError(
             f"revision covered {len(selected)} of {rset.size}, below 2/3"
         )
-    return RelatedSet(oracle, rset.xi, selected, tuple(pairs))
+    return RelatedSet(oracle, xi, selected, tuple(pairs))
 
 
 @dataclass
@@ -323,30 +326,24 @@ def tsp_heuristic(rset: RelatedSet, seed: int = 0) -> Tour:
                 if D[a][c] + D[b][d] < D[a][b] + D[c][d]:
                     order[i + 1 : j + 1] = reversed(order[i + 1 : j + 1])
                     improved = True
-    return tour_of_order(rset, [pts[i] for i in order], "heuristic-upper")
+    length = sum(D[a][b] for a, b in zip(order, order[1:] + order[:1]))
+    return Tour(tuple(pts[i] for i in order), length, "heuristic-upper")
 
 
 def _mst_edges(rset: RelatedSet):
-    """Prim's algorithm on the complete oracle-metric graph."""
-    pts = rset.elements
-    n = len(pts)
+    """Prim's algorithm on the complete oracle-metric graph, rooted at
+    point 0: each point outside the tree keeps its (weight, parent) edge
+    to the tree, and the least (weight, point) joins next."""
     D = rset.distances
-    in_tree = [False] * n
-    best = [float("inf")] * n
-    parent = [-1] * n
-    best[0] = 0
+    outside = {v: (D[0][v], 0) for v in range(1, len(D))}
     edges = []
-    for _ in range(n):
-        u = min(
-            (i for i in range(n) if not in_tree[i]), key=lambda i: (best[i], i)
-        )
-        in_tree[u] = True
-        if parent[u] >= 0:
-            edges.append((parent[u], u, D[parent[u]][u]))
-        for v in range(n):
-            if not in_tree[v] and D[u][v] < best[v]:
-                best[v] = D[u][v]
-                parent[v] = u
+    while outside:
+        u = min(outside, key=lambda v: (outside[v][0], v))
+        w, p = outside.pop(u)
+        edges.append((p, u, w))
+        for v, (best, _) in outside.items():
+            if D[u][v] < best:
+                outside[v] = (D[u][v], u)
     return edges
 
 
@@ -503,12 +500,7 @@ def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult
 def random_element(oracle: GroupOracle, rng: random.Random, size: int):
     """Random element with components bounded by size."""
     if isinstance(oracle, FreeOracle):
-        letters = []
-        n = rng.randint(0, size)
-        for _ in range(n):
-            options = [a for a in oracle.alphabet.letters() if not letters or a != -letters[-1]]
-            letters.append(rng.choice(options))
-        return Word(tuple(letters), oracle.rank)
+        return random_word(rng, oracle.rank, rng.randint(0, size))
     if isinstance(oracle, AbelianOracle):
         return tuple(rng.randint(-size, size) for _ in range(oracle.dim))
     if isinstance(oracle, ProductOracle):
@@ -539,70 +531,68 @@ class SamplerConfig:
             raise MalformedInputError(f"max_size must be >= 2, got {self.max_size}")
 
 
+def _draw_box_pair(oracle: AbelianOracle, xi, rng: random.Random, max_size: int):
+    """A box and its xi-translate, or None when their union exceeds
+    max_size.  The union is related even when the two overlap, but only
+    disjoint translates carry the pair structure."""
+    dims = oracle.dim
+    sides = [rng.randint(2, max(2, int(max_size ** (1 / dims)))) for _ in range(dims)]
+    corner = tuple(rng.randint(-3, 3) for _ in range(dims))
+    box = [tuple(c + d for c, d in zip(corner, delta))
+           for delta in itertools.product(*map(range, sides))]
+    translate = [oracle.multiply(x, xi) for x in box]
+    union = set(box + translate)
+    if len(union) > max_size:
+        return None
+    pairs = tuple(zip(box, translate)) if len(union) == 2 * len(box) else None
+    return RelatedSet(oracle, xi, tuple(union), pairs)
+
+
+def _draw_pairs(oracle: GroupOracle, xi, rng: random.Random, max_size: int, chains: bool):
+    """Pairs {x, x xi}, or chains of consecutive pairs stepping xi once
+    per element, until a drawn budget of elements is spent; None when
+    two elements coincide."""
+    elements: List[object] = []
+    budget = rng.randint(2, max_size)
+    while budget >= 2:
+        chain = [random_element(oracle, rng, _SAMPLE_BASE_SIZE)]
+        n_pairs = rng.randint(1, budget // 2) if chains else 1
+        for _ in range(2 * n_pairs - 1):
+            chain.append(oracle.multiply(chain[-1], xi))
+        elements.extend(chain)
+        budget -= 2 * n_pairs
+    if len(set(elements)) < len(elements):
+        return None
+    pairs = tuple(zip(elements[::2], elements[1::2]))
+    return RelatedSet(oracle, xi, tuple(elements), pairs)
+
+
 def sample_related_set(oracle: GroupOracle, xi, config: SamplerConfig, index: int) -> RelatedSet:
     """Seeded revised related set; the sampler is the desk-scale
-    substitute for quantifying over all finite sets."""
+    substitute for quantifying over all finite sets.  Box-pairs sets
+    whose translate overlaps the box are related but carry no pairs."""
+    if xi == oracle.identity():
+        raise DegenerateXiError("xi must be nontrivial")
     rng = random.Random(config.seed * 1_000_003 + index)
     style = config.style
     if style == "mixed":
         style = ("pairs", "chains")[rng.randrange(2)]
+    if style == "box-pairs":
+        if not isinstance(oracle, AbelianOracle):
+            raise MalformedInputError("box-pairs sampling needs an abelian oracle")
+        smallest = set(itertools.product((0, 1), repeat=oracle.dim))
+        floor = len(smallest | {oracle.multiply(x, xi) for x in smallest})
+        if floor > config.max_size:
+            raise MalformedInputError(
+                f"box-pairs needs max_size >= {floor}: the smallest box and its "
+                f"xi-translate hold {floor} points"
+            )
+        draw = _draw_box_pair
+    else:
+        draw = functools.partial(_draw_pairs, chains=style == "chains")
     for _attempt in range(200):
-        elements: List[object] = []
-        pairs: List[Tuple[object, object]] = []
-        if style == "box-pairs":
-            # a box and its xi-translate; the union is related even when
-            # they overlap, but only disjoint translates carry the pair
-            # structure
-            if not isinstance(oracle, AbelianOracle):
-                raise MalformedInputError("box-pairs sampling needs an abelian oracle")
-            dims = oracle.dim
-            sides = [rng.randint(2, max(2, int(config.max_size ** (1 / dims)))) for _ in range(dims)]
-            corner = tuple(rng.randint(-3, 3) for _ in range(dims))
-            box = [
-                tuple(c + d for c, d in zip(corner, delta))
-                for delta in itertools.product(*[range(s) for s in sides])
-            ]
-            translate = [oracle.multiply(x, xi) for x in box]
-            elements = box + translate
-            uniq = sorted(set(elements), key=oracle.sort_key)
-            if len(uniq) > config.max_size:
-                continue
-            if set(box) & set(translate):
-                rset = RelatedSet(oracle, xi, tuple(uniq))
-            else:
-                rset = RelatedSet(
-                    oracle, xi, tuple(uniq), tuple(zip(box, translate))
-                )
-            ok, _ = is_xi_related(rset.elements, xi, oracle)
-            if ok:
-                return rset
-            continue
-        else:
-            budget = rng.randint(2, config.max_size)
-            while budget >= 2:
-                base = random_element(oracle, rng, _SAMPLE_BASE_SIZE)
-                if style == "chains":
-                    n_pairs = rng.randint(1, max(1, budget // 2))
-                else:
-                    n_pairs = 1
-                for i in range(n_pairs):
-                    x = base
-                    for _ in range(2 * i):
-                        x = oracle.multiply(x, xi)
-                    y = oracle.multiply(x, xi)
-                    pairs.append((x, y))
-                    elements.extend((x, y))
-                budget -= 2 * n_pairs
-        if len(set(elements)) != len(elements):
-            continue
-        if len(elements) > config.max_size:
-            continue
-        try:
-            rset = RelatedSet(oracle, xi, tuple(elements), tuple(pairs))
-        except MalformedInputError:
-            continue
-        ok, _ = is_xi_related(rset.elements, xi, oracle)
-        if ok and rset.is_revised():
+        rset = draw(oracle, xi, rng, config.max_size)
+        if rset is not None:
             return rset
     raise InternalInvariantError("sampler failed to build a valid revised set")
 
@@ -768,14 +758,12 @@ def folner_traversal_demo(oracle: AbelianOracle, box, xi) -> FolnerReport:
     # spanning tree by DFS over grid edges
     root = points[0]
     seen = {root}
-    order = []
     stack = [(root, None)]
     tree_children: Dict[tuple, list] = {p: [] for p in points}
     while stack:
         v, par = stack.pop()
         if par is not None:
             tree_children[par].append(v)
-        order.append(v)
         for s in oracle.generators():
             w = oracle.multiply(v, s)
             if w in members and w not in seen:

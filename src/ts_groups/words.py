@@ -15,6 +15,7 @@ string is the identity.  Compact strings without whitespace
 from __future__ import annotations
 
 import operator
+import random
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -35,6 +36,7 @@ __all__ = [
     "max_power_order",
     "shift_right",
     "first_aperiodic_word",
+    "random_word",
 ]
 
 
@@ -390,6 +392,16 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
         else:
             tried.append(0)
     return Word._trusted(tuple(prefix), rank)
+
+
+def random_word(rng: random.Random, rank: int, length: int) -> Word:
+    """Random reduced word of the given length: each letter is drawn
+    uniformly from the letters that do not cancel the one before."""
+    letters = Alphabet(rank).letters()
+    out = []
+    for _ in range(length):
+        out.append(rng.choice([a for a in letters if not out or a != -out[-1]]))
+    return Word._trusted(tuple(out), rank)
 
 
 def _power_ends_last(tokens, k: int) -> bool:

@@ -5,7 +5,7 @@ import random
 
 from ts_groups.groups import make_oracle
 from ts_groups.tours import RelatedSet, Tour, tour_of_order
-from ts_groups.words import Word, first_aperiodic_word
+from ts_groups.words import Word, first_aperiodic_word, parse_word
 
 _FREE2 = make_oracle("free:2")
 
@@ -64,6 +64,35 @@ def cluster_instance(seed, r, deep=True, deep_size=4):
         tour = tour_of_order(rset, order, "heuristic-upper")
         return rset, xi, tour
     raise RuntimeError(f"no cluster instance for seed {seed}")
+
+
+def nested_cluster_instance(r, depth=3):
+    """A revised related set in free:2 whose clusters nest ``depth``
+    levels deep: a root cluster {h, h b, h B}; around the partner of h,
+    a cluster of three piece neighbors; and around the partner of every
+    member of a cluster but the last level's, a cluster of its own.  A
+    forest grows one level per cluster, and every vertex opened at a
+    cluster's center has three piece candidates.
+
+    Returns (rset, xi, tour): the tour visits each cluster contiguously
+    and then the last level's partners, as a heuristic tour.
+    """
+    xi = first_aperiodic_word(2, 4 * r + 1)
+    h = parse_word("a", 2)
+    offsets = [parse_word(t, 2) for t in ("a", "b", "B")]
+    pieces = [[h, h * offsets[1], h * offsets[2]]]
+    firsts = list(pieces[0])
+    centers = [h * xi]
+    for _ in range(depth - 1):
+        members = [[c * t for t in offsets] for c in centers]
+        pieces += [[c] + ms for c, ms in zip(centers, members)]
+        firsts += [m for ms in members for m in ms]
+        centers = [m * xi for ms in members for m in ms]
+    pairs = tuple((x, x * xi) for x in firsts)
+    rset = RelatedSet(_FREE2, xi, tuple(x for p in pairs for x in p), pairs)
+    placed = {x for p in pieces for x in p}
+    order = [x for p in pieces for x in p] + [y for _, y in pairs if y not in placed]
+    return rset, xi, tour_of_order(rset, order, "heuristic-upper")
 
 
 def pair_instance(seed, r, n_pairs=4):

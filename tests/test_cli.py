@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import ts_groups
-from ts_groups import testers
+from ts_groups import testers, tours
 from ts_groups.cli import ball_limit_from_env, main
 from ts_groups.groups import make_oracle
 from ts_groups.words import first_aperiodic_word, format_word
@@ -340,6 +340,16 @@ def test_property_replay_failure_exits_5(runner, monkeypatch):
     assert "witness failed replay" in result.output
 
 
+def test_sampler_failure_exits_5(runner, monkeypatch):
+    # every draw of a nontrivial xi coincides: an internal failure
+    monkeypatch.setattr(tours, "_draw_pairs", lambda *args, **kwargs: None)
+    result = runner.invoke(
+        main, ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--samples", "1"])
+    assert result.exit_code == 5
+    assert "sampler failed" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_parallel_experiment_matches_sequential(runner, tmp_path):
     outs = []
     for jobs, name in (("1", "seq.json"), ("2", "par.json")):
@@ -444,10 +454,16 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
      "--samples", "2"],
     ["experiment", "ts-lambda", "--group", "f2xz:n=2", "--xi", "|0", "--lambda", "1",
      "--samples", "2"],
+    # the smallest box and its translate do not fit in --max-size
+    ["experiment", "ts-lambda", "--group", "abelian:2", "--xi", "2,3", "--lambda", "2",
+     "--style", "box-pairs", "--max-size", "6", "--samples", "1"],
+    ["experiment", "ts-lambda", "--group", "abelian:2", "--xi", "1,0", "--lambda", "2",
+     "--style", "box-pairs", "--max-size", "3", "--samples", "1"],
 ], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg", "k-max-0",
         "property-samples-neg", "property-budget-neg", "property-budget-0",
         "ts-lambda-samples-neg", "burnside-samples-neg", "identity-xi-free",
-        "identity-xi-abelian", "identity-xi-f2xz"])
+        "identity-xi-abelian", "identity-xi-f2xz", "box-pairs-floor-disjoint",
+        "box-pairs-floor-overlap"])
 def test_malformed_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2

@@ -15,6 +15,7 @@ from ts_groups.forests import (
     verify_forest,
 )
 from ts_groups.groups import make_oracle
+from ts_groups.sequences import InadmissibleEngine
 from ts_groups.tours import (
     RelatedSet,
     SamplerConfig,
@@ -25,7 +26,7 @@ from ts_groups.tours import (
 )
 from ts_groups.words import first_aperiodic_word, parse_word
 
-from instances import cluster_instance, pair_instance
+from instances import cluster_instance, nested_cluster_instance, pair_instance
 
 FREE2 = make_oracle("free:2")
 
@@ -179,6 +180,48 @@ def test_mode_p10_engine_vertex_is_constrained():
     main = max(forest.trees, key=lambda t: len(t.vertices))
     internal = [v for v in main.vertices if v.children]
     assert internal and all(len(v.elements) == 3 for v in internal)
+
+
+def test_mode_p10_walks_the_engine_down_each_root_path(monkeypatch):
+    """Each P10 designation reads an engine that has observed the
+    differences entry^-1 w along its vertex's root path, from the
+    level-1 vertex down, and is offered the differences to the entry's
+    piece neighbors.  Nested clusters put designations at levels 2 and
+    3, so an engine that is not walked down the path fails here."""
+    calls = []
+    designate = InadmissibleEngine.designate
+
+    def recording(engine, candidates):
+        calls.append((engine.history, candidates))
+        return designate(engine, candidates)
+
+    monkeypatch.setattr(InadmissibleEngine, "designate", recording)
+    r = 24
+    rset, xi, tour = nested_cluster_instance(r, depth=4)
+    forest = build_forest_p10(rset, r, tour)
+    pieces = decompose_pieces(rset, tour, Fraction(r, 4))
+    at = pieces.piece_index()
+
+    def diff(g, h):
+        return FREE2.multiply(FREE2.inverse(g), h)
+
+    expected = []
+    for tree in forest.trees:
+        for vertex in tree.vertices[1:]:
+            pi, pos = at[vertex.entry]
+            piece = pieces.pieces[pi]
+            near = piece[max(0, pos - 4):pos] + piece[pos + 1:pos + 5]
+            if len(near) < 2:
+                continue  # one candidate or none: nothing to designate
+            history = []
+            v = vertex
+            while tree.vertices[v.parent].entry is not None:
+                parent = tree.vertices[v.parent]
+                history.append(diff(parent.entry, v.witness[0]))
+                v = parent
+            expected.append((tuple(reversed(history)), frozenset(diff(vertex.entry, t) for t in near)))
+    assert calls == expected
+    assert max(len(h) for h, _ in calls) == 2
 
 
 def test_mode_p10_determinism():

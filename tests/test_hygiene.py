@@ -79,16 +79,28 @@ def test_budget_fields_are_read(field):
     assert field in ATTRIBUTES_READ
 
 
+_MUTATORS = {"append", "extend", "add", "update", "insert"}
+
+
 def _unread_locals(path):
     """(function, name) for every name a function (or a function nested
     in it) assigns but no code in the function reads; names starting
-    with '_' and names declared global or nonlocal are exempt."""
+    with '_' and names declared global or nonlocal are exempt.  Being
+    the receiver of `append`, `extend`, `add`, `update` or `insert` is
+    not a read: a local that is only ever grown is dead work."""
     out = []
     for fn in ast.walk(ast.parse(path.read_text())):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        receivers = {
+            id(node.func.value) for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name)
+        }
         stored, loaded, declared = set(), set(), set()
         for node in ast.walk(fn):
+            if id(node) in receivers:
+                continue
             if isinstance(node, ast.Name):
                 (stored if isinstance(node.ctx, ast.Store) else loaded).add(node.id)
             elif isinstance(node, (ast.Global, ast.Nonlocal)):

@@ -153,6 +153,17 @@ def test_ray_per_vertex_candidates():
         assert x in fv and z in fv and x != z
 
 
+def test_ray_tuple_tokens_are_one_collection():
+    # abelian elements are tuples; a list of them is one token
+    # collection, not per-vertex candidate sets
+    tokens = [(1, 0), (0, 1), (-1, 0)]
+    xs, zs = label_ray_adversarial(60, tokens, random_ray_adversary(0))
+    assert (xs, zs) == label_ray_adversarial(60, set(tokens), random_ray_adversary(0))
+    assert set(xs) | set(zs) <= set(tokens)
+    assert all(x != z for x, z in zip(xs, zs))
+    assert is_k_aperiodic(xs, 4)[0]
+
+
 def test_ray_candidate_size_validation():
     with pytest.raises(MalformedInputError):
         label_ray_adversarial(10, {"a"}, greedy_ray_adversary())

@@ -411,6 +411,59 @@ def test_l_prime_remark_two_bound_desk():
             assert Fraction(l_prime(rset).value) > lam * rset.size
 
 
+# -- the sampler ------------------------------------------------------------------
+
+# one link element per group; the abelian ones give box-pairs both
+# overlapping and disjoint translates
+SAMPLER_PIN_XI = {
+    "free:2": "a b a",
+    "free:3": "a c B",
+    "abelian:2": "2,1",
+    "abelian:3": "1,0,1",
+    "f2xz:n=2": "a b a|1",
+    "prod(free:2,abelian:1)": "a b|1",
+}
+# the smallest box and its translate need up to 14 points
+SAMPLER_PIN_SIZES = {"box-pairs": (14, 20)}
+SAMPLER_PIN_DIGEST = "7ba33db5f2f0d4c70b920c43909e0d47470946bc34e5c329bf6164cae6609443"
+
+
+def test_sampler_output_is_pinned():
+    """Sampled sets, and the revisions of their unpaired copies, hash to
+    the recorded digest, so the sampler keeps its draws and their order.
+    The sampler checks none of this at run time: every set is
+    xi-related, and every pairs or chains set is revised."""
+    digest = hashlib.sha256()
+    for descriptor, xi_text in SAMPLER_PIN_XI.items():
+        oracle = make_oracle(descriptor)
+        xi = oracle.parse_element(xi_text)
+        fmt = oracle.format_element
+        styles = ["pairs", "chains", "mixed"] + ["box-pairs"] * descriptor.startswith("abelian")
+        for style in styles:
+            for seed, max_size, index in itertools.product(
+                    range(3), SAMPLER_PIN_SIZES.get(style, (2, 6, 14)), range(4)):
+                config = SamplerConfig(seed=seed, max_size=max_size, style=style)
+                rset = sample_related_set(oracle, xi, config, index)
+                assert rset.size <= max_size
+                assert is_xi_related(rset.elements, xi, oracle)[0]
+                if style != "box-pairs":
+                    assert rset.is_revised()
+                rev = revise(RelatedSet(oracle, xi, rset.elements))
+                for s in (rset, rev):
+                    pairs = [(fmt(x), fmt(y)) for x, y in s.pairs or ()]
+                    digest.update(repr(([fmt(g) for g in s.elements], pairs)).encode())
+    assert digest.hexdigest() == SAMPLER_PIN_DIGEST
+
+
+def test_identity_xi_is_degenerate():
+    # x and x xi coincide, so no pair could be drawn or revised
+    for style in ("pairs", "chains", "box-pairs"):
+        with pytest.raises(DegenerateXiError):
+            sample_related_set(AB2, (0, 0), SamplerConfig(style=style), 0)
+    with pytest.raises(DegenerateXiError):
+        revise(RelatedSet(AB2, (0, 0), box(2, 1)))
+
+
 # -- experiments ------------------------------------------------------------------
 
 
