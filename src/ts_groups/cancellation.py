@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import MalformedInputError
-from .words import Word
+from .words import Word, _common_prefix
 
 __all__ = [
     "SymmetrizedSet",
@@ -95,14 +95,6 @@ def _cyclic_lcp(w1: Word, r1: int, w2: Word, r2: int) -> int:
     cap = min(n1, n2) - 1
     k = 0
     while k < cap and w1.letters[(r1 + k) % n1] == w2.letters[(r2 + k) % n2]:
-        k += 1
-    return k
-
-
-def _linear_lcp(w1: Word, w2: Word) -> int:
-    k = 0
-    m = min(len(w1), len(w2))
-    while k < m and w1.letters[k] == w2.letters[k]:
         k += 1
     return k
 
@@ -212,7 +204,7 @@ def satisfies_small_cancellation(sset: SymmetrizedSet, lambda_num: int, lambda_d
         return False, Piece(base[wi].rotated(ri).subword(0, k), (hit,))
     order = sorted(range(len(base)), key=lambda i: base[i].letters)
     for i, j in zip(order, order[1:]):
-        k = _linear_lcp(base[i], base[j])
+        k = _common_prefix(base[i].letters, base[j].letters)
         if k * lambda_den >= lambda_num * min(len(base[i]), len(base[j])):
             return False, Piece(base[i].subword(0, k), ((min(i, j), max(i, j)),))
     return True, None

@@ -298,7 +298,7 @@ def tree():
 @tree.command("label")
 @click.option("--mode", type=click.Choice(["3letter", "adversarial"]), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--vertices", type=int, default=60, show_default=True)
+@click.option("--vertices", type=click.IntRange(min=1), default=60, show_default=True)
 @click.option("--tree-file", type=click.Path(exists=True), default=None,
               help="read the tree instead of generating one")
 @click.option("--out", type=click.Path(), default=None)

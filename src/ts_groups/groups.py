@@ -16,7 +16,7 @@ import re
 from typing import List
 
 from .errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from .words import Alphabet, Word, format_word, inverse_letters, parse_word
+from .words import Alphabet, Word, _common_prefix, format_word, inverse_letters, parse_word
 
 __all__ = ["GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
@@ -100,16 +100,6 @@ class GroupOracle:
 
     def __repr__(self):
         return f"<oracle {self.descriptor}>"
-
-
-def _common_prefix(s, e) -> int:
-    """Length of the longest common prefix of two letter tuples."""
-    common = 0
-    for a, b in zip(s, e):
-        if a != b:
-            break
-        common += 1
-    return common
 
 
 class FreeOracle(GroupOracle):

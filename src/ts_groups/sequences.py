@@ -17,7 +17,7 @@ engine without copying or undoing anything.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .errors import MalformedInputError
@@ -83,41 +83,29 @@ class LabeledTree:
     tree: PlaneTernaryTree
     edge_labels: Dict[int, object]
     inadmissibles: Optional[Dict[int, object]] = None
-    # per vertex: (the vertices, the labels) from the origin down to it,
-    # built by the first path_labels call
-    _paths: Dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def path_labels(self, path: Sequence[int]) -> List[object]:
-        """Labels along a simple path, spliced from the root label tuples
-        of its two ends at their deepest shared vertex.  The first call
-        builds the tuples, so memory grows with the sum of the vertex
-        depths, as in enumerate_simple_paths."""
-        paths = self._paths
-        if not paths:
-            for v in self.tree.planar_order():
-                p = self.tree.parent[v]
-                if p is None:
-                    paths[v] = ((v,), ())
-                else:
-                    rp, dp = paths[p]
-                    paths[v] = (rp + (v,), dp + (self.edge_labels[v],))
+        """Labels along a simple path, read edge by edge.  The path
+        climbs from its start by parent steps, may turn once into a
+        child other than the vertex it just left, and from then on only
+        descends; anything else is not a simple path.  Memory is linear
+        in the path's length."""
+        parent, labels = self.tree.parent, self.edge_labels
+        out = []
         try:
-            u, v = path[0], path[-1]
-            ru, du = paths[u]
-            rv, dv = paths[v]
+            a, prev, climbing = path[0], None, True
+            parent[a]  # an unknown start raises KeyError
+            for b in path[1:]:
+                if climbing and parent[a] == b:
+                    out.append(labels[a])
+                elif parent[b] == a and b != prev:
+                    climbing = False
+                    out.append(labels[b])
+                else:
+                    raise MalformedInputError("not a path in the tree")
+                prev, a = a, b
         except (IndexError, KeyError, TypeError):
             raise MalformedInputError("not a path in the tree") from None
-        # if path is the simple u-v path, it goes up from u to the deepest
-        # vertex u and v share, at depth d, then down to v
-        nu, nv = len(ru), len(rv)
-        d = (nu + nv - len(path) - 1) // 2
-        if not (0 <= d < nu and d < nv and ru[d] == rv[d]
-                and tuple(path) == ru[d:][::-1] + rv[d + 1 :]
-                and (d + 1 == nu or d + 1 == nv or ru[d + 1] != rv[d + 1])):
-            raise MalformedInputError("not a path in the tree")
-        out = list(du[d:])
-        out.reverse()
-        out += dv[d:]
         return out
 
 

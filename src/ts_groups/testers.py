@@ -642,7 +642,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     witness: a short period (at most |xi|/5) must already produce a
     fourth power inside a single surviving xi block (cross-checked);
     anything longer is classified as a block-structure violation and
-    localized against the surviving blocks.
+    localized against the surviving blocks.  With check_xi, xi must
+    meet the full-scale marker-word contract first: 3-aperiodic and
+    longer than XiParams().total_low letters.
     """
     if len(xs) != len(eps) or not xs:
         raise MalformedInputError("xs and eps must be nonempty and equal length")
@@ -663,11 +665,11 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             f"x-sequence is not 10-aperiodic: period {wit.period} at {wit.start}"
         )
     if check_xi:
-        ok3, _ = is_k_aperiodic(xi, 3)
-        if not ok3 or len(xi) <= 10000:
-            raise PreconditionError(
-                "xi fails its contract; pass check_xi=False for scaled runs"
-            )
+        low = XiParams().total_low
+        if not is_k_aperiodic(xi, 3)[0]:
+            raise PreconditionError("xi is not 3-aperiodic")
+        if len(xi) <= low:
+            raise PreconditionError(f"xi has {len(xi)} letters, not more than {low}")
     word, xi_runs = _reduced_product(xi, xs, eps)
     analysis = {
         "product_length": len(word),

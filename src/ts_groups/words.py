@@ -184,6 +184,16 @@ def inverse_letters(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(map(operator.neg, reversed(letters)))
 
 
+def _common_prefix(s, e) -> int:
+    """Length of the longest common prefix of two letter tuples."""
+    common = 0
+    for a, b in zip(s, e):
+        if a != b:
+            break
+        common += 1
+    return common
+
+
 def reduce(letters: Iterable[int], alphabet: Alphabet) -> Word:
     """Freely reduce a letter sequence.  Idempotent on reduced input."""
     stack = []

@@ -459,11 +459,14 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
      "--style", "box-pairs", "--max-size", "6", "--samples", "1"],
     ["experiment", "ts-lambda", "--group", "abelian:2", "--xi", "1,0", "--lambda", "2",
      "--style", "box-pairs", "--max-size", "3", "--samples", "1"],
+    # no tree has at most 0 vertices
+    ["tree", "label", "--mode", "3letter", "--vertices", "0"],
+    ["tree", "label", "--mode", "3letter", "--vertices", "-3"],
 ], ids=["free", "abelian", "f2xz", "lambda", "box", "jobs-0", "jobs-neg", "k-max-0",
         "property-samples-neg", "property-budget-neg", "property-budget-0",
         "ts-lambda-samples-neg", "burnside-samples-neg", "identity-xi-free",
         "identity-xi-abelian", "identity-xi-f2xz", "box-pairs-floor-disjoint",
-        "box-pairs-floor-overlap"])
+        "box-pairs-floor-overlap", "tree-vertices-0", "tree-vertices-neg"])
 def test_malformed_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from ts_groups.sequences import (
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 from ts_groups.words import is_k_aperiodic, max_power_order, parse_word
 
-from oracles import InadmissibleEngineReference, path_labels_reference
+from oracles import InadmissibleEngineReference, path_labels_reference, tree_path_reference
 from strategies import trees
 
 
@@ -273,13 +274,53 @@ def test_path_labels_match_the_edge_reference(tree, seed):
 
 
 @pytest.mark.parametrize("path", [(1, 2), (1, 99), (), (1, 0, 2, 0, 3), (1, 0, 1), (4, 0), (0, 4, 1),
-                                  (4, 1, 6)],
+                                  (4, 1, 6), (0, 1, 0), (1, [0])],
                          ids=["siblings", "unknown", "empty", "detour", "back-and-forth",
-                              "skips-a-vertex", "wrong-order", "wrong-apex"])
+                              "skips-a-vertex", "wrong-order", "wrong-apex", "down-and-back",
+                              "unhashable"])
 def test_path_labels_reject_all_but_simple_paths(path):
     labeled = label_tree_three_letters(PlaneTernaryTree.complete(2))
     with pytest.raises(MalformedInputError):
         labeled.path_labels(path)
+
+
+@settings(deadline=None)
+@given(trees(), st.data())
+def test_path_labels_accept_exactly_the_simple_paths(tree, data):
+    # a random walk over the undirected tree, backtracking allowed, or
+    # any list of ids, unknown ones included
+    labeled = label_tree_three_letters(tree)
+    if data.draw(st.booleans(), label="walk"):
+        seq = [data.draw(st.sampled_from(sorted(tree.vertices())))]
+        for _ in range(data.draw(st.integers(0, 12))):
+            v = seq[-1]
+            steps = tree.children[v] + ([] if tree.parent[v] is None else [tree.parent[v]])
+            if not steps:
+                break
+            seq.append(data.draw(st.sampled_from(steps)))
+    else:
+        seq = data.draw(st.lists(st.integers(-2, max(tree.vertices()) + 3), max_size=8))
+    simple = (bool(seq) and seq[0] in tree.parent and seq[-1] in tree.parent
+              and seq == tree_path_reference(tree, seq[0], seq[-1]))
+    if simple:
+        assert labeled.path_labels(seq) == path_labels_reference(labeled, seq)
+    else:
+        with pytest.raises(MalformedInputError):
+            labeled.path_labels(seq)
+
+
+def test_path_labels_memory_is_linear():
+    # one table per vertex of a 4,000-edge ray would hold about 8
+    # million entries; the labels themselves take about 32 kB
+    labeled = label_tree_three_letters(PlaneTernaryTree.ray_tree(4000))
+    tracemalloc.start()
+    try:
+        labels = labeled.path_labels(list(range(4000, -1, -1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "".join(labels) == squarefree_ternary(4000)[::-1]
 
 
 @pytest.mark.parametrize("size, seed, census, digest", [

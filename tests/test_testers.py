@@ -392,8 +392,16 @@ def test_corrupted_xi_violation_classified():
 
 def test_xi_contract_enforced_when_checked():
     fake = Word(tuple([1, 2] * 300), 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not 3-aperiodic"):
         verify_product_aperiodicity(fake, [parse_word("a", 2)], [1], check_xi=True)
+
+
+def test_xi_contract_length_is_the_full_scale_floor():
+    xi, low = construct_xi(0).word, XiParams().total_low
+    ok, _ = verify_product_aperiodicity(xi, [parse_word("a", 2)], [1], check_xi=True)
+    assert ok
+    with pytest.raises(PreconditionError, match=f"not more than {low}"):
+        verify_product_aperiodicity(xi.subword(0, low), [parse_word("a", 2)], [1], check_xi=True)
 
 
 # -- pipeline -------------------------------------------------------------------------
