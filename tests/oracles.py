@@ -396,6 +396,29 @@ def hull_reference(o, pts, radius):
     return region
 
 
+def free_hull_reference(pts):
+    """Vertex set (letter tuples) of the least subtree of the free
+    group's Cayley tree spanning the words pts, as `tours` built it:
+    every prefix of a point at least as long as the prefix all the
+    points share (the common prefix of the lexicographic extremes)."""
+    words = [p.letters for p in pts]
+    lo, hi = min(words), max(words)
+    meet = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b), len(lo))
+    return {w[:i] for w in words for i in range(meet, len(w) + 1)}
+
+
+def l_prime_free_reference(pts):
+    """Free-group L' over the materialised hull, edge by edge: the walk
+    doubles every hull edge, and each edge earns a credit for each of
+    its two ends that is a point."""
+    hull = free_hull_reference(pts)
+    members = {p.letters for p in pts}
+    top = min(map(len, hull))
+    # every hull vertex but the shallowest has one edge, to its parent
+    edges = [(v, v[:-1]) for v in hull if len(v) > top]
+    return 2 * len(edges) - sum((v in members) + (u in members) for v, u in edges) - 1
+
+
 def mst_witness_reference(rset):
     """Points of the doubled-tree witness as `tours.mst_bounds` walked
     them with a recursive closure over sorted MST neighbours, kept

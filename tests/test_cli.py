@@ -238,6 +238,21 @@ def test_resource_limit_exit_code(runner, tmp_path):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("far", [2**56, 2**64])
+def test_exact_tour_cost_overflow_exits_3(runner, tmp_path, far):
+    # the exact solver packs costs into 55 bits; 2**56 used to print
+    # "L: 2", 2**64 to overflow numpy's int64 with a traceback
+    words = tmp_path / "far.words"
+    words.write_text(f"0,0\n{far},0\n0,1\n")
+    args = ["tsp", "--group", "abelian:2", "--set", str(words)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+    heuristic = invoke(runner, args + ["--heuristic"])
+    assert heuristic.exit_code == 0
+    assert f"L: {2 * far + 2}" in heuristic.output
+
+
 def test_forest_xi_as_file(runner, tmp_path):
     oracle = make_oracle("free:2")
     xi = first_aperiodic_word(2, 49)

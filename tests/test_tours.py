@@ -40,8 +40,10 @@ from ts_groups.words import Alphabet, first_aperiodic_word, parse_word, reduce
 from oracles import (
     brute_tour_length,
     folner_walk_reference,
+    free_hull_reference,
     held_karp_reference,
     hull_reference,
+    l_prime_free_reference,
     mst_witness_reference,
 )
 
@@ -276,6 +278,50 @@ def test_exact_matches_held_karp_reference_at_sixteen_points():
     _assert_matches_reference(RelatedSet(AB2, None, box(4, 4, -1, -2)), cap=16)
 
 
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_exact_matches_held_karp_reference_on_seeded_grids(n):
+    # the layers of 13 points and more run in several chunks
+    for seed in range(2):
+        pts = random.Random(seed * 100 + n).sample(box(5, 4, -2, -1), n)
+        _assert_matches_reference(RelatedSet(AB2, None, pts))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_held_karp_chunks_cover_each_layer_once(n):
+    chunks = tours._held_karp_layers(n)
+    layers = []
+    for tgt, src, row_j, prevs in chunks:
+        assert prevs.size <= tours._HK_CHUNK
+        assert len(tgt) == len(src) == len(row_j) == prevs.shape[1]
+        sizes = {bin(row).count("1") for row in tgt // n}
+        assert len(sizes) == 1  # a chunk lies in one layer
+        layers.append((sizes.pop(), tgt))
+    # layers run in ascending order, each read only by the next
+    assert [k for k, _ in layers] == sorted(k for k, _ in layers)
+    for k in range(1, n):
+        states = sorted(t for size, tgt in layers if size == k for t in tgt.tolist())
+        rows = [r for r in range(1 << (n - 1)) if bin(r).count("1") == k]
+        assert states == sorted(r * n + j for r in rows for j in range(1, n) if r >> (j - 1) & 1)
+    # up to 12 points every layer is one chunk; from 13 some layer splits
+    assert (len(chunks) > n - 1) == (n >= 13)
+
+
+def test_exact_refuses_costs_past_55_bits():
+    far = RelatedSet(AB2, None, ((0, 0), (2**56, 0), (0, 1)))
+    with pytest.raises(ResourceLimitError):
+        tsp_exact(far)
+    with pytest.raises(ResourceLimitError):
+        tsp_exact(RelatedSet(AB2, None, ((0, 0), (2**64, 0), (0, 1))))
+    assert tsp_heuristic(far).length == 2**57 + 2
+    # 3 points at distance up to 2**52 + 1 stay below the bound
+    near = RelatedSet(AB2, None, ((0, 0), (2**52, 0), (0, 1)))
+    assert tsp_exact(near).length == 2**53 + 2
+    # the bound is n times the largest distance reaching 2**55
+    assert tsp_exact(RelatedSet(AB2, None, ((0, 0), (2**54 - 1, 0)))).length == 2**55 - 2
+    with pytest.raises(ResourceLimitError):
+        tsp_exact(RelatedSet(AB2, None, ((0, 0), (2**54, 0))))
+
+
 def _mix_oracles():
     """The oracle list of the benchmark's oracle-mix workload."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -382,7 +428,7 @@ def test_l_prime_below_l():
 
 
 def test_l_prime_free_matches_walk_search():
-    from ts_groups.tours import _free_hull, _l_prime_dijkstra, _l_prime_free
+    from ts_groups.tours import _l_prime_dijkstra, _l_prime_free
     from ts_groups.words import Word
 
     rng = random.Random(31)
@@ -391,8 +437,30 @@ def test_l_prime_free_matches_walk_search():
         while len(pts) < rng.randint(2, 5):
             pts.add(random_element(FREE2, rng, 4))
         pts = tuple(sorted(pts, key=FREE2.sort_key))
-        region = {Word(h, 2) for h in _free_hull(pts)}
-        assert _l_prime_free(pts) == _l_prime_dijkstra(FREE2, pts, region)
+        region = {Word(h, 2) for h in free_hull_reference(pts)}
+        walk = _l_prime_dijkstra(FREE2, pts, region)
+        assert _l_prime_free(pts) == l_prime_free_reference(pts) == walk
+
+
+@st.composite
+def _free_point_sets(draw):
+    """Distinct reduced words of rank 1-3 and up to 60 letters, most of
+    them a prefix of one stem plus a short tail, so that points are
+    often prefixes of one another; sometimes the identity is one."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * a for a in range(1, rank + 1) for s in (1, -1)])
+    stem = draw(st.lists(letters, max_size=60))
+    point = st.builds(lambda cut, tail: reduce((stem[:cut] + tail)[:60], Alphabet(rank)),
+                      st.integers(0, len(stem)), st.lists(letters, max_size=6))
+    return tuple(set(draw(st.lists(point, min_size=1, max_size=15))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_free_point_sets())
+def test_l_prime_free_matches_hull_reference(pts):
+    from ts_groups.tours import _l_prime_free
+
+    assert _l_prime_free(pts) == l_prime_free_reference(pts)
 
 
 def test_l_prime_abelian_box_walk():
