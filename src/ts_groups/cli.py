@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -27,6 +28,7 @@ from .errors import (
     InternalInvariantError,
     MalformedInputError,
     PreconditionError,
+    ResourceLimitError,
     TsGroupsError,
 )
 from .groups import FreeOracle, make_oracle
@@ -59,6 +61,31 @@ from .tours import (
 from .forests import build_forest_p, build_forest_p10, verify_forest
 from .trees import PlaneTernaryTree
 from .words import format_word, parse_word
+
+
+# Input caps: past them a command exits 3 before any work.  Timed on a
+# 2-vCPU VM.
+SEQ_LETTERS_CAP = 10_000_000  # seq thue --n: 1.6 s and 116 MB at the cap
+TREE_VERTICES_CAP = 100_000  # tree label --vertices: 1.0 s (3letter), 1.9 s (adversarial)
+# property test --r: when the r-ball is too big, the sampled pool draws
+# 5,000 elements of up to r letters, so --r 1000 takes 2.7 s on free:2
+# and 39 s for P10 on f2xz:n=2; --r 3000 takes 11.6 s on free:2
+PROPERTY_RADIUS_CAP = 1_000
+# property test --k-max: each sample multiplies up to k-max pairs, so
+# P10 at --r 12 on free:2 takes 0.9 s at 100 and 15.8 s at 1,000
+PROPERTY_K_CAP = 100
+# experiment ts-lambda --max-size: the sampler builds sets of up to this
+# many points before the exact solver refuses those past 15; 10,000
+# takes 1.2 s and 139 MB, 10^11 runs out of memory
+SAMPLE_SIZE_CAP = 10_000
+# folner demo --box: points the traversal walks; 10^5 take 1.6 s, 10^6
+# take 17 s and 525 MB
+BOX_POINTS_CAP = 100_000
+
+
+def _check_cap(what: str, value: int, cap: int):
+    if value > cap:
+        raise ResourceLimitError(f"{what} {value} exceeds cap {cap}")
 
 
 def ball_limit_from_env() -> int:
@@ -196,6 +223,17 @@ def _stored(obj, key, valid, default=_REQUIRED):
     return value
 
 
+def _stored_input(cfg, key, valid, option):
+    """A command input that a stored config echo may hold: an option
+    fills it in or repeats it, and contradicting it is a usage error."""
+    value = _stored(cfg, key, valid, None)
+    if value is None:
+        return option
+    if option is not None and option != value:
+        raise ConfigurationError(f"{key} {option!r} contradicts the stored {value!r}")
+    return value
+
+
 def _parse_lambda(text) -> Fraction:
     try:
         return Fraction(text)
@@ -284,6 +322,7 @@ def seq():
 @cli_errors
 def seq_thue(n):
     """Print the first N letters of the square-free ternary sequence."""
+    _check_cap("--n", n, SEQ_LETTERS_CAP)
     click.echo(squarefree_ternary(n))
 
 
@@ -308,6 +347,7 @@ def tree_label(mode, seed, vertices, tree_file, out):
     if tree_file:
         t = PlaneTernaryTree.parse(_read_text(tree_file))
     else:
+        _check_cap("--vertices", vertices, TREE_VERTICES_CAP)
         t = PlaneTernaryTree.random(vertices, seed)
     if mode == "3letter":
         labeled = label_tree_three_letters(t)
@@ -375,6 +415,7 @@ def experiment():
 def experiment_ts_lambda(descriptor, xi_text, lam, samples, seed, style, max_size,
                          lprime, jobs, out, fmt):
     """Sample related sets and test L(S) >= lambda |S|."""
+    _check_cap("--max-size", max_size, SAMPLE_SIZE_CAP)
     oracle = make_oracle(descriptor)
     xi = oracle.parse_element(xi_text)
     _parse_lambda(lam)
@@ -463,19 +504,21 @@ def forest_verify(forest_json, mode, r, descriptor, set_file, xi_text, tour_kind
     Given a forest.json produced by `forest build`, its config echo
     supplies the inputs; the forest is rebuilt deterministically,
     compared against the stored trees, and re-verified.  The inputs can
-    also be given explicitly through the options.
+    also be given explicitly through the options; with a forest.json an
+    option may fill in or repeat a stored input but not contradict it,
+    so a mismatch with the stored trees means the report was altered.
     """
     stored = None
     if forest_json is not None:
         stored = _load_report(forest_json)
         cfg = stored["config"]
-        mode = mode or _stored(cfg, "mode", _MODES.__contains__)
-        r = r if r is not None else _stored(cfg, "r", _is_integer)
-        descriptor = descriptor or _stored(cfg, "group", _is_text)
-        set_file = set_file or _stored(cfg, "set", _is_text)
-        xi_text = xi_text or _stored(cfg, "xi", _is_text)
-        tour_kind = tour_kind or _stored(cfg, "tour", _TOURS.__contains__, "exact")
-        seed = seed if seed is not None else _stored(cfg, "seed", _is_integer, 0)
+        mode = _stored_input(cfg, "mode", _MODES.__contains__, mode)
+        r = _stored_input(cfg, "r", _is_integer, r)
+        descriptor = _stored_input(cfg, "group", _is_text, descriptor)
+        set_file = _stored_input(cfg, "set", _is_text, set_file)
+        xi_text = _stored_input(cfg, "xi", _is_text, xi_text)
+        tour_kind = _stored_input(cfg, "tour", _TOURS.__contains__, tour_kind)
+        seed = _stored_input(cfg, "seed", _is_integer, seed)
     descriptor = descriptor or "free:2"
     if None in (mode, r, set_file, xi_text):
         raise ConfigurationError(
@@ -530,6 +573,8 @@ def property_group():
 def property_test(family, n_ap, r, descriptor, xi_text, xi_from_lemma4, k_max,
                   samples, budget, seed, out):
     """Search for counterexamples to an alternating-product property."""
+    _check_cap("--r", r, PROPERTY_RADIUS_CAP)
+    _check_cap("--k-max", k_max, PROPERTY_K_CAP)
     oracle = make_oracle(descriptor)
     if xi_from_lemma4:
         if not (isinstance(oracle, FreeOracle) and oracle.rank == 2):
@@ -681,6 +726,8 @@ def folner_demo(box_text, xi_text, descriptor, out):
             box.append((int(lo), int(hi)))
         except ValueError:
             raise MalformedInputError(f"bad --box range {part!r}; expected lo:hi") from None
+    _check_cap("--box points", math.prod(max(0, hi - lo + 1) for lo, hi in box),
+               BOX_POINTS_CAP)
     xi_el = oracle.parse_element(xi_text)
     rep = folner_traversal_demo(oracle, box, xi_el)
     return {

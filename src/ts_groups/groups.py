@@ -21,6 +21,16 @@ from .words import Alphabet, Word, _common_prefix, format_word, inverse_letters,
 __all__ = ["GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
 
+# Largest free rank an oracle accepts.  Generators and random words list
+# all 2 * rank letters, so `property test --r 2 --xi a --k-max 1
+# --samples 1` takes 2.0 / 5.0 / 12.8 s at ranks 1,000 / 3,000 /
+# 10,000 (2-vCPU VM), and rank 10^11 runs out of memory.
+FREE_RANK_CAP = 1_000
+# Largest n an f2xz oracle accepts.  The generator a^n z is an n-letter
+# word, so `property test --r 12 --xi "a|1" --samples 200` takes 3.3 /
+# 6.7 / 14 s at n = 100 / 300 / 1,000 and runs out of 2 GB at 10,000.
+F2XZ_N_CAP = 1_000
+
 
 class GroupOracle:
     """Base class; subclasses provide the normal-form arithmetic."""
@@ -106,6 +116,8 @@ class FreeOracle(GroupOracle):
     def __init__(self, rank: int):
         if rank < 1:
             raise ConfigurationError(f"free rank must be >= 1, got {rank}")
+        if rank > FREE_RANK_CAP:
+            raise ResourceLimitError(f"free rank {rank} exceeds cap {FREE_RANK_CAP}")
         self.rank = rank
         self.alphabet = Alphabet(rank)
         self.descriptor = f"free:{rank}"
@@ -322,6 +334,8 @@ class F2xZOracle(GroupOracle):
     def __init__(self, n: int):
         if n < 1:
             raise ConfigurationError(f"f2xz needs n >= 1, got {n}")
+        if n > F2XZ_N_CAP:
+            raise ResourceLimitError(f"f2xz n {n} exceeds cap {F2XZ_N_CAP}")
         self.n = n
         self.rank = 2
         self.descriptor = f"f2xz:n={n}"

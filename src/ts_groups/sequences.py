@@ -122,8 +122,8 @@ def label_tree_three_letters(tree: PlaneTernaryTree) -> LabeledTree:
 # ---------------------------------------------------------------------------
 # The inadmissible-element engine.
 #
-# The designation is reactive: the engine tracks, for every period p,
-# the longest p-periodic suffix of the labels seen so far.  A pattern
+# The designation is reactive: for every period p, designate reads
+# the longest p-periodic suffix off the history of labels.  A pattern
 # that has reached 4 full copies is a live threat; banning its unique
 # continuation letter while it stays live kills the fifth copy at its
 # first letter.  Threats are ranked by how few letters remain until a
@@ -157,6 +157,10 @@ class InadmissibleEngine:
     engine its parent observed into, and every root-to-vertex label
     path is one honest run of the engine: the ray guarantee becomes the
     tree guarantee.
+
+    The engine holds only its ground set and history.  A designation
+    reads each period's run up to n // 4 off the n labels, in O(n/4 +
+    the runs it walks), so labeling a ray is quadratic in its depth.
     """
 
     def __init__(self, ground):
@@ -165,26 +169,24 @@ class InadmissibleEngine:
             raise MalformedInputError("ground set needs at least 2 elements")
         self.ground = tuple(tokens)
         self.history = ()
-        # runs[p-1]: consecutive positions i ending the history with
-        # history[i] == history[i-p]; the p-periodic suffix has length
-        # runs[p-1] + p
-        self.runs = ()
 
     def designate(self, candidates) -> object:
         """The inadmissible element for the current step, drawn from the
         candidate set."""
-        h, runs = self.history, self.runs
-        n = len(h)
-        # a live threat (4 copies of period p) as (letters left to a
-        # fifth power, p, continuation letter); p differs between
-        # threats, so letters are never compared
-        threat = min(
-            ((4 * p - runs[p - 1], p, h[n - p]) for p in range(1, n // 4 + 1)
-             if runs[p - 1] >= 3 * p and h[n - p] in candidates),
-            default=None,
-        )
-        if threat is not None:
-            return threat[2]
+        h, n = self.history, len(self.history)
+        # live threats as (letters left to a fifth power, p, continuation
+        # letter), where the p-periodic suffix has length p + run; p
+        # differs between threats, so letters are never compared
+        threats = []
+        for p in range(1, n // 4 + 1):
+            i = n - 1
+            while i >= p and h[i] == h[i - p]:
+                i -= 1
+            run = n - 1 - i
+            if run >= 3 * p and h[n - p] in candidates:
+                threats.append((4 * p - run, p, h[n - p]))
+        if threats:
+            return min(threats)[2]
         pad = _pair_stream_letter(n, self.ground[0], self.ground[1])
         if pad in candidates:
             return pad
@@ -194,9 +196,6 @@ class InadmissibleEngine:
         """The engine after the label x; this one is unchanged."""
         nxt = object.__new__(type(self))
         nxt.ground = self.ground
-        nxt.runs = tuple(
-            [r + 1 if y == x else 0 for r, y in zip(self.runs + (0,), reversed(self.history))]
-        )
         nxt.history = self.history + (x,)
         return nxt
 
@@ -235,7 +234,7 @@ def label_ray_adversarial(length: int, candidates, adversary: Callable):
     sets = _normalize_candidates(candidates, length, 2)
     ground = set().union(*sets)
     engine = InadmissibleEngine(ground)
-    xs, zs = [], []
+    zs = []
     for i in range(length):
         z = engine.designate(sets[i])
         x = adversary(i, sets[i], z)
@@ -244,9 +243,8 @@ def label_ray_adversarial(length: int, candidates, adversary: Callable):
                 f"adversary chose {x!r} at step {i}, not an admissible element"
             )
         engine = engine.observe(x)
-        xs.append(x)
         zs.append(z)
-    return xs, zs
+    return list(engine.history), zs
 
 
 def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callable) -> LabeledTree:

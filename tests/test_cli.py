@@ -253,6 +253,57 @@ def test_exact_tour_cost_overflow_exits_3(runner, tmp_path, far):
     assert f"L: {2 * far + 2}" in heuristic.output
 
 
+_TIMED_MAIN = """
+import sys, time
+from ts_groups.cli import main
+start = time.perf_counter()
+try:
+    main(sys.argv[1:])
+finally:
+    print(f"cli seconds {time.perf_counter() - start:.3f}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["seq", "thue", "--n", "99999999999999"],
+    ["experiment", "ts-lambda", "--group", "free:99999999999", "--xi", "a", "--lambda", "1",
+     "--samples", "1"],
+    ["property", "test", "--family", "P", "--r", "2", "--group", "free:99999999999",
+     "--xi", "a", "--k-max", "1", "--samples", "1"],
+    ["tree", "label", "--mode", "3letter", "--vertices", "99999999999"],
+    ["property", "test", "--family", "P", "--r", "1000000000", "--xi", "a b", "--k-max", "1",
+     "--samples", "1"],
+    ["property", "test", "--family", "P", "--r", "2", "--xi", "a b", "--k-max", "1000000000",
+     "--samples", "1"],
+    ["experiment", "ts-lambda", "--xi", "a b", "--lambda", "1", "--samples", "1",
+     "--max-size", "99999999999"],
+    ["folner", "demo", "--box", "0:99999,0:99999", "--xi", "3,0"],
+    ["experiment", "ts-lambda", "--group", "f2xz:n=99999999999", "--xi", "a|1", "--lambda", "1",
+     "--samples", "1", "--lprime"],
+], ids=["seq-n", "experiment-free-rank", "property-free-rank", "tree-vertices", "property-r",
+        "property-k-max", "experiment-max-size", "folner-box", "experiment-f2xz-n"])
+def test_inputs_past_their_caps_exit_3_at_once(args):
+    # each ran out of memory or hung before its cap; a separate process
+    # with 2 GiB of address space, so a lost cap fails without harm (one
+    # BLAS thread, whose buffers then fit on any core count)
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(ts_groups.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *args], capture_output=True, text=True,
+        timeout=60, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 3
+    assert "exceeds cap" in result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    assert float(re.search(r"cli seconds ([0-9.]+)", result.stderr).group(1)) < 1.0
+
+
 def test_forest_xi_as_file(runner, tmp_path):
     oracle = make_oracle("free:2")
     xi = first_aperiodic_word(2, 49)
@@ -445,6 +496,27 @@ def test_tampered_forest_report_exit_code(runner, tmp_path):
     out.write_text(json.dumps(data))
     result = runner.invoke(main, ["forest", "verify", str(out)])
     assert result.exit_code == 5
+
+
+@pytest.mark.parametrize("options, code", [
+    ([], 0), (["--mode", "P", "--r", "12", "--tour", "exact", "--seed", "0"], 0),
+    (["--r", "2"], 2), (["--mode", "P10"], 2), (["--tour", "heuristic"], 2),
+    (["--group", "free:3"], 2),
+])
+def test_forest_verify_options_may_not_contradict_the_report(runner, tmp_path, options, code):
+    # a rebuild from other inputs than the stored ones would not match
+    # the stored trees, which is the tampered-report exit 5
+    oracle = make_oracle("free:2")
+    xi = first_aperiodic_word(2, 49)
+    g = oracle.parse_element("b a")
+    set_file = tmp_path / "set.words"
+    set_file.write_text(f"{format_word(g)}\n{format_word(oracle.multiply(g, xi))}\n")
+    out = tmp_path / "forest.json"
+    assert invoke(runner, ["forest", "build", "--mode", "P", "--r", "12", "--set",
+                           str(set_file), "--xi", format_word(xi), "--out", str(out)]).exit_code == 0
+    result = runner.invoke(main, ["forest", "verify", str(out), *options])
+    assert result.exit_code == code
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -142,6 +142,53 @@ def test_ray_steering_adversary():
         assert is_k_aperiodic(xs, 4)[0]
 
 
+@pytest.mark.parametrize("max_period, steps, seed, digest", [
+    (50, 1500, 3, "8086091184a235b596514e3a91807537a5d036aaffba60ad71f68948d44d3a17"),
+    (400, 3000, 4, "4ad0900ced645b9e07f3b8c1b61a95202cadcb3956d797404538dcdf67825a2e"),
+])
+def test_long_period_threats_match_reference(max_period, steps, seed, digest):
+    # The adversary repeats a pattern until a threat blocks it twice: a
+    # Thue-Morse factor of up to max_period letters over {c, d}, so it
+    # holds no short power of its own, then v^4 for a short v, so the
+    # end of a fourth copy makes two threats of different periods live.
+    # The pad letters are a and b; a few vertices lack c or d.
+    rng = random.Random(seed)
+    cands = [frozenset(rng.choices(["abcd", "acd", "bcd", "abc", "abd"],
+                                   [0.945, 0.025, 0.025, 0.0025, 0.0025])[0])
+             for _ in range(steps)]
+    reference = InadmissibleEngineReference("abcd")
+    state = {"t": None, "i": 0, "blocks": 0}
+    live_periods, co_live = set(), 0
+
+    def pick(i, fv, z):
+        nonlocal co_live
+        periods = {p for _, p, _ in reference._threats()}
+        live_periods.update(periods)
+        co_live += len(periods) >= 2
+        assert z == reference.designate(fv)
+        t = state["t"]
+        if t is None or state["blocks"] >= 2:
+            start = rng.randrange(1 << 16)
+            t = ["cd"[bin(start + j).count("1") % 2]
+                 for j in range(int(max_period ** rng.random()))]
+            v = [rng.choice("cd") for _ in range(rng.randint(1, 3))]
+            t = ["dc"[v[0] == "d"]] + t + v * 4
+            state.update(t=t, i=0, blocks=0)
+        want = t[state["i"] % len(t)]
+        state["i"] += 1
+        if want == z or want not in fv:
+            state["blocks"] += want == z
+            want = rng.choice(sorted(fv - {z}))
+        reference.observe(want)
+        return want
+
+    xs, zs = label_ray_adversarial(steps, cands, pick)
+    assert is_k_aperiodic(xs, 4)[0]
+    assert co_live > 0 and max(live_periods) > max_period // 4
+    text = "".join(xs) + "|" + "".join(zs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_ray_per_vertex_candidates():
     rng = random.Random(1)
     cands = []
@@ -227,13 +274,13 @@ def test_engine_value_matches_mutable_reference(kind, size, steps, seed):
         z = engine.designate(fv)
         assert z == reference.designate(fv)
         x = _steering_adversary(rng, engine.history, fv, z)
-        history, runs = engine.history, engine.runs
+        history = engine.history
         nxt = engine.observe(x)
         # observing leaves the receiver as it was
-        assert (engine.history, engine.runs) == (history, runs)
+        assert engine.history == history
         assert engine.designate(fv) == z
         reference.observe(x)
-        assert (nxt.history, nxt.runs) == (tuple(reference.history), tuple(reference.runs))
+        assert nxt.history == tuple(reference.history)
         engine = nxt
     assert is_k_aperiodic(engine.history, 4)[0]
 
@@ -407,3 +454,8 @@ def test_engine_integer_tokens():
         engine = engine.observe(x)
         seen.append(x)
     assert is_k_aperiodic(seen, 4)[0]
+
+
+def test_engine_is_its_ground_and_history():
+    engine = InadmissibleEngine("cab").observe("a").observe("b")
+    assert vars(engine) == {"ground": ("a", "b", "c"), "history": ("a", "b")}
