@@ -543,7 +543,8 @@ def verify_forest(forest: TreeForest, rset: RelatedSet, r: int) -> VerificationR
             f"|V'| = {len(forest.v_near)} vs |S|/24 = {Fraction(n,24)}",
         )
 
-    if rset.size <= EXACT_SOLVER_CAP:
+    # free groups have a closed-form exact tour of any size
+    if rset.size <= EXACT_SOLVER_CAP or isinstance(oracle, FreeOracle):
         exact = tsp_exact(rset).length
         record(
             "bound_sound",

@@ -634,7 +634,7 @@ def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],
                                 bound: int = 500, max_x_len: int = 192,
-                                check_xi: bool = True):
+                                check_xi: bool = True, xi_floor: Optional[int] = None):
     """Reduce xi^(e1) x1 ... xi^(ek) xk and check the result has no
     power of the given order.
 
@@ -643,8 +643,8 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     fourth power inside a single surviving xi block (cross-checked);
     anything longer is classified as a block-structure violation and
     localized against the surviving blocks.  With check_xi, xi must
-    meet the full-scale marker-word contract first: 3-aperiodic and
-    longer than XiParams().total_low letters.
+    meet the marker-word contract first: 3-aperiodic and longer than
+    xi_floor letters, by default the full-scale XiParams().total_low.
     """
     if len(xs) != len(eps) or not xs:
         raise MalformedInputError("xs and eps must be nonempty and equal length")
@@ -665,7 +665,7 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             f"x-sequence is not 10-aperiodic: period {wit.period} at {wit.start}"
         )
     if check_xi:
-        low = XiParams().total_low
+        low = XiParams().total_low if xi_floor is None else xi_floor
         if not is_k_aperiodic(xi, 3)[0]:
             raise PreconditionError("xi is not 3-aperiodic")
         if len(xi) <= low:

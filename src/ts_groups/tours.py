@@ -278,6 +278,17 @@ def _held_karp_layers(n: int):
 
 
 def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
+    """Optimal closed tour.  On a free group the Cayley graph is a tree
+    and the points in sorted order of their letter tuples are an optimal
+    tour, of any size (see ``_free_hull``); every other oracle runs
+    Held-Karp on at most ``cap`` points."""
+    if isinstance(rset.oracle, FreeOracle):
+        order, _lcp, _meet, edges = _free_hull(rset.elements)
+        return Tour(tuple(order), 2 * edges, "exact")
+    return _held_karp(rset, cap)
+
+
+def _held_karp(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     """Optimal closed tour by dynamic programming over subsets (Held-Karp),
     one popcount layer at a time; each state scores only the points of
     its source mask.  Ties go to the smallest previous point.  Costs are
@@ -427,28 +438,44 @@ class LPrimeResult:
     method: str
 
 
+def _free_hull(pts):
+    """(order, lcp, meet, edges) of free-group words: the words in sorted
+    order of their letter tuples, the length lcp[i] of the prefix word i
+    shares with word i - 1 (0 for the first), the length `meet` of the
+    prefix all of them share, and the edge count |H| - 1 of their hull.
+
+    The hull H, the least subtree of the Cayley tree spanning the words,
+    holds every prefix of a word at least `meet` long.  Sorted words
+    sharing a prefix are consecutive, so word i adds to H its prefixes
+    longer than max(meet, lcp[i]), and |H| - 1 = sum(|w_i| - max(meet,
+    lcp[i])).  The sorted order walks H depth first: each hull edge
+    splits the words into two nonempty sides, so every closed tour
+    crosses it at least twice, and this one crosses it exactly twice,
+    for a length of 2(|H| - 1)."""
+    order = sorted(pts, key=lambda p: p.letters)
+    lcp = [0] + [_common_prefix(a.letters, b.letters) for a, b in zip(order, order[1:])]
+    meet = min(lcp[1:], default=len(order[0]))
+    edges = sum(len(p) - max(meet, c) for p, c in zip(order, lcp))
+    return order, lcp, meet, edges
+
+
 def _l_prime_free(pts) -> int:
     """L' in the Cayley tree of a free group, counted from the sorted
-    words.  The hull (the least subtree spanning the points) holds every
-    prefix of a point at least `meet` long, `meet` being the length of
-    the prefix all the points share.  The best walk doubles each hull
-    edge and earns one credit per point at either end of an edge: each
-    point longer than `meet` earns one for its parent edge, and each
-    point one per child it has in the hull."""
-    words = sorted(p.letters for p in pts)
-    # lcp[i]: prefix word i shares with word i - 1; sorted words sharing
-    # a prefix are consecutive, so word i adds its prefixes past lcp[i]
-    lcp = [0] + [_common_prefix(a, b) for a, b in zip(words, words[1:])]
-    meet = min(lcp[1:], default=len(words[0]))
-    edges = sum(len(w) - max(meet, c) for w, c in zip(words, lcp))
-    credits = sum(len(w) > meet for w in words)
-    for i, w in enumerate(words):
-        # the words extending w follow it; each distinct next letter
-        # starts where the shared prefix drops back to w itself
-        for c in lcp[i + 1:]:
-            if c < len(w):
-                break
-            credits += c == len(w)
+    words (see ``_free_hull``).  The best walk doubles each hull edge
+    and earns one credit per point at either end of an edge: each point
+    longer than `meet` earns one for its parent edge, and each point one
+    per child it has in the hull."""
+    order, lcp, meet, edges = _free_hull(pts)
+    credits = sum(len(p) > meet for p in order)
+    # lengths of the points that prefix the current word; a word whose
+    # lcp is a prefixing point's length starts a new child of that point
+    stack = []
+    for p, c in zip(order, lcp):
+        while stack and stack[-1] > c:
+            stack.pop()
+        if stack and stack[-1] == c:
+            credits += 1
+        stack.append(len(p))
     return 2 * edges - credits - 1
 
 
@@ -494,21 +521,22 @@ def _l_prime_dijkstra(oracle: GroupOracle, pts, region):
 def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult:
     """Exact credited walk cost where the geometry allows it.
 
-    Free groups: closed form on the spanning subtree (exact).  Abelian
-    groups: Dijkstra over the bounding box (exact; leaving the box
-    never helps an L1 walk).  Other oracles: Dijkstra over a ball hull
-    of configurable radius, certified only within that budget; the hull
-    search raises ResourceLimitError at its first element past
-    ``_LPRIME_HULL_CAP``.
+    Free groups: closed form on the spanning subtree (exact, any
+    size).  Abelian groups: Dijkstra over the bounding box (exact;
+    leaving the box never helps an L1 walk).  Other oracles: Dijkstra
+    over a ball hull of configurable radius, certified only within that
+    budget; the hull search raises ResourceLimitError at its first
+    element past ``_LPRIME_HULL_CAP``.  Every group but the free ones
+    takes at most EXACT_SOLVER_CAP points.
     """
-    if rset.size > EXACT_SOLVER_CAP:
-        raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
     pts = rset.elements
     if rset.size == 1:
         return LPrimeResult(-1, True, "degenerate")
     o = rset.oracle
     if isinstance(o, FreeOracle):
         return LPrimeResult(_l_prime_free(pts), True, "tree-formula")
+    if rset.size > EXACT_SOLVER_CAP:
+        raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
     if isinstance(o, AbelianOracle):
         los = [min(p[i] for p in pts) for i in range(o.dim)]
         his = [max(p[i] for p in pts) for i in range(o.dim)]

@@ -89,6 +89,23 @@ def test_experiment_reports_and_replay(runner, tmp_path):
     assert result.exit_code == 0 and "ok" in result.output
 
 
+@pytest.mark.parametrize("lam", ["1", "6"])
+def test_free_experiment_passes_the_held_karp_cap(runner, tmp_path, lam):
+    # free sets past 15 points get the closed-form exact tour and L'
+    out = tmp_path / "rep.json"
+    args = ["experiment", "ts-lambda", "--group", "free:2", "--xi", "a b a",
+            "--lambda", lam, "--samples", "5", "--max-size", "40", "--seed", "1",
+            "--lprime", "--out", str(out)]
+    assert invoke(runner, args).exit_code == 0
+    data = json.loads(out.read_text())
+    assert max(row["size"] for row in data["per_sample"]) > 15
+    assert all(row["Lprime"] < row["L"] for row in data["per_sample"])
+    # at lambda 6 the 34- and 38-point sets are among the violations replay re-solves
+    assert [v["size"] for v in data["violations"]] == ([] if lam == "1" else [34, 4, 38, 14])
+    result = invoke(runner, ["replay", str(out)])
+    assert result.exit_code == 0 and "ok" in result.output
+
+
 def test_experiment_byte_identical_modulo_timestamp(runner, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -161,6 +178,19 @@ def test_lemma5_precondition_exit_code(runner, tmp_path):
          "--eps", "+" * 11, "--desk-scale"],
     )
     assert result.exit_code == 4
+
+
+def test_lemma5_desk_scale_checks_xi_aperiodicity(runner, tmp_path):
+    # desk scale skips only the length floor, not the 3-aperiodicity check
+    xi_file = tmp_path / "xi.word"
+    xi_file.write_text(" ".join(["a"] * 10) + "\n")
+    xs_file = tmp_path / "xs.words"
+    xs_file.write_text("b\n")
+    for scale in ([], ["--desk-scale"]):
+        result = runner.invoke(main, ["lemma5", "verify", "--xi", str(xi_file),
+                                      "--xs", str(xs_file), "--eps", "+", *scale])
+        assert result.exit_code == 4
+        assert "xi is not 3-aperiodic" in result.output
 
 
 def test_property_cli_and_replay(runner, tmp_path):

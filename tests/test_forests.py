@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ts_groups import tours
 from ts_groups.errors import MalformedInputError, PreconditionError
 from ts_groups.forests import (
     ClusterTree,
@@ -243,6 +244,18 @@ def test_bound_soundness_cluster():
             assert forest.certified_bound <= exact
 
 
+def test_bound_soundness_past_the_held_karp_cap():
+    # free sets have a closed-form exact tour, so the check runs at any size
+    config = SamplerConfig(seed=0, max_size=40, style="chains")
+    rset = sample_related_set(FREE2, first_aperiodic_word(2, 9), config, 0)
+    assert rset.size == 26
+    tour = tsp_exact(rset)
+    for build in (build_forest_p, build_forest_p10):
+        rep = verify_forest(build(rset, 8, tour), rset, 8)
+        assert rep.ok, rep.to_dict()
+        assert rep.checks["bound_sound"]["detail"].endswith(f"vs exact {tour.length}")
+
+
 def test_verify_detects_duplicated_element():
     rset, xi, tour = cluster_instance(1, 24, deep=False)
     forest = build_forest_p(rset, 24, tour)
@@ -335,7 +348,8 @@ def _forest_sets():
             yield f"cluster-{seed}-r{r}", rset, r, tour
     for seed in range(2):
         rset, _xi = pair_instance(seed, 12)
-        yield f"pairs-{seed}", rset, 12, tsp_exact(rset)
+        # Held-Karp's order: the closed-form free tour is another optimal one
+        yield f"pairs-{seed}", rset, 12, tours._held_karp(rset)
     for style, xi_len, r, seed in (("pairs", 9, 16, 0), ("pairs", 9, 16, 1),
                                    ("chains", 5, 16, 1), ("chains", 5, 16, 2),
                                    ("pairs", 9, 4, 2), ("chains", 9, 8, 0)):

@@ -200,8 +200,10 @@ def test_exact_cap():
 
 def test_exact_matches_brute_force():
     rng = random.Random(5)
-    for trial in range(60):
-        oracle = FREE2 if trial % 2 else AB2
+    # free groups of every rank take the closed form, abelian:2 Held-Karp
+    oracles = (AB2, FREE2, make_oracle("free:1"), make_oracle("free:3"))
+    for trial in range(120):
+        oracle = oracles[trial % 4]
         pts = set()
         while len(pts) < rng.randint(2, 7):
             pts.add(random_element(oracle, rng, 4))
@@ -225,8 +227,9 @@ def _oracle_matrix(oracle, pts):
 
 
 def _assert_matches_reference(rset, cap=15):
+    # Held-Karp's own entry point: tsp_exact takes free sets to the closed form
     length, order = held_karp_reference(_oracle_matrix(rset.oracle, rset.elements))
-    tour = tsp_exact(rset, cap)
+    tour = tours._held_karp(rset, cap)
     assert tour.length == length
     assert tour.order == tuple(rset.elements[i] for i in order)
 
@@ -304,6 +307,27 @@ def test_held_karp_chunks_cover_each_layer_once(n):
         assert states == sorted(r * n + j for r in rows for j in range(1, n) if r >> (j - 1) & 1)
     # up to 12 points every layer is one chunk; from 13 some layer splits
     assert (len(chunks) > n - 1) == (n >= 13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=st.lists(_FREE_WORDS, min_size=1, max_size=10, unique=True))
+def test_free_exact_is_the_closed_form(pts):
+    rset = RelatedSet(FREE2, None, tuple(pts))
+    tour = tsp_exact(rset)
+    assert tour.length == held_karp_reference(_oracle_matrix(FREE2, rset.elements))[0]
+    assert sorted(tour.order, key=FREE2.sort_key) == list(rset.elements)
+    assert tours.tour_of_order(rset, tour.order, "exact").length == tour.length
+
+
+def test_free_exact_has_no_size_cap():
+    rng = random.Random(3)
+    pts = set()
+    while len(pts) < 2_000:
+        pts.add(random_element(FREE2, rng, 12))
+    rset = RelatedSet(FREE2, None, tuple(pts))
+    tour = tsp_exact(rset)
+    assert tour.length == 2 * (len(free_hull_reference(rset.elements)) - 1)
+    assert tours.tour_of_order(rset, tour.order, "exact").length == tour.length
 
 
 def test_exact_refuses_costs_past_55_bits():
