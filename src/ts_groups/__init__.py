@@ -4,7 +4,6 @@ bounds on Cayley metrics of finitely generated groups."""
 __version__ = "0.1.0"
 
 from .words import (  # noqa: F401
-    Alphabet,
     Occurrence,
     PowerWitness,
     Word,

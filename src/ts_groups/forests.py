@@ -284,9 +284,10 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
     # xi^-1, which differ in every supported (torsion-free) group.
     ground = set()
     for x in rset.elements:
+        x_inv = oracle.inverse(x)
         for y in rset.elements:
             if x != y:
-                ground.add(oracle.multiply(oracle.inverse(x), y))
+                ground.add(oracle.multiply(x_inv, y))
     root_engine = InadmissibleEngine(ground)
     used = set()
     trees: List[ClusterTree] = []

@@ -16,7 +16,7 @@ import re
 from typing import List
 
 from .errors import ConfigurationError, MalformedInputError, ResourceLimitError
-from .words import Alphabet, Word, _common_prefix, format_word, inverse_letters, parse_word
+from .words import Word, _common_prefix, _signed_letters, format_word, inverse_letters, parse_word
 
 __all__ = ["GroupOracle", "FreeOracle", "AbelianOracle",
            "ProductOracle", "F2xZOracle", "make_oracle"]
@@ -119,7 +119,6 @@ class FreeOracle(GroupOracle):
         if rank > FREE_RANK_CAP:
             raise ResourceLimitError(f"free rank {rank} exceeds cap {FREE_RANK_CAP}")
         self.rank = rank
-        self.alphabet = Alphabet(rank)
         self.descriptor = f"free:{rank}"
 
     def identity(self):
@@ -141,7 +140,7 @@ class FreeOracle(GroupOracle):
         return len(g) + len(h) - 2 * _common_prefix(g.letters, h.letters)
 
     def generators(self):
-        return [Word((a,), self.rank) for a in self.alphabet.letters()]
+        return [Word((a,), self.rank) for a in _signed_letters(self.rank)]
 
     def geodesic_steps(self, g: Word):
         return [Word((a,), self.rank) for a in g.letters]
@@ -164,13 +163,6 @@ class FreeOracle(GroupOracle):
 
     def format_element(self, g: Word) -> str:
         return format_word(g)
-
-    def sphere_count(self, r: int) -> int:
-        """Closed-form sphere size, used to cross-check enumeration."""
-        if r == 0:
-            return 1
-        k = self.rank
-        return 2 * k * (2 * k - 1) ** (r - 1)
 
 
 class AbelianOracle(GroupOracle):
@@ -357,11 +349,11 @@ class F2xZOracle(GroupOracle):
             (a, 0), (~a, 0), (b, 0), (~b, 0), (an, 1), (~an, -1),
         ]
 
-    def _syllables(self, w: Word):
+    def _syllables(self, letters):
         """a-exponents k_0..k_L and the b-letter signs between them."""
         ks = [0]
         signs = []
-        for letter in w.letters:
+        for letter in letters:
             if abs(letter) == 1:
                 ks[-1] += letter
             else:
@@ -374,7 +366,7 @@ class F2xZOracle(GroupOracle):
         past the common prefix of the two free parts."""
         s, e = g[0].letters, h[0].letters
         c = _common_prefix(s, e)
-        return self._syllables(Word._trusted(inverse_letters(s[c:]) + e[c:], 2))
+        return self._syllables(inverse_letters(s[c:]) + e[c:])
 
     def _solve(self, ks, t):
         """(length of the element with a-exponents ks and z exponent t,
@@ -413,7 +405,7 @@ class F2xZOracle(GroupOracle):
         return total, picks
 
     def length(self, g):
-        return self._solve(self._syllables(g[0])[0], g[1])[0]
+        return self._solve(self._syllables(g[0].letters)[0], g[1])[0]
 
     def distance(self, g, h):
         return self._solve(self._quotient_syllables(g, h)[0], h[1] - g[1])[0]
@@ -434,7 +426,7 @@ class F2xZOracle(GroupOracle):
         return moves
 
     def geodesic_steps(self, g):
-        ks, signs = self._syllables(g[0])
+        ks, signs = self._syllables(g[0].letters)
         _, picks = self._solve(ks, g[1])
         return [(Word._trusted(letters, 2), dz) for letters, dz in self._moves(ks, signs, picks)]
 

@@ -250,42 +250,36 @@ def label_ray_adversarial(length: int, candidates, adversary: Callable):
 def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callable) -> LabeledTree:
     """Label all lower edges of a plane ternary tree online.
 
-    candidates: one collection or a per-vertex dict, each of size >= 4.
+    candidates: one collection F_v, shared by every vertex, of size >= 4.
     adversary(v, F_v, z_v, k) returns k distinct admissible labels for
     the k lower edges of v, mapped to children left to right.
     """
-    if isinstance(candidates, dict):
-        sets = {v: frozenset(candidates[v]) for v in tree.vertices()}
-    else:
-        fv = frozenset(candidates)
-        sets = {v: fv for v in tree.vertices()}
-    for v, fv in sets.items():
-        if len(fv) < 4:
-            raise MalformedInputError(f"candidate set at vertex {v} smaller than 4")
+    fv = frozenset(candidates)
+    if len(fv) < 4:
+        raise MalformedInputError("candidate set smaller than 4")
+    for v in tree.vertices():
         if len(tree.children[v]) >= len(fv):
             raise MalformedInputError(
                 f"vertex {v} has {len(tree.children[v])} children but only "
                 f"{len(fv) - 1} admissible labels"
             )
-    ground = set().union(*sets.values())
-    states = {tree.ORIGIN: InadmissibleEngine(ground)}
+    states = {tree.ORIGIN: InadmissibleEngine(fv)}
     labels: Dict[int, object] = {}
     inadmissibles: Dict[int, object] = {}
     for v in tree.planar_order():
         engine = states.pop(v)
         kids = tree.children[v]
-        z = engine.designate(sets[v])
+        z = engine.designate(fv)
         inadmissibles[v] = z
         if not kids:
             continue
-        picks = adversary(v, sets[v], z, len(kids))
-        picks = tuple(picks)
+        picks = tuple(adversary(v, fv, z, len(kids)))
         if len(picks) != len(kids) or len(set(picks)) != len(picks):
             raise MalformedInputError(
                 f"adversary must return {len(kids)} distinct labels at vertex {v}"
             )
         for x in picks:
-            if x not in sets[v] or x == z:
+            if x not in fv or x == z:
                 raise MalformedInputError(
                     f"adversary chose inadmissible label {x!r} at vertex {v}"
                 )

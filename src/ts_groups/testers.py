@@ -104,9 +104,8 @@ class Verdict:
         }
 
 
-def _product(oracle, xi, xs, eps):
+def _product(oracle, xi, xi_inv, xs, eps):
     g = oracle.identity()
-    xi_inv = oracle.inverse(xi)
     for x, e in zip(xs, eps):
         g = oracle.multiply(g, xi if e > 0 else xi_inv)
         g = oracle.multiply(g, x)
@@ -123,7 +122,7 @@ def _replay_witness(spec: PropertySpec, witness) -> bool:
         return False
     if spec.family == "Pn'" and not is_k_aperiodic(tuple(xs), spec.n)[0]:
         return False
-    g = _product(oracle, spec.xi, xs, eps)
+    g = _product(oracle, spec.xi, oracle.inverse(spec.xi), xs, eps)
     return oracle.length(g) == witness["length"] and witness["length"] <= spec.r
 
 
@@ -173,7 +172,8 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
         pool = sorted(seen, key=oracle.sort_key)
     # forced-cancellation candidates so k=1 counterexamples are never
     # missed by sampling
-    for cand in (oracle.inverse(spec.xi), spec.xi):
+    xi_inv = oracle.inverse(spec.xi)
+    for cand in (xi_inv, spec.xi):
         if oracle.length(cand) <= spec.r and cand not in pool:
             pool.append(cand)
 
@@ -183,7 +183,7 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
     tried = 0
     for xs, eps in _candidates(spec, budget, pool, exhaustive):
         tried += 1
-        length = oracle.length(_product(oracle, spec.xi, xs, eps))
+        length = oracle.length(_product(oracle, spec.xi, xi_inv, xs, eps))
         if length <= spec.r:
             witness = {
                 "k": len(xs),
@@ -361,6 +361,12 @@ class XiParams:
         )
 
 
+_PIECE_VARIANT = (
+    "cyclic pieces are maximal common prefixes of two distinct cyclic "
+    "occurrences, capped one letter below the relator length"
+)
+
+
 @dataclass
 class XiReport:
     word: Word
@@ -369,10 +375,6 @@ class XiReport:
     conditions: Dict[str, dict]
     attempts: int
     params: XiParams
-    piece_variant: str = (
-        "cyclic pieces are maximal common prefixes of two distinct cyclic "
-        "occurrences, capped one letter below the relator length"
-    )
 
     @property
     def ok(self) -> bool:
@@ -384,7 +386,7 @@ class XiReport:
             "flips": len(self.flips),
             "attempts": self.attempts,
             "conditions": self.conditions,
-            "piece_variant": self.piece_variant,
+            "piece_variant": _PIECE_VARIANT,
         }
 
 

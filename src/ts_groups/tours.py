@@ -568,9 +568,10 @@ def random_element(oracle: GroupOracle, rng: random.Random, size: int):
             random_element(oracle.right, rng, size),
         )
     # mixed-generator product: random short generator walk
+    gens = oracle.generators()
     g = oracle.identity()
     for _ in range(rng.randint(0, size)):
-        g = oracle.multiply(g, rng.choice(oracle.generators()))
+        g = oracle.multiply(g, rng.choice(gens))
     return g
 
 

@@ -103,16 +103,8 @@ class PlaneTernaryTree:
     def vertices(self) -> List[int]:
         return list(self.parent)
 
-    def valence(self, v: int) -> int:
-        return len(self.children[v]) + (0 if v == self.ORIGIN else 1)
-
     def leaves(self) -> List[int]:
         return [v for v in self.vertices() if not self.children[v]]
-
-    def is_ternary(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        return all(self.valence(v) in (1, 3) for v in self.vertices())
 
     def planar_order(self) -> List[int]:
         """All vertices sorted by (level, left-to-right)."""

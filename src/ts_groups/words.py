@@ -23,12 +23,10 @@ from typing import Iterable, Sequence, Tuple
 from .errors import MalformedInputError
 
 __all__ = [
-    "Alphabet",
     "Word",
     "Occurrence",
     "PowerWitness",
     "reduce",
-    "concat",
     "inverse_letters",
     "parse_word",
     "format_word",
@@ -40,29 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Symmetric alphabet of a free group: generators 1..rank and inverses."""
+def _check_letters(letters: Sequence[int], rank: int):
+    """The one letter rule: a nonzero int of absolute value <= rank."""
+    for a in letters:
+        if not isinstance(a, int) or a == 0 or abs(a) > rank:
+            raise MalformedInputError(f"letter {a!r} out of range for rank {rank}")
 
-    rank: int
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise MalformedInputError(f"alphabet rank must be >= 1, got {self.rank}")
-
-    def letters(self):
-        """All 2*rank signed letters, in the order a, a^-1, b, b^-1, ..."""
-        out = []
-        for i in range(1, self.rank + 1):
-            out.append(i)
-            out.append(-i)
-        return out
-
-    def check(self, letter: int):
-        if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
-            raise MalformedInputError(
-                f"letter {letter!r} out of range for alphabet of rank {self.rank}"
-            )
+def _signed_letters(rank: int):
+    """All 2*rank signed letters, in the order a, a^-1, b, b^-1, ..."""
+    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
 
 
 @dataclass(frozen=True)
@@ -77,11 +62,7 @@ class Word:
     rank: int
 
     def __post_init__(self):
-        for a in self.letters:
-            if not isinstance(a, int) or a == 0 or abs(a) > self.rank:
-                raise MalformedInputError(
-                    f"letter {a!r} out of range for rank {self.rank}"
-                )
+        _check_letters(self.letters, self.rank)
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
                 raise MalformedInputError(
@@ -194,26 +175,17 @@ def _common_prefix(s, e) -> int:
     return common
 
 
-def reduce(letters: Iterable[int], alphabet: Alphabet) -> Word:
+def reduce(letters: Iterable[int], rank: int) -> Word:
     """Freely reduce a letter sequence.  Idempotent on reduced input."""
+    letters = tuple(letters)
+    _check_letters(letters, rank)
     stack = []
     for a in letters:
-        alphabet.check(a)
         if stack and stack[-1] == -a:
             stack.pop()
         else:
             stack.append(a)
-    return Word._trusted(tuple(stack), alphabet.rank)
-
-
-def concat(*words: Word) -> Word:
-    """Reduced product of several words of a common rank."""
-    if not words:
-        raise MalformedInputError("concat needs at least one word")
-    product = words[0]
-    for w in words[1:]:
-        product = product * w
-    return product
+    return Word._trusted(tuple(stack), rank)
 
 
 _TOKEN_RE = re.compile(r"^([a-z]|[A-Z]|g[0-9]+|G[0-9]+)$")
@@ -253,7 +225,7 @@ def parse_word(text: str, rank: int) -> Word:
     else:
         tokens = list(text)
     letters = [_token_to_letter(t) for t in tokens]
-    return reduce(letters, Alphabet(rank))
+    return reduce(letters, rank)
 
 
 def format_word(word: Word) -> str:
@@ -376,7 +348,7 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
     no (k+1)-th power.  Used wherever a fixed aperiodic word is needed."""
     if rank < 1 or length < 0 or k < 1:
         raise MalformedInputError("rank and k must be >= 1 and length >= 0")
-    order = Alphabet(rank).letters()
+    order = _signed_letters(rank)
     # depth-first search in shortlex order; tried[i] counts the letters
     # already tried at position i, so len(tried) == len(prefix) + 1
     prefix = []
@@ -407,7 +379,7 @@ def first_aperiodic_word(rank: int, length: int, k: int = 1) -> Word:
 def random_word(rng: random.Random, rank: int, length: int) -> Word:
     """Random reduced word of the given length: each letter is drawn
     uniformly from the letters that do not cancel the one before."""
-    letters = Alphabet(rank).letters()
+    letters = _signed_letters(rank)
     out = []
     for _ in range(length):
         out.append(rng.choice([a for a in letters if not out or a != -out[-1]]))

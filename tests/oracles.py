@@ -240,6 +240,14 @@ def brute_tour_length(oracle, pts):
     return best
 
 
+def free_sphere_count(rank, r):
+    """Closed-form size of the sphere of radius r in the free group of
+    the given rank, used to cross-check ball enumeration."""
+    if r == 0:
+        return 1
+    return 2 * rank * (2 * rank - 1) ** (r - 1)
+
+
 def bfs_lengths(oracle, depth):
     """Every element within the given Cayley distance, with its exact
     length, by plain breadth-first search."""
@@ -260,7 +268,7 @@ def bfs_lengths(oracle, depth):
 def f2xz_dp_reference(oracle, g):
     """The balance DP that computed F2xZ lengths before the convex
     greedy, kept literal apart from its memo: (length, picks)."""
-    ks, signs = oracle._syllables(g[0])
+    ks, signs = oracle._syllables(g[0].letters)
     t = g[1]
     n = oracle.n
     # Per-syllable block counts: the cost |d| + |k - n d| is convex
@@ -494,7 +502,7 @@ def f2xz_unit_greedy_reference(oracle, g):
     """The convex greedy that moved the balance one block per heap step
     before it learned to hand a syllable on its linear tail every step
     left at once, kept literal: (length, picks)."""
-    ks, signs = oracle._syllables(g[0])
+    ks, signs = oracle._syllables(g[0].letters)
     t, n = g[1], oracle.n
 
     def cost(k, d):
@@ -511,6 +519,20 @@ def f2xz_unit_greedy_reference(oracle, g):
         k, d = ks[j], picks[j]
         heapq.heappush(heap, (cost(k, d + step) - cost(k, d), j))
     return len(signs) + sum(map(cost, ks, picks)), picks
+
+
+def valence(tree, v):
+    """Degree of vertex v: its children, plus its parent edge off the
+    origin."""
+    return len(tree.children[v]) + (0 if v == tree.ORIGIN else 1)
+
+
+def is_ternary(tree):
+    """True iff every vertex has valence 1 or 3 (or the tree is one
+    vertex)."""
+    if tree.n_vertices == 1:
+        return True
+    return all(valence(tree, v) in (1, 3) for v in tree.vertices())
 
 
 def tree_path_reference(tree, u, v):

@@ -13,7 +13,7 @@ from ts_groups.cancellation import (
     satisfies_small_cancellation,
 )
 from ts_groups.errors import MalformedInputError
-from ts_groups.words import Alphabet, Word, format_word, parse_word, reduce
+from ts_groups.words import Word, format_word, parse_word, reduce
 
 from oracles import (
     _has_repeated_window,
@@ -233,7 +233,7 @@ def test_high_rank_window_fallback():
 
 
 def _reduced(letters, rank):
-    return reduce(letters, Alphabet(rank))
+    return reduce(letters, rank)
 
 
 def _cyclically_reduced(letters, rank):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from ts_groups.errors import ConfigurationError, MalformedInputError, ResourceLimitError
 from ts_groups.groups import GroupOracle, make_oracle
 from ts_groups.tours import random_element
-from ts_groups.words import Alphabet, Word, parse_word, reduce
+from ts_groups.words import Word, parse_word, reduce
 
-from oracles import bfs_lengths, f2xz_dp_reference, f2xz_unit_greedy_reference, hull_reference
+from oracles import (bfs_lengths, f2xz_dp_reference, f2xz_unit_greedy_reference, free_sphere_count,
+                     hull_reference)
 
 
 FREE2 = make_oracle("free:2")
@@ -39,7 +40,7 @@ def test_f2xz_element_bad_integer_is_malformed():
 
 
 _FREE3_WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(
-    lambda letters: reduce(letters, Alphabet(3)))
+    lambda letters: reduce(letters, 3))
 
 
 @given(u=_FREE3_WORDS, v=_FREE3_WORDS)
@@ -68,7 +69,7 @@ def test_free_ball_matches_closed_form():
     for rank in (2, 3):
         oracle = make_oracle(f"free:{rank}")
         for r in range(4):
-            expected = sum(oracle.sphere_count(i) for i in range(r + 1))
+            expected = sum(free_sphere_count(rank, i) for i in range(r + 1))
             assert len(oracle.ball(r)) == expected
 
 
@@ -309,8 +310,8 @@ def test_f2xz_greedy_matches_dp(n, head, syllables, t):
     for k, b in syllables:
         letters += [b] + [1 if k > 0 else -1] * abs(k)
     oracle = make_oracle(f"f2xz:n={n}")
-    g = (reduce(letters, Alphabet(2)), t)
-    ks, signs = oracle._syllables(g[0])
+    g = (reduce(letters, 2), t)
+    ks, signs = oracle._syllables(g[0].letters)
     length, picks = oracle._solve(ks, t)
     assert length == f2xz_dp_reference(oracle, g)[0]
     assert sum(picks) == t
@@ -343,8 +344,8 @@ def test_f2xz_tail_jump_matches_unit_greedy(n, head, syllables, t):
     for k, b in syllables:
         letters += [b] + [1 if k > 0 else -1] * abs(k)
     oracle = make_oracle(f"f2xz:n={n}")
-    g = (reduce(letters, Alphabet(2)), t)
-    length, picks = oracle._solve(oracle._syllables(g[0])[0], t)
+    g = (reduce(letters, 2), t)
+    length, picks = oracle._solve(oracle._syllables(g[0].letters)[0], t)
     assert (length, picks) == f2xz_unit_greedy_reference(oracle, g)
 
 

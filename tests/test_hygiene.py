@@ -56,6 +56,51 @@ def test_exports_resolve(path):
     assert [n for n in REEXPORTS.get(path.stem, []) if n not in exported] == []
 
 
+def _names_used(path):
+    """Every name, attribute and imported name that a file mentions."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+REPO = Path(__file__).resolve().parents[1]
+# library API kept for the paper that no command, benchmark or acceptance
+# criterion reaches: the result types that public functions return, and
+# paper constructs that their own tests check
+KEPT_API = {
+    "ClosedPath", "ClusterTree", "ClusterVertex", "ExperimentReport", "FolnerReport",
+    "LPrimeResult", "LabeledTree", "Occurrence", "Piece", "PieceDecomposition",
+    "PipelineReport", "PowerWitness", "TreeForest", "VarietyCertificate", "Verdict",
+    "VerificationReport", "XiReport",
+    "decompose_pieces", "greedy_ray_adversary", "greedy_tree_adversary", "k_boundary",
+    "max_power_order", "reduce", "shift_right", "xi_boundary",
+}
+
+
+def test_exports_have_a_caller():
+    """Every `__all__` name is used by another module of the package, by
+    the benchmark or by the acceptance suite, or is kept on purpose in
+    KEPT_API; an export that only its own tests call is dead API."""
+    outside = set().union(*map(_names_used, sorted((REPO / "perfbench").glob("*.py"))),
+                          _names_used(REPO / "tests" / "test_acceptance.py"))
+    used_in = {path: _names_used(path) for path in SOURCES if path.stem != "__init__"}
+    exported, unused = set(), []
+    for path in used_in:
+        for name in getattr(_module(path), "__all__", []):
+            exported.add(name)
+            if name not in outside and name not in KEPT_API and not any(
+                    name in names for other, names in used_in.items() if other != path):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
+    assert sorted(KEPT_API - exported) == []
+
+
 BUDGET_FIELDS = [
     pytest.param(f.name, id=f"{cls.__name__}.{f.name}")
     for cls in (SearchBudget, SamplerConfig, XiParams)

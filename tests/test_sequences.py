@@ -285,6 +285,21 @@ def test_engine_value_matches_mutable_reference(kind, size, steps, seed):
     assert is_k_aperiodic(engine.history, 4)[0]
 
 
+def test_closest_threat_outranks_shorter_period():
+    # two live threats: period 2 with 2 letters left (continuation a)
+    # and period 9 with 1 letter left (continuation c); the one closer
+    # to a fifth power is banned, not the one with the shorter period
+    history = "ababababc" * 4 + "abababab"
+    engine = InadmissibleEngine("abc")
+    reference = InadmissibleEngineReference("abc")
+    for x in history:
+        engine = engine.observe(x)
+        reference.observe(x)
+    assert reference._threats() == [(1, 9, "c"), (2, 2, "a")]
+    assert engine.designate(frozenset("abc")) == "c"
+    assert reference.designate(frozenset("abc")) == "c"
+
+
 def test_adversarial_tree_labelings_pinned():
     # sha256 of edge labels and inadmissibles, recorded with the mutable
     # engine that clone()d before every observe

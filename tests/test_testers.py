@@ -23,7 +23,7 @@ from ts_groups.testers import (
     variety_counterexample,
     verify_product_aperiodicity,
 )
-from ts_groups.words import Alphabet, Word, format_word, is_k_aperiodic, parse_word, reduce
+from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, reduce
 
 from oracles import tagged_product_reference
 
@@ -459,7 +459,7 @@ def test_reduced_product_matches_plain_reduction(desk_xi):
         letters = []
         for x, e in zip(xs, eps):
             letters += (desk_xi if e > 0 else ~desk_xi).letters + x.letters
-        assert word == reduce(letters, Alphabet(2))
+        assert word == reduce(letters, 2)
         assert sum(b - a for a, b in xi_runs) <= len(word)
 
 
@@ -472,9 +472,9 @@ def _adversarial_products(draw):
     word), with x_i drawn from its prefixes, from inverses of its
     suffixes and at random, so products cancel across several blocks
     and may vanish."""
-    base = reduce(draw(_letters), Alphabet(2))
+    base = reduce(draw(_letters), 2)
     if base.is_identity or not draw(st.booleans()):
-        xi = reduce(draw(_letters) + draw(_letters) + draw(_letters), Alphabet(2))
+        xi = reduce(draw(_letters) + draw(_letters) + draw(_letters), 2)
     else:
         xi = base ** draw(st.integers(1, 6))
     xs = []
@@ -486,7 +486,7 @@ def _adversarial_products(draw):
         elif kind == "suffix-inverse" and len(xi):
             x = ~xi.subword(len(xi) - m, len(xi))
         else:
-            x = reduce(draw(_letters), Alphabet(2))
+            x = reduce(draw(_letters), 2)
         xs.append(x if len(x) else parse_word("a", 2))
     eps = draw(st.lists(st.sampled_from([1, -1]), min_size=len(xs), max_size=len(xs)))
     return xi, xs, eps

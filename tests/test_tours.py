@@ -35,7 +35,7 @@ from ts_groups.tours import (
     tsp_heuristic,
     xi_boundary,
 )
-from ts_groups.words import Alphabet, first_aperiodic_word, parse_word, reduce
+from ts_groups.words import first_aperiodic_word, parse_word, reduce
 
 from oracles import (
     brute_tour_length,
@@ -236,7 +236,7 @@ def _assert_matches_reference(rset, cap=15):
 
 # small coordinates and short words make many distances tie
 _FREE_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=4).map(
-    lambda letters: reduce(letters, Alphabet(2)))
+    lambda letters: reduce(letters, 2))
 _ELEMENTS = {
     "free:2": _FREE_WORDS,
     "abelian:2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
@@ -474,7 +474,7 @@ def _free_point_sets(draw):
     rank = draw(st.integers(1, 3))
     letters = st.sampled_from([s * a for a in range(1, rank + 1) for s in (1, -1)])
     stem = draw(st.lists(letters, max_size=60))
-    point = st.builds(lambda cut, tail: reduce((stem[:cut] + tail)[:60], Alphabet(rank)),
+    point = st.builds(lambda cut, tail: reduce((stem[:cut] + tail)[:60], rank),
                       st.integers(0, len(stem)), st.lists(letters, max_size=6))
     return tuple(set(draw(st.lists(point, min_size=1, max_size=15))))
 

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from oracles import tree_path_reference
+from oracles import is_ternary, tree_path_reference, valence
 from strategies import trees
 from ts_groups.errors import MalformedInputError
 from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
@@ -13,43 +13,43 @@ from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 def test_single_vertex():
     t = PlaneTernaryTree()
     assert t.n_vertices == 1
-    assert t.is_ternary()
+    assert is_ternary(t)
     assert list(enumerate_simple_paths(t)) == []
 
 
 def test_two_vertex_tree_one_path():
     t = PlaneTernaryTree()
     t.add_child(0)
-    assert t.is_ternary()  # two end vertices, no internal ones
+    assert is_ternary(t)  # two end vertices, no internal ones
     assert len(list(enumerate_simple_paths(t))) == 1
 
 
 def test_path_graph_four_vertices_six_paths():
     t = PlaneTernaryTree.ray_tree(3)
-    assert not t.is_ternary()  # valence-2 interior vertices
+    assert not is_ternary(t)  # valence-2 interior vertices
     assert len(list(enumerate_simple_paths(t))) == 6
 
 
 def test_complete_tree_counts():
     for depth in (1, 2, 3):
         t = PlaneTernaryTree.complete(depth)
-        assert t.is_ternary()
+        assert is_ternary(t)
         n = t.n_vertices
         assert n == 1 + 3 * (2**depth - 1)
         paths = list(enumerate_simple_paths(t))
         assert len(paths) == n * (n - 1) // 2
-        ends = sum(1 for v in t.vertices() if t.valence(v) == 1)
-        internal = sum(1 for v in t.vertices() if t.valence(v) == 3)
+        ends = sum(1 for v in t.vertices() if valence(t, v) == 1)
+        internal = sum(1 for v in t.vertices() if valence(t, v) == 3)
         assert ends == internal + 2
 
 
 def test_random_trees_are_ternary():
     for seed in range(10):
         t = PlaneTernaryTree.random(80, seed)
-        assert t.is_ternary()
+        assert is_ternary(t)
         if t.n_vertices > 1:
-            ends = sum(1 for v in t.vertices() if t.valence(v) == 1)
-            internal = sum(1 for v in t.vertices() if t.valence(v) == 3)
+            ends = sum(1 for v in t.vertices() if valence(t, v) == 1)
+            internal = sum(1 for v in t.vertices() if valence(t, v) == 3)
             assert ends == internal + 2
         assert t.n_vertices <= 80
 
