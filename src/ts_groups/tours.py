@@ -94,15 +94,38 @@ class RelatedSet:
         return len(self.elements)
 
     @functools.cached_property
+    def free_hull(self):
+        """``_free_hull`` of the elements, built once per set: exact
+        tours, L' and the distances of a free set all read it."""
+        return _free_hull(self.elements)
+
+    @functools.cached_property
     def distances(self) -> Tuple[Tuple[int, ...], ...]:
         """Oracle distances between the elements, computed once per set
         and over unordered pairs: every oracle's generating set is
-        symmetric, so d(g, h) = |g^-1 h| = d(h, g)."""
+        symmetric, so d(g, h) = |g^-1 h| = d(h, g).  Free sets read them
+        off the sorted hull: the common prefix of two sorted words is
+        the least lcp between them, and d = |g| + |h| - 2 * its length.
+        Every other oracle makes one ``distance`` call per pair."""
         pts = self.elements
-        distance = self.oracle.distance
         D = [[0] * len(pts) for _ in pts]
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            D[i][j] = D[j][i] = distance(pts[i], pts[j])
+        if isinstance(self.oracle, FreeOracle):
+            if len({p.rank for p in pts}) > 1:
+                raise MalformedInputError("cannot measure between words of different ranks")
+            order, lcp, _meet, _edges = self.free_hull
+            where = {p: i for i, p in enumerate(pts)}
+            at = [where[p] for p in order]
+            size = list(map(len, order))
+            for a, i in enumerate(at):
+                common = size[a]
+                for b in range(a + 1, len(at)):
+                    if lcp[b] < common:
+                        common = lcp[b]
+                    D[i][at[b]] = D[at[b]][i] = size[a] + size[b] - 2 * common
+        else:
+            distance = self.oracle.distance
+            for i, j in itertools.combinations(range(len(pts)), 2):
+                D[i][j] = D[j][i] = distance(pts[i], pts[j])
         return tuple(map(tuple, D))
 
     def neighbor_map(self) -> Dict[object, object]:
@@ -240,18 +263,19 @@ _HK_CHUNK = 15_360
 
 @functools.lru_cache(maxsize=EXACT_SOLVER_CAP)
 def _held_karp_layers(n: int):
-    """Index arrays of the Held-Karp table for n points, one quadruple
-    per chunk of a popcount layer, the layers in ascending order.  The
-    table keeps only the masks that hold point 0, row mask >> 1,
-    flattened to row * n + last point.  Each (target row, new last point
-    j) state of a layer comes with its flat index, the flat start of its
-    source row (the target without j), the flat start of row j of an
-    n x n matrix, and, in its column of the last array, the previous
-    points it scores: the points of the source mask but point 0, in
-    ascending order, or point 0 alone from the empty mask.  A chunk
+    """Gather tables of the Held-Karp table for n points, one triple per
+    chunk of a popcount layer, the layers in ascending order.  The table
+    keeps only the masks that hold point 0, row mask >> 1, flattened to
+    row * n + last point.  Each (target row, new last point j) state of
+    a layer scores the previous points of its source mask (the target
+    without j): those but point 0, in ascending order, or point 0 alone
+    from the empty mask.  A chunk is (tgt, from_src, from_j): the flat
+    index of each state, and, one row per previous point and one column
+    per state, the flat index prev + source row * n of the previous
+    state and prev + j * n of the step in an n x n matrix.  A chunk
     holds whole states and at most ``_HK_CHUNK`` candidates (states
     times previous points)."""
-    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    bits = (np.arange(1 << (n - 1), dtype=np.intp)[:, None] >> np.arange(n - 1)) & 1
     popcount = bits.sum(1)
     chunks = []
     for k in range(1, n):
@@ -260,20 +284,20 @@ def _held_karp_layers(n: int):
         tgt, j = rows[at], bit + 1
         src = tgt ^ (1 << bit)
         if k == 1:
-            prevs = np.zeros((1, len(src)))
+            prevs = np.zeros((1, len(src)), dtype=np.intp)
         else:
             prevs = np.nonzero(bits[src])[1].reshape(len(src), k - 1).T + 1
-        # int32 offsets and int16 points keep the cached tables small;
-        # tsp_exact adds them into flat indices per call
-        tgt, src, row_j = (a.astype(np.int32) for a in (tgt * n + j, src * n, j * n))
-        prevs = prevs.astype(np.int16)
+        # finished intp indices (1.6 MiB in all for 2-12 points, 12.3 MiB
+        # for 15) spare each layer two additions and the conversions to
+        # intp that take and the fancy store would make on every call.
+        # prevs comes out of the transpose in Fortran order; in C order
+        # each previous point's row is contiguous, and the min is faster
+        tgt, from_src, from_j = tgt * n + j, prevs + src * n, prevs + j * n
         width = _HK_CHUNK // len(prevs)  # states per chunk
         for lo in range(0, len(tgt), width):
             part = slice(lo, lo + width)
-            # prevs comes out of the transpose in Fortran order; in C order each
-            # previous point's row is contiguous, and the min over them is faster
-            chunks.append((tgt[part], src[part], row_j[part],
-                           np.ascontiguousarray(prevs[:, part])))
+            chunks.append(tuple(np.ascontiguousarray(a[..., part], dtype=np.intp)
+                                for a in (tgt, from_src, from_j)))
     return tuple(chunks)
 
 
@@ -283,7 +307,7 @@ def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     tour, of any size (see ``_free_hull``); every other oracle runs
     Held-Karp on at most ``cap`` points."""
     if isinstance(rset.oracle, FreeOracle):
-        order, _lcp, _meet, edges = _free_hull(rset.elements)
+        order, _lcp, _meet, edges = rset.free_hull
         return Tour(tuple(order), 2 * edges, "exact")
     return _held_karp(rset, cap)
 
@@ -316,10 +340,10 @@ def _held_karp(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     # chunks write distinct states, so chunk order does not matter
     key = np.empty((1 << (n - 1)) * n, dtype=np.int64)
     key[0] = 0
-    for tgt, src, row_j, prevs in _held_karp_layers(n):
-        cand = key.take(prevs + src)
+    for tgt, from_src, from_j in _held_karp_layers(n):
+        cand = key.take(from_src)
         cand &= -256  # the source states' own previous points
-        cand += step.take(prevs + row_j)
+        cand += step.take(from_j)
         key[tgt] = cand.min(0)
     full = (1 << (n - 1)) - 1
     closing = (key[full * n + 1:full * n + n] >> 8) + D[1:, 0]
@@ -459,13 +483,13 @@ def _free_hull(pts):
     return order, lcp, meet, edges
 
 
-def _l_prime_free(pts) -> int:
+def _l_prime_free(hull) -> int:
     """L' in the Cayley tree of a free group, counted from the sorted
-    words (see ``_free_hull``).  The best walk doubles each hull edge
-    and earns one credit per point at either end of an edge: each point
-    longer than `meet` earns one for its parent edge, and each point one
-    per child it has in the hull."""
-    order, lcp, meet, edges = _free_hull(pts)
+    words of its hull (see ``_free_hull``).  The best walk doubles each
+    hull edge and earns one credit per point at either end of an edge:
+    each point longer than `meet` earns one for its parent edge, and
+    each point one per child it has in the hull."""
+    order, lcp, meet, edges = hull
     credits = sum(len(p) > meet for p in order)
     # lengths of the points that prefix the current word; a word whose
     # lcp is a prefixing point's length starts a new child of that point
@@ -534,7 +558,7 @@ def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult
         return LPrimeResult(-1, True, "degenerate")
     o = rset.oracle
     if isinstance(o, FreeOracle):
-        return LPrimeResult(_l_prime_free(pts), True, "tree-formula")
+        return LPrimeResult(_l_prime_free(rset.free_hull), True, "tree-formula")
     if rset.size > EXACT_SOLVER_CAP:
         raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
     if isinstance(o, AbelianOracle):

@@ -4,7 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,12 +295,20 @@ def test_exact_matches_held_karp_reference_on_seeded_grids(n):
 def test_held_karp_chunks_cover_each_layer_once(n):
     chunks = tours._held_karp_layers(n)
     layers = []
-    for tgt, src, row_j, prevs in chunks:
-        assert prevs.size <= tours._HK_CHUNK
-        assert len(tgt) == len(src) == len(row_j) == prevs.shape[1]
-        sizes = {bin(row).count("1") for row in tgt // n}
+    for tgt, from_src, from_j in chunks:
+        for a in (tgt, from_src, from_j):
+            assert a.dtype == np.intp and a.flags.c_contiguous
+        assert from_src.size <= tours._HK_CHUNK
+        assert from_src.shape == from_j.shape and from_src.shape[1] == len(tgt)
+        rows, last = tgt // n, tgt % n
+        sizes = {bin(row).count("1") for row in rows}
         assert len(sizes) == 1  # a chunk lies in one layer
         layers.append((sizes.pop(), tgt))
+        # each state gathers from its source row and from row j of the
+        # step matrix, at the same previous points
+        prev = from_src % n
+        assert (from_src // n == rows ^ (1 << (last - 1))).all()
+        assert (from_j // n == last).all() and (from_j % n == prev).all()
     # layers run in ascending order, each read only by the next
     assert [k for k, _ in layers] == sorted(k for k, _ in layers)
     for k in range(1, n):
@@ -307,6 +317,13 @@ def test_held_karp_chunks_cover_each_layer_once(n):
         assert states == sorted(r * n + j for r in rows for j in range(1, n) if r >> (j - 1) & 1)
     # up to 12 points every layer is one chunk; from 13 some layer splits
     assert (len(chunks) > n - 1) == (n >= 13)
+
+
+def test_held_karp_tables_stay_small_up_to_twelve_points():
+    # oracle-mix solves 2-12 points; its resident memory holds all of these
+    total = sum(a.nbytes for n in range(2, 13) for chunk in tours._held_karp_layers(n)
+                for a in chunk)
+    assert total <= 2 << 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,6 +380,45 @@ def test_set_distances_match_oracle(descriptor):
         pts = {random_element(oracle, rng, 4) for _ in range(rng.randint(1, 9))}
         rset = RelatedSet(oracle, None, tuple(pts))
         assert rset.distances == _oracle_matrix(oracle, rset.elements)
+
+
+@st.composite
+def _free_stem_sets(draw):
+    """Distinct reduced words of rank 1-3, 1-40 of them, each a prefix
+    of one of a few shared stems plus a short tail, so that the sorted
+    words share long prefixes and some are prefixes of others."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * a for a in range(1, rank + 1) for s in (1, -1)])
+    stems = draw(st.lists(st.lists(letters, max_size=20), min_size=1, max_size=3))
+    point = st.builds(lambda stem, cut, tail: reduce(stem[:cut] + tail, rank),
+                      st.sampled_from(stems), st.integers(0, 20), st.lists(letters, max_size=4))
+    return rank, tuple(set(draw(st.lists(point, min_size=1, max_size=40))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_free_stem_sets())
+def test_free_set_distances_match_oracle(drawn):
+    rank, pts = drawn
+    oracle = make_oracle(f"free:{rank}")
+    rset = RelatedSet(oracle, None, pts)
+    assert rset.distances == _oracle_matrix(oracle, rset.elements)
+
+
+def test_free_set_distances_refuse_mixed_ranks():
+    pts = (parse_word("a b", 2), parse_word("a", 2), parse_word("a", 3))
+    with pytest.raises(MalformedInputError):
+        RelatedSet(FREE2, None, pts).distances
+
+
+def test_free_set_builds_its_hull_once():
+    rng = random.Random(5)
+    pts = {random_element(FREE2, rng, 6) for _ in range(12)}
+    rset = RelatedSet(FREE2, None, tuple(pts))
+    with mock.patch.object(tours, "_free_hull", wraps=tours._free_hull) as hull:
+        tsp_exact(rset)
+        l_prime(rset)
+        rset.distances
+    assert hull.call_count == 1
 
 
 # -- MST sandwich ---------------------------------------------------------------
@@ -452,7 +508,7 @@ def test_l_prime_below_l():
 
 
 def test_l_prime_free_matches_walk_search():
-    from ts_groups.tours import _l_prime_dijkstra, _l_prime_free
+    from ts_groups.tours import _free_hull, _l_prime_dijkstra, _l_prime_free
     from ts_groups.words import Word
 
     rng = random.Random(31)
@@ -463,7 +519,7 @@ def test_l_prime_free_matches_walk_search():
         pts = tuple(sorted(pts, key=FREE2.sort_key))
         region = {Word(h, 2) for h in free_hull_reference(pts)}
         walk = _l_prime_dijkstra(FREE2, pts, region)
-        assert _l_prime_free(pts) == l_prime_free_reference(pts) == walk
+        assert _l_prime_free(_free_hull(pts)) == l_prime_free_reference(pts) == walk
 
 
 @st.composite
@@ -482,9 +538,9 @@ def _free_point_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(pts=_free_point_sets())
 def test_l_prime_free_matches_hull_reference(pts):
-    from ts_groups.tours import _l_prime_free
+    from ts_groups.tours import _free_hull, _l_prime_free
 
-    assert _l_prime_free(pts) == l_prime_free_reference(pts)
+    assert _l_prime_free(_free_hull(pts)) == l_prime_free_reference(pts)
 
 
 def test_l_prime_abelian_box_walk():
