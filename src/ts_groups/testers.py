@@ -15,9 +15,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+import struct
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cancellation import SymmetrizedSet, satisfies_small_cancellation
 from .errors import (
@@ -27,13 +31,12 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import GroupOracle
+from .groups import FreeOracle, GroupOracle
 from .sequences import squarefree_ternary
 from .tours import random_element
 from .words import (
     Word,
     format_word,
-    inverse_letters,
     is_k_aperiodic,
     random_word,
 )
@@ -180,10 +183,19 @@ def test_property(spec: PropertySpec, budget: SearchBudget = SearchBudget()) -> 
     total = sum((len(pool) * 2) ** k for k in range(1, budget.k_max + 1))
     exhaustive = fits and total <= budget.exhaustive_limit
     regime = "exhaustive" if exhaustive else "sampled"
+    if isinstance(oracle, FreeOracle):
+        if spec.xi.rank != oracle.rank:
+            raise MalformedInputError("cannot multiply words of different ranks")
+
+        def product_length(xs, eps):
+            return _free_product_length(spec.xi.letters, xi_inv.letters, xs, eps)
+    else:
+        def product_length(xs, eps):
+            return oracle.length(_product(oracle, spec.xi, xi_inv, xs, eps))
     tried = 0
     for xs, eps in _candidates(spec, budget, pool, exhaustive):
         tried += 1
-        length = oracle.length(_product(oracle, spec.xi, xi_inv, xs, eps))
+        length = product_length(xs, eps)
         if length <= spec.r:
             witness = {
                 "k": len(xs),
@@ -609,29 +621,59 @@ def _reduced_runs(blocks):
     return runs
 
 
-def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
-    """Reduced alternating product and the [start, end) spans of its
-    surviving xi letters, adjacent spans merged (as when a whole x_i
-    cancels)."""
-    xi_letters = xi.letters
-    xi_inv = inverse_letters(xi_letters)
-    blocks = []
+def _alternating_blocks(xi, xi_inv, xs, eps):
+    """The blocks of xi^(e1) x1 ... xi^(ek) xk as `_reduced_runs` reads
+    them, from letter sequences: xi blocks tagged True, x blocks False."""
     for x, e in zip(xs, eps):
-        blocks.append((xi_letters if e > 0 else xi_inv, True))
-        blocks.append((x.letters, False))
-    runs = _reduced_runs(blocks)
+        yield (xi if e > 0 else xi_inv), True
+        yield x, False
+
+
+def _free_product_length(xi, xi_inv, xs: Sequence[Word], eps) -> int:
+    """Length of the reduced alternating product of free words, given
+    the letters of xi and xi^-1: the letters `_reduced_runs` keeps."""
+    runs = _reduced_runs(_alternating_blocks(xi, xi_inv, [x.letters for x in xs], eps))
+    return sum(hi - lo for _, lo, hi, _ in runs)
+
+
+def _letter_typecode(rank: int) -> str:
+    """The narrowest signed ``array`` typecode that holds every letter
+    of the given rank."""
+    for code in "bhiq":
+        if rank < 1 << (8 * array(code).itemsize - 1):
+            return code
+    raise ResourceLimitError(f"rank {rank} has letters too wide to pack")
+
+
+def _packed(letters: Sequence[int], code: str) -> array:
+    """Letters as an ``array`` of the given typecode.  One ``struct``
+    pack converts a long tuple about twice as fast as ``array`` does
+    item by item."""
+    return array(code, struct.Struct(f"{len(letters)}{code}").pack(*letters))
+
+
+def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
+    """Reduced alternating product as one packed ``array`` of letters,
+    and the [start, end) spans of its surviving xi letters, adjacent
+    spans merged (as when a whole x_i cancels)."""
+    code = _letter_typecode(xi.rank)
+    xi_letters = _packed(xi.letters, code)
+    # xi^-1 is xi reversed, then negated
+    xi_inv = array(code, np.negative(np.frombuffer(xi_letters, code)[::-1]).tobytes())
+    runs = _reduced_runs(
+        _alternating_blocks(xi_letters, xi_inv, [_packed(x.letters, code) for x in xs], eps)
+    )
+    letters = array(code)
     xi_runs = []
-    offset = 0
-    for _, lo, hi, is_xi in runs:
-        end = offset + hi - lo
+    for block, lo, hi, is_xi in runs:
+        offset = len(letters)
+        letters += block[lo:hi]
         if is_xi:
             if xi_runs and xi_runs[-1][1] == offset:
-                xi_runs[-1] = (xi_runs[-1][0], end)
+                xi_runs[-1] = (xi_runs[-1][0], len(letters))
             else:
-                xi_runs.append((offset, end))
-        offset = end
-    letters = tuple(itertools.chain.from_iterable(block[lo:hi] for block, lo, hi, _ in runs))
-    return Word._trusted(letters, xi.rank), xi_runs
+                xi_runs.append((offset, len(letters)))
+    return letters, xi_runs
 
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],
@@ -672,9 +714,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             raise PreconditionError("xi is not 3-aperiodic")
         if len(xi) <= low:
             raise PreconditionError(f"xi has {len(xi)} letters, not more than {low}")
-    word, xi_runs = _reduced_product(xi, xs, eps)
+    letters, xi_runs = _reduced_product(xi, xs, eps)
     analysis = {
-        "product_length": len(word),
+        "product_length": len(letters),
         "blocks": len(xs),
         "min_xi_run": min((b - a for a, b in xi_runs), default=0),
         "max_u_gap": 0,
@@ -685,9 +727,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         for a, b in xi_runs:
             gaps.append(a - prev_end)
             prev_end = b
-        gaps.append(len(word) - prev_end)
+        gaps.append(len(letters) - prev_end)
         analysis["max_u_gap"] = max(gaps)
-    ok, witness = is_k_aperiodic(word, bound - 1)
+    ok, witness = is_k_aperiodic(letters, bound - 1)
     if ok:
         return True, analysis
     p = witness.period
@@ -702,11 +744,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         for a, b in xi_runs:
             lo = max(a, witness.start)
             hi = min(b, witness.start + witness.period * witness.exponent)
-            if hi - lo >= span4:
-                seg = word.letters[lo : lo + span4]
-                if all(seg[i] == seg[i + p] for i in range(span4 - p)):
-                    case1 = True
-                    break
+            if hi - lo >= span4 and letters[lo : lo + span4 - p] == letters[lo + p : lo + span4]:
+                case1 = True
+                break
         analysis["case"] = "short-period-inside-block" if case1 else "long-period"
     else:
         analysis["case"] = "long-period"

@@ -354,7 +354,9 @@ def held_karp_reference(D):
 def tagged_product_reference(xi, xs, eps):
     """The alternating product reduced letter by letter with a provenance
     tag per letter, then the xi runs read off the tags; kept literal.
-    Same contract as `testers._reduced_product`: (Word, xi_runs)."""
+    Same contract as `testers._reduced_product`, (letters, xi_runs),
+    with the letters as a tuple where `_reduced_product` packs them in
+    an ``array``."""
     stack = []
     xi_letters = xi.letters
     xi_inv = (~xi).letters
@@ -380,7 +382,7 @@ def tagged_product_reference(xi, xs, eps):
             if start is not None:
                 xi_runs.append((start, i))
                 start = None
-    return Word(letters, xi.rank), xi_runs
+    return letters, xi_runs
 
 
 def hull_reference(o, pts, radius):

@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import random
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,8 +12,13 @@ from hypothesis import strategies as st
 
 from ts_groups.cancellation import SymmetrizedSet, satisfies_small_cancellation
 from ts_groups import testers
-from ts_groups.errors import InternalInvariantError, MalformedInputError, PreconditionError
-from ts_groups.groups import FreeOracle, make_oracle
+from ts_groups.errors import (
+    InternalInvariantError,
+    MalformedInputError,
+    PreconditionError,
+    ResourceLimitError,
+)
+from ts_groups.groups import FREE_RANK_CAP, FreeOracle, make_oracle
 from ts_groups.testers import (
     PropertySpec,
     SearchBudget,
@@ -23,7 +31,7 @@ from ts_groups.testers import (
     variety_counterexample,
     verify_product_aperiodicity,
 )
-from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, reduce
+from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, random_word, reduce
 
 from oracles import tagged_product_reference
 
@@ -455,26 +463,25 @@ def test_reduced_product_matches_plain_reduction(desk_xi):
     rng = random.Random(5)
     for _ in range(30):
         xs, eps = _random_sequence(rng, k_max=6, max_len=20)
-        word, xi_runs = _reduced_product(desk_xi, xs, eps)
+        product, xi_runs = _reduced_product(desk_xi, xs, eps)
         letters = []
         for x, e in zip(xs, eps):
             letters += (desk_xi if e > 0 else ~desk_xi).letters + x.letters
-        assert word == reduce(letters, 2)
-        assert sum(b - a for a, b in xi_runs) <= len(word)
-
-
-_letters = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=8)
+        assert tuple(product) == reduce(letters, 2).letters
+        assert sum(b - a for a, b in xi_runs) <= len(product)
 
 
 @st.composite
-def _adversarial_products(draw):
+def _adversarial_products(draw, rank=2):
     """A short xi, random or a power of a short block (a fake marker
     word), with x_i drawn from its prefixes, from inverses of its
     suffixes and at random, so products cancel across several blocks
-    and may vanish."""
-    base = reduce(draw(_letters), 2)
+    and may vanish.  The letters are the first and the last generator
+    of the rank and their inverses."""
+    _letters = st.lists(st.sampled_from([1, -1, rank, -rank]), min_size=1, max_size=8)
+    base = reduce(draw(_letters), rank)
     if base.is_identity or not draw(st.booleans()):
-        xi = reduce(draw(_letters) + draw(_letters) + draw(_letters), 2)
+        xi = reduce(draw(_letters) + draw(_letters) + draw(_letters), rank)
     else:
         xi = base ** draw(st.integers(1, 6))
     xs = []
@@ -486,8 +493,8 @@ def _adversarial_products(draw):
         elif kind == "suffix-inverse" and len(xi):
             x = ~xi.subword(len(xi) - m, len(xi))
         else:
-            x = reduce(draw(_letters), 2)
-        xs.append(x if len(x) else parse_word("a", 2))
+            x = reduce(draw(_letters), rank)
+        xs.append(x if len(x) else Word((1,), rank))
     eps = draw(st.lists(st.sampled_from([1, -1]), min_size=len(xs), max_size=len(xs)))
     return xi, xs, eps
 
@@ -500,15 +507,127 @@ _FULLY_CANCELLED = (parse_word("a b a", 2), [parse_word("A B A", 2)], [1])
 @example(_FULLY_CANCELLED)
 @example((parse_word("a b a b", 2), [parse_word("B A", 2), parse_word("b a", 2)], [1, -1]))
 def test_reduced_product_matches_reference(case):
-    xi, xs, eps = case
-    word, xi_runs = _reduced_product(xi, xs, eps)
-    ref_word, ref_runs = tagged_product_reference(xi, xs, eps)
-    assert word == ref_word
+    _assert_product_matches_reference(*case)
+
+
+def _assert_product_matches_reference(xi, xs, eps):
+    """Letters, xi runs and verdict equal the reference's; returns the
+    packed letters."""
+    letters, xi_runs = _reduced_product(xi, xs, eps)
+    ref_letters, ref_runs = tagged_product_reference(xi, xs, eps)
+    assert tuple(letters) == ref_letters
     assert xi_runs == ref_runs
     args = dict(bound=3, max_x_len=64, check_xi=False)
     verdict = verify_product_aperiodicity(xi, xs, eps, **args)
     with mock.patch("ts_groups.testers._reduced_product", tagged_product_reference):
         assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
+    return letters
+
+
+# (rank, item size of the packed letters): both sides of each typecode's
+# limit, and the free-oracle rank cap
+_PACKED_RANKS = [(2, 1), (127, 1), (128, 2), (FREE_RANK_CAP, 2), (2**15 - 1, 2), (2**15, 4),
+                 (2**31 - 1, 4), (2**31, 8), (2**63 - 1, 8)]
+
+
+@pytest.mark.parametrize("rank,itemsize", _PACKED_RANKS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_product_holds_every_rank(rank, itemsize, data):
+    letters = _assert_product_matches_reference(*data.draw(_adversarial_products(rank)))
+    assert letters.itemsize == itemsize
+
+
+def test_rank_past_every_typecode_is_a_resource_limit():
+    rank = 2**63
+    xi = Word((1, rank, 1), rank)
+    with pytest.raises(ResourceLimitError, match="too wide to pack"):
+        verify_product_aperiodicity(xi, [Word((-rank,), rank)], [1], check_xi=False)
+
+
+def test_product_check_peaks_below_four_bytes_a_letter():
+    xi = construct_xi(0).word
+    rng = random.Random(3)
+    xs = [random_word(rng, 2, 192) for _ in range(20)]
+    eps = [rng.choice((1, -1)) for _ in xs]
+    tracemalloc.start()
+    try:
+        ok, analysis = verify_product_aperiodicity(xi, xs, eps, check_xi=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert analysis["product_length"] >= 200_000
+    assert peak < 4 * analysis["product_length"]
+
+
+def _burnside_long_products(seed):
+    """The alternating products of the benchmark's burnside-long workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [item for item in module.build("burnside-long", seed) if isinstance(item, module.Product)]
+
+
+# sha256 over the (ok, analysis) pairs of the burnside-long products,
+# recorded while products were still reduced into tuples: as given
+# (bound 500), with the bound lowered to 4, over a periodic fake xi at
+# bound 50, and as (xi x1 xi^-1 x2)^5 at bound 5.  Together they reach
+# both cases, witness start, period and exponent, and blocks_crossed.
+PINNED_PRODUCT_DIGESTS = {
+    1: {"as-given": "f2fa5425b38bb1bc0b61da31d33413bd163e30e9957688599cb165ed7d247724",
+        "bound-4": "fb6e9808af2bfe19f3dbf1878cbdf7b05215b516d5ccd712e0def564f840e10b",
+        "fake-xi": "504219a33b2f8852939d09492d6a293ad5c4fcd1fb92e526f8c5720e5edacaee",
+        "alternating": "5e2b8352fc6962f0f975034dc677102a6d7c8498b818ac04d259b4b4d1de93e6"},
+    2: {"as-given": "01c5cd8a65653c09fbfc9d8c779facfda35917a2dfd84c3f6dd7f82879969d9e",
+        "bound-4": "843f5e39b79ff73a92d21a6383cca81ddf24e4aad74d186656a7ac5a7eef5f9b",
+        "fake-xi": "100e59f2af9be9e8aed39c86b734e5ffeba3ad8f2f9e987561752a6973465bed",
+        "alternating": "3b6b438afe9e98f91b6e3b07b4d372c6be12ee809e227c24b2e9f2087f6e945a"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PRODUCT_DIGESTS))
+def test_burnside_long_products_match_pins(seed):
+    results = {name: [] for name in PINNED_PRODUCT_DIGESTS[seed]}
+    for p in _burnside_long_products(seed):
+        fake = Word((1, 2) * (len(p.xi) // 2), 2)
+        for name, args, bound in (("as-given", (p.xi, p.xs, p.eps), 500),
+                                  ("bound-4", (p.xi, p.xs, p.eps), 4),
+                                  ("fake-xi", (fake, p.xs, p.eps), 50),
+                                  ("alternating", (p.xi, p.xs[:2] * 5, [1, -1] * 5), 5)):
+            results[name].append(verify_product_aperiodicity(*args, bound=bound, check_xi=False))
+    analyses = [a for rows in results.values() for _, a in rows]
+    assert {a.get("case") for a in analyses} == {None, "short-period-inside-block", "long-period"}
+    assert any("blocks_crossed" in a for a in analyses)
+    assert {name: hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+            for name, rows in results.items()} == PINNED_PRODUCT_DIGESTS[seed]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_adversarial_products())
+@example(_FULLY_CANCELLED)
+def test_free_product_length_matches_oracle(case):
+    xi, xs, eps = case
+    xi_inv = FREE2.inverse(xi)
+    assert testers._free_product_length(xi.letters, xi_inv.letters, xs, eps) == FREE2.length(
+        testers._product(FREE2, xi, xi_inv, xs, eps))
+
+
+def test_free_search_multiplies_only_to_replay():
+    xi = parse_word("a b a B a b A b a", 2)
+    budget = SearchBudget(k_max=2, exhaustive_limit=2000)
+    with mock.patch("ts_groups.testers._product", wraps=testers._product) as product:
+        verdict = run_property_search(PropertySpec("P", r=2, oracle=FREE2, xi=xi), budget)
+        assert (verdict.outcome, product.call_count) == ("no-counterexample-within-budget", 0)
+        verdict = run_property_search(PropertySpec("P", r=len(xi), oracle=FREE2, xi=xi), budget)
+        assert (verdict.outcome, product.call_count) == ("counterexample-found", 1)
+
+
+def test_free_search_rejects_xi_of_another_rank():
+    spec = PropertySpec("P", r=2, oracle=FREE2, xi=parse_word("a c", 3))
+    with pytest.raises(MalformedInputError, match="different ranks"):
+        run_property_search(spec, SearchBudget(k_max=1))
 
 
 def test_fully_cancelled_product():
