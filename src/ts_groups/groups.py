@@ -76,15 +76,15 @@ class GroupOracle:
     def format_element(self, g) -> str:
         raise NotImplementedError
 
-    def neighbourhood(self, points, r: int, limit: int) -> set:
-        """Elements within distance r of the given points, by
-        breadth-first search over the Cayley graph.  The search stops at
-        the first element past ``limit``, so an oversized neighbourhood
-        costs no more than the limit."""
+    def ball(self, r: int, limit: int = 10**6) -> tuple:
+        """Exact ball of radius r around the identity, sorted by
+        ``sort_key``, by breadth-first search over the Cayley graph.
+        The search raises ResourceLimitError at its first element past
+        ``limit``, so an oversized ball costs no more than the limit."""
         if r < 0:
             raise MalformedInputError("radius must be >= 0")
         gens = self.generators()
-        seen = set(points)
+        seen = {self.identity()}
         frontier = list(seen)
         for _ in range(r):
             nxt = []
@@ -96,16 +96,9 @@ class GroupOracle:
                         nxt.append(h)
                         if len(seen) > limit:
                             raise ResourceLimitError(
-                                f"neighbourhood of radius {r} exceeds {limit} elements"
+                                f"ball of radius {r} exceeds {limit} elements"
                             )
             frontier = nxt
-        return seen
-
-    def ball(self, r: int, limit: int = 10**6) -> tuple:
-        """Exact ball of radius r around the identity, sorted by
-        ``sort_key``; raises ResourceLimitError at its first element
-        past ``limit``."""
-        seen = self.neighbourhood([self.identity()], r, limit)
         return tuple(sorted(seen, key=self.sort_key))
 
     def __repr__(self):

@@ -683,12 +683,14 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     power of the given order.
 
     Returns (flag, analysis).  On violation the analysis classifies the
-    witness: a short period (at most |xi|/5) must already produce a
-    fourth power inside a single surviving xi block (cross-checked);
-    anything longer is classified as a block-structure violation and
-    localized against the surviving blocks.  With check_xi, xi must
-    meet the marker-word contract first: 3-aperiodic and longer than
-    xi_floor letters, by default the full-scale XiParams().total_low.
+    witness.  A short period p (at most |xi|/5) is the case
+    "short-period-inside-block" when some surviving xi run overlaps the
+    witness window by at least 4p letters, so that one xi block holds a
+    fourth power, and "long-period" otherwise.  A longer period is a
+    "long-period" block-structure violation, localized against the
+    surviving blocks.  With check_xi, xi must meet the marker-word
+    contract first: 3-aperiodic and longer than xi_floor letters, by
+    default the full-scale XiParams().total_low.
     """
     if len(xs) != len(eps) or not xs:
         raise MalformedInputError("xs and eps must be nonempty and equal length")
@@ -733,29 +735,22 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     if ok:
         return True, analysis
     p = witness.period
+    end = witness.start + p * witness.exponent
     analysis["witness"] = {
         "start": witness.start,
         "period": p,
         "exponent": witness.exponent,
     }
     if 5 * p <= len(xi):
-        case1 = False
-        span4 = 4 * p
-        for a, b in xi_runs:
-            lo = max(a, witness.start)
-            hi = min(b, witness.start + witness.period * witness.exponent)
-            if hi - lo >= span4 and letters[lo : lo + span4 - p] == letters[lo + p : lo + span4]:
-                case1 = True
-                break
-        analysis["case"] = "short-period-inside-block" if case1 else "long-period"
+        # the witness window is p-periodic, so an xi run overlapping it
+        # by 4p letters holds a fourth power inside one xi block
+        inside = any(min(b, end) - max(a, witness.start) >= 4 * p for a, b in xi_runs)
+        analysis["case"] = "short-period-inside-block" if inside else "long-period"
     else:
         analysis["case"] = "long-period"
-        crossing = [
-            i
-            for i, (a, b) in enumerate(xi_runs)
-            if a < witness.start + p * witness.exponent and b > witness.start
+        analysis["blocks_crossed"] = [
+            i for i, (a, b) in enumerate(xi_runs) if a < end and b > witness.start
         ]
-        analysis["blocks_crossed"] = crossing
     return False, analysis
 
 

@@ -12,7 +12,6 @@ negative; for a single point the degenerate length-0 path gives -1.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -54,10 +53,6 @@ __all__ = [
 ]
 
 EXACT_SOLVER_CAP = 15
-# explored (element, visited-mask) states before L' gives up
-_LPRIME_STATE_CAP = 3_000_000
-# hull elements before L' gives up on groups neither free nor abelian
-_LPRIME_HULL_CAP = 200_000
 
 
 @dataclass
@@ -309,29 +304,29 @@ def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
     if isinstance(rset.oracle, FreeOracle):
         order, _lcp, _meet, edges = rset.free_hull
         return Tour(tuple(order), 2 * edges, "exact")
-    return _held_karp(rset, cap)
-
-
-def _held_karp(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
-    """Optimal closed tour by dynamic programming over subsets (Held-Karp),
-    one popcount layer at a time; each state scores only the points of
-    its source mask.  Ties go to the smallest previous point.  Costs are
-    packed into 55 bits, so a set whose n times its largest distance
-    reaches 2**55 raises ResourceLimitError."""
-    n = rset.size
-    if n > cap:
+    if rset.size > cap:
         raise ResourceLimitError(
-            f"{n} elements exceed the exact solver cap {cap}; use tsp_heuristic"
+            f"{rset.size} elements exceed the exact solver cap {cap}; use tsp_heuristic"
         )
-    pts = rset.elements
+    return _held_karp(rset.elements, rset.distances)
+
+
+def _held_karp(pts, D) -> Tour:
+    """Optimal closed tour of pts under the symmetric cost matrix D, by
+    dynamic programming over subsets (Held-Karp), one popcount layer at
+    a time; each state scores only the points of its source mask.  Ties
+    go to the smallest previous point.  Costs are packed into 55 bits,
+    so a set whose n times its largest cost reaches 2**55 raises
+    ResourceLimitError."""
+    n = len(pts)
     if n == 1:
         return Tour((pts[0],), 0, "exact")
     # every path the table scores has at most n steps
-    if n * max(map(max, rset.distances)) >= 1 << 55:
+    if n * max(map(max, D)) >= 1 << 55:
         raise ResourceLimitError(
             "distances too large for the exact solver's 55-bit costs; use tsp_heuristic"
         )
-    D = np.array(rset.distances, dtype=np.int64)
+    D = np.array(D, dtype=np.int64)
     # a state's key is its cost << 8 | its previous point, so the least
     # candidate key is the cheapest with the smallest previous point; D is
     # symmetric, so row j holds the step from each previous point to j
@@ -458,8 +453,7 @@ def mst_bounds(rset: RelatedSet):
 @dataclass(frozen=True)
 class LPrimeResult:
     value: int
-    certified: bool
-    method: str
+    certified: bool  # always True: every group's L' is exact
 
 
 def _free_hull(pts):
@@ -503,76 +497,29 @@ def _l_prime_free(hull) -> int:
     return 2 * edges - credits - 1
 
 
-def _l_prime_dijkstra(oracle: GroupOracle, pts, region):
-    """Minimum of (steps - arrivals-in-S) over closed walks through all
-    of pts, restricted to the given region of the Cayley graph."""
-    n = len(pts)
-    index = {p: i for i, p in enumerate(pts)}
-    members = set(pts)
-    gens = oracle.generators()
-    start = pts[0]
-    full = (1 << n) - 1
-    dist = {(start, 1): 0}
-    heap = [(0, 0, (start, 1))]
-    counter = 0
-    best = None
-    while heap:
-        d, _, (g, mask) = heapq.heappop(heap)
-        if dist.get((g, mask), None) != d:
-            continue
-        if g == start and mask == full:
-            best = d
-            break
-        for s in gens:
-            h = oracle.multiply(g, s)
-            if h not in region:
-                continue
-            w = 1 - (1 if h in members else 0)
-            m2 = mask | (1 << index[h]) if h in members else mask
-            key = (h, m2)
-            nd = d + w
-            if nd < dist.get(key, float("inf")):
-                dist[key] = nd
-                counter += 1
-                if len(dist) > _LPRIME_STATE_CAP:
-                    raise ResourceLimitError("credited-walk search exceeded state cap")
-                heapq.heappush(heap, (nd, counter, key))
-    if best is None:
-        raise PreconditionError("region disconnected; cannot close the walk")
-    return best - 1
+def l_prime(rset: RelatedSet) -> LPrimeResult:
+    """Exact credited walk cost.
 
-
-def l_prime(rset: RelatedSet, hull_radius: Optional[int] = None) -> LPrimeResult:
-    """Exact credited walk cost where the geometry allows it.
-
-    Free groups: closed form on the spanning subtree (exact, any
-    size).  Abelian groups: Dijkstra over the bounding box (exact;
-    leaving the box never helps an L1 walk).  Other oracles: Dijkstra
-    over a ball hull of configurable radius, certified only within that
-    budget; the hull search raises ResourceLimitError at its first
-    element past ``_LPRIME_HULL_CAP``.  Every group but the free ones
-    takes at most EXACT_SOLVER_CAP points.
+    Free groups: closed form on the spanning subtree (any size).  Every
+    other group takes at most EXACT_SOLVER_CAP points and a tour under
+    W, the shortest-path closure of D - 1 with a zero diagonal.  A
+    closed walk's cost, steps minus arrivals in S, is the number of its
+    landings outside S minus 1.  Between two consecutive landings in S,
+    at a and b, it lands outside S at least d(a, b) - 1 times, and a
+    geodesic does no worse; so L' + 1 is the shortest closed tour of S
+    under W, which may pass through a point more than once.
     """
-    pts = rset.elements
-    if rset.size == 1:
-        return LPrimeResult(-1, True, "degenerate")
-    o = rset.oracle
-    if isinstance(o, FreeOracle):
-        return LPrimeResult(_l_prime_free(rset.free_hull), True, "tree-formula")
-    if rset.size > EXACT_SOLVER_CAP:
-        raise ResourceLimitError(f"{rset.size} elements exceed cap {EXACT_SOLVER_CAP}")
-    if isinstance(o, AbelianOracle):
-        los = [min(p[i] for p in pts) for i in range(o.dim)]
-        his = [max(p[i] for p in pts) for i in range(o.dim)]
-        region = set(
-            itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)])
-        )
-        return LPrimeResult(_l_prime_dijkstra(o, pts, region), True, "box-walk")
-    radius = hull_radius
-    if radius is None:
-        radius = max(o.distance(pts[0], p) for p in pts) + 2
-    region = o.neighbourhood(pts, radius, _LPRIME_HULL_CAP)
-    return LPrimeResult(_l_prime_dijkstra(o, pts, region), False, "hull-walk-budgeted")
+    if isinstance(rset.oracle, FreeOracle):
+        return LPrimeResult(_l_prime_free(rset.free_hull), True)
+    n = rset.size
+    if n > EXACT_SOLVER_CAP:
+        raise ResourceLimitError(f"{n} elements exceed cap {EXACT_SOLVER_CAP}")
+    # Python ints, so distances past int64 reach Held-Karp's 55-bit check
+    W = np.array(rset.distances, dtype=object) - 1
+    np.fill_diagonal(W, 0)
+    for k in range(n):
+        np.minimum(W, W[:, k, None] + W[k], out=W)
+    return LPrimeResult(_held_karp(rset.elements, W).length - 1, True)
 
 
 # ---------------------------------------------------------------------------

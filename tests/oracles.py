@@ -386,9 +386,9 @@ def tagged_product_reference(xi, xs, eps):
 
 
 def hull_reference(o, pts, radius):
-    """The credited functional's ball hull as `tours.l_prime` built it
-    with its own layer loop, kept literal: every element within radius
-    of pts, the 200,000-element cap checked after each whole layer."""
+    """Every element within radius of pts, by its own layer loop, kept
+    literal from the ball hull `tours.l_prime` once searched; the cap of
+    200,000 elements is checked after each whole layer."""
     region = set()
     frontier = set(pts)
     region.update(frontier)
@@ -404,6 +404,45 @@ def hull_reference(o, pts, radius):
         if len(region) > 200_000:
             raise ResourceLimitError("ball hull too large for credited-walk search")
     return region
+
+
+def box_reference(pts):
+    """Every integer point of the bounding box of the vectors pts; an
+    L1-shortest walk between two of them never leaves it."""
+    sides = [range(min(c), max(c) + 1) for c in zip(*pts)]
+    return set(itertools.product(*sides))
+
+
+def l_prime_walk_reference(oracle, pts, region):
+    """L' as `tours.l_prime` searched for it on groups that are not free
+    before it became a tour: the least (steps - arrivals in pts) over
+    closed walks from pts[0] through all of pts, each step to a
+    neighbour inside region, by Dijkstra over (element, visited-mask)
+    states.  None when region holds no such walk."""
+    index = {p: i for i, p in enumerate(pts)}
+    gens = oracle.generators()
+    start = pts[0]
+    full = (1 << len(pts)) - 1
+    dist = {(start, 1): 0}
+    heap = [(0, 0, (start, 1))]
+    counter = 0
+    while heap:
+        d, _, (g, mask) = heapq.heappop(heap)
+        if dist[g, mask] != d:
+            continue
+        if g == start and mask == full:
+            return d - 1
+        for s in gens:
+            h = oracle.multiply(g, s)
+            if h not in region:
+                continue
+            key = (h, mask | 1 << index[h]) if h in index else (h, mask)
+            nd = d + (h not in index)
+            if nd < dist.get(key, float("inf")):
+                dist[key] = nd
+                counter += 1
+                heapq.heappush(heap, (nd, counter, key))
+    return None
 
 
 def free_hull_reference(pts):

@@ -294,6 +294,26 @@ finally:
 """
 
 
+def _run_in_two_gib(args):
+    """Run the CLI in a separate process with 2 GiB of address space, so
+    a command that would run out of memory fails without harm (one BLAS
+    thread, whose buffers then fit on any core count)."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(ts_groups.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *args], capture_output=True, text=True,
+        timeout=60, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+    )
+    assert "Traceback" not in result.stdout + result.stderr
+    return result, float(re.search(r"cli seconds ([0-9.]+)", result.stderr).group(1))
+
+
 @pytest.mark.parametrize("args", [
     ["seq", "thue", "--n", "99999999999999"],
     ["experiment", "ts-lambda", "--group", "free:99999999999", "--xi", "a", "--lambda", "1",
@@ -313,25 +333,26 @@ finally:
 ], ids=["seq-n", "experiment-free-rank", "property-free-rank", "tree-vertices", "property-r",
         "property-k-max", "experiment-max-size", "folner-box", "experiment-f2xz-n"])
 def test_inputs_past_their_caps_exit_3_at_once(args):
-    # each ran out of memory or hung before its cap; a separate process
-    # with 2 GiB of address space, so a lost cap fails without harm (one
-    # BLAS thread, whose buffers then fit on any core count)
-    import resource
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    src = Path(ts_groups.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", _TIMED_MAIN, *args], capture_output=True, text=True,
-        timeout=60, preexec_fn=limit_memory,
-        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-             "OMP_NUM_THREADS": "1"},
-    )
+    # each ran out of memory or hung before its cap
+    result, seconds = _run_in_two_gib(args)
     assert result.returncode == 3
     assert "exceeds cap" in result.stderr
-    assert "Traceback" not in result.stdout + result.stderr
-    assert float(re.search(r"cli seconds ([0-9.]+)", result.stderr).group(1)) < 1.0
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("args, lprimes", [
+    (["--group", "abelian:2", "--xi", "100000000,0", "--samples", "2", "--style", "pairs",
+      "--max-size", "2"], [199_999_997, 199_999_997]),
+    (["--group", "f2xz:n=2", "--xi", "a b a|0", "--samples", "1", "--max-size", "6"], [13]),
+], ids=["abelian-far-pair", "f2xz-six-points"])
+def test_lprime_on_sets_whose_walk_region_was_too_big(args, lprimes):
+    # the abelian box of the far pair ran out of memory, and the f2xz
+    # hull of radius 8 exited 3 past 200,000 elements
+    result, seconds = _run_in_two_gib(["experiment", "ts-lambda", "--lambda", "1", "--lprime",
+                                       "--seed", "1", *args])
+    assert result.returncode == 0
+    assert [row["Lprime"] for row in json.loads(result.stdout)["per_sample"]] == lprimes
+    assert seconds < 5.0
 
 
 def test_forest_xi_as_file(runner, tmp_path):

@@ -349,7 +349,7 @@ def _forest_sets():
     for seed in range(2):
         rset, _xi = pair_instance(seed, 12)
         # Held-Karp's order: the closed-form free tour is another optimal one
-        yield f"pairs-{seed}", rset, 12, tours._held_karp(rset)
+        yield f"pairs-{seed}", rset, 12, tours._held_karp(rset.elements, rset.distances)
     for style, xi_len, r, seed in (("pairs", 9, 16, 0), ("pairs", 9, 16, 1),
                                    ("chains", 5, 16, 1), ("chains", 5, 16, 2),
                                    ("pairs", 9, 4, 2), ("chains", 9, 8, 0)):

@@ -398,6 +398,17 @@ def test_corrupted_xi_violation_classified():
     assert analysis["case"] == "short-period-inside-block"
 
 
+@pytest.mark.parametrize("xi, x, case", [("b a a a a", "a", "short-period-inside-block"),
+                                         ("b c b a a a", "a a", "long-period")])
+def test_short_period_case_needs_an_xi_run_of_four_periods(xi, x, case):
+    # the fifth power of a runs over the end of xi into x: 4 letters of
+    # it lie in the xi run of b a a a a, and 3 in that of b c b a a a
+    ok, analysis = verify_product_aperiodicity(parse_word(xi, 3), [parse_word(x, 3)], [1],
+                                               bound=5, check_xi=False)
+    assert not ok and analysis["witness"]["period"] == 1
+    assert analysis["case"] == case
+
+
 def test_xi_contract_enforced_when_checked():
     fake = Word(tuple([1, 2] * 300), 2)
     with pytest.raises(PreconditionError, match="not 3-aperiodic"):

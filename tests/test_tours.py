@@ -19,7 +19,7 @@ from ts_groups.errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from ts_groups.groups import F2xZOracle, GroupOracle, make_oracle
+from ts_groups.groups import GroupOracle, make_oracle
 from ts_groups.tours import (
     ClosedPath,
     RelatedSet,
@@ -40,12 +40,14 @@ from ts_groups.tours import (
 from ts_groups.words import first_aperiodic_word, parse_word, reduce
 
 from oracles import (
+    box_reference,
     brute_tour_length,
     folner_walk_reference,
     free_hull_reference,
     held_karp_reference,
     hull_reference,
     l_prime_free_reference,
+    l_prime_walk_reference,
     mst_witness_reference,
 )
 
@@ -228,10 +230,10 @@ def _oracle_matrix(oracle, pts):
     return tuple(tuple(oracle.distance(a, b) for b in pts) for a in pts)
 
 
-def _assert_matches_reference(rset, cap=15):
+def _assert_matches_reference(rset):
     # Held-Karp's own entry point: tsp_exact takes free sets to the closed form
     length, order = held_karp_reference(_oracle_matrix(rset.oracle, rset.elements))
-    tour = tours._held_karp(rset, cap)
+    tour = tours._held_karp(rset.elements, rset.distances)
     assert tour.length == length
     assert tour.order == tuple(rset.elements[i] for i in order)
 
@@ -280,7 +282,7 @@ def test_exact_matches_held_karp_reference_past_ten_points(n):
 
 
 def test_exact_matches_held_karp_reference_at_sixteen_points():
-    _assert_matches_reference(RelatedSet(AB2, None, box(4, 4, -1, -2)), cap=16)
+    _assert_matches_reference(RelatedSet(AB2, None, box(4, 4, -1, -2)))
 
 
 @pytest.mark.parametrize("n", [13, 14, 15])
@@ -361,6 +363,11 @@ def test_exact_refuses_costs_past_55_bits():
     assert tsp_exact(RelatedSet(AB2, None, ((0, 0), (2**54 - 1, 0)))).length == 2**55 - 2
     with pytest.raises(ResourceLimitError):
         tsp_exact(RelatedSet(AB2, None, ((0, 0), (2**54, 0))))
+    # L' runs the same Held-Karp, on costs that do not wrap past int64
+    for big in (2**56, 2**64):
+        with pytest.raises(ResourceLimitError):
+            l_prime(RelatedSet(AB2, None, ((0, 0), (big, 0), (0, 1))))
+    assert l_prime(near).value == 2**53 - 3
 
 
 def _mix_oracles():
@@ -508,7 +515,7 @@ def test_l_prime_below_l():
 
 
 def test_l_prime_free_matches_walk_search():
-    from ts_groups.tours import _free_hull, _l_prime_dijkstra, _l_prime_free
+    from ts_groups.tours import _free_hull, _l_prime_free
     from ts_groups.words import Word
 
     rng = random.Random(31)
@@ -518,7 +525,7 @@ def test_l_prime_free_matches_walk_search():
             pts.add(random_element(FREE2, rng, 4))
         pts = tuple(sorted(pts, key=FREE2.sort_key))
         region = {Word(h, 2) for h in free_hull_reference(pts)}
-        walk = _l_prime_dijkstra(FREE2, pts, region)
+        walk = l_prime_walk_reference(FREE2, pts, region)
         assert _l_prime_free(_free_hull(pts)) == l_prime_free_reference(pts) == walk
 
 
@@ -547,7 +554,7 @@ def test_l_prime_abelian_box_walk():
     rset = RelatedSet(AB2, None, box(2, 2))
     res = l_prime(rset)
     # the unit square walk has length 4 and revisits its base: 4 - 5
-    assert res.value == -1 and res.certified and res.method == "box-walk"
+    assert res.value == -1 and res.certified
 
 
 def test_l_prime_remark_two_bound_desk():
@@ -730,19 +737,11 @@ def test_exact_matches_brute_ten_points():
     assert tsp_exact(rset).length == brute_tour_length(AB2, rset.elements)
 
 
-def test_l_prime_generic_hull_budgeted():
-    oracle = make_oracle("f2xz:n=2")
-    xi = (parse_word("a b a", 2), 0)
-    g = oracle.identity()
-    rset = RelatedSet(oracle, xi, (g, oracle.multiply(g, xi)))
-    res = l_prime(rset, hull_radius=4)
-    assert res.method == "hull-walk-budgeted" and not res.certified
-    # the pair walk formula value is an upper bound for the budgeted search
-    assert res.value <= 2 * oracle.length(xi) - 3
-
-
-# l_prime values recorded when the hull had its own layer loop: (group,
-# elements, hull_radius, value)
+# l_prime values recorded while groups that are not free ran a walk
+# search over a ball hull: (group, elements, hull radius, value), the
+# radius None for the search's default, the largest distance from the
+# first point plus 2.  The walk search, now `l_prime_walk_reference`,
+# must still give each value over its hull.
 PINNED_L_PRIME = [
     ("f2xz:n=2", ["|0", "a b a|0"], 4, 3),
     ("f2xz:n=2", ["|0", "a b a|0"], 5, 3),
@@ -761,48 +760,59 @@ PINNED_L_PRIME = [
 def test_l_prime_hull_walk_pinned(descriptor, texts, radius, value):
     oracle = make_oracle(descriptor)
     rset = RelatedSet(oracle, None, tuple(oracle.parse_element(t) for t in texts))
-    assert l_prime(rset, hull_radius=radius).value == value
+    pts = rset.elements
+    if radius is None:
+        radius = max(rset.distances[0]) + 2
+    assert l_prime(rset).value == value
+    assert l_prime_walk_reference(oracle, pts, hull_reference(oracle, pts, radius)) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32), st.integers(1, 7))
+def test_l_prime_abelian_matches_box_walk(dim, seed, count):
+    oracle = make_oracle(f"abelian:{dim}")
+    rng = random.Random(seed)
+    rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 2) for _ in range(count)))
+    pts = rset.elements
+    assert l_prime(rset).value == l_prime_walk_reference(oracle, pts, box_reference(pts))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["f2xz:n=2", "prod(free:2,abelian:1)"]), st.integers(0, 2**32),
-       st.integers(2, 3), st.integers(1, 3))
-def test_l_prime_hull_matches_layer_hull(descriptor, seed, count, radius):
-    from ts_groups.tours import _l_prime_dijkstra
-
+       st.integers(2, 3), st.integers(1, 4))
+def test_l_prime_at_most_hull_walk(descriptor, seed, count, radius):
+    # a walk in the hull is a walk, so it costs at least L'; the geodesics
+    # between the points stay within half their distance of the points,
+    # so from that radius on the hull holds an optimal walk
     oracle = make_oracle(descriptor)
     rng = random.Random(seed)
     rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 2) for _ in range(count)))
     pts = rset.elements
-    if len(pts) == 1:
-        return
-    try:
-        expected = _l_prime_dijkstra(oracle, pts, hull_reference(oracle, pts, radius))
-    except PreconditionError:
-        with pytest.raises(PreconditionError):
-            l_prime(rset, hull_radius=radius)
-        return
-    assert l_prime(rset, hull_radius=radius).value == expected
+    walk = l_prime_walk_reference(oracle, pts, hull_reference(oracle, pts, radius))
+    value = l_prime(rset).value
+    if 2 * radius >= max(map(max, rset.distances)) - 1:
+        assert value == walk
+    else:
+        assert walk is None or value <= walk
 
 
-def test_l_prime_hull_stops_at_its_cap(monkeypatch):
-    # the hull search must give up at its first element past the cap,
-    # not at the end of the breadth-first layer that crosses it
-    cap = 500
-    monkeypatch.setattr(tours, "_LPRIME_HULL_CAP", cap)
-    seen = []
+@settings(max_examples=40, deadline=None)
+@given(pts=_free_point_sets())
+def test_l_prime_of_free_set_times_zero_matches_closed_form(pts):
+    # S x {0} in F_k x Z: a walk leaving the Z = 0 layer comes back, so
+    # the tour over the closure of D - 1 must give the tree's value
+    from ts_groups.tours import _free_hull, _l_prime_free
 
-    class CountingF2xZ(F2xZOracle):
-        def multiply(self, g, h):
-            seen.append(super().multiply(g, h))
-            return seen[-1]
+    oracle = make_oracle(f"prod(free:{pts[0].rank},abelian:1)")
+    rset = RelatedSet(oracle, None, tuple((p, (0,)) for p in pts))
+    assert l_prime(rset).value == _l_prime_free(_free_hull(pts))
 
-    oracle = CountingF2xZ(2)
-    pts = (oracle.identity(), (parse_word("a b a", 2), 0))
-    rset = RelatedSet(oracle, None, pts)
-    with pytest.raises(ResourceLimitError):
-        l_prime(rset, hull_radius=8)
-    assert len(set(seen) | set(pts)) <= cap + 1
+
+def test_l_prime_counts_points_between_others():
+    # the walk 0, 1, 2, 1, 0 lands outside S never: 4 steps - 5 arrivals;
+    # a tour under D - 1 itself, without its closure, would give 0
+    oracle = make_oracle("abelian:1")
+    assert l_prime(RelatedSet(oracle, None, ((0,), (1,), (2,)))).value == -1
 
 
 WALK_GROUPS = ["free:2", "abelian:2", "abelian:3", "prod(free:2,abelian:1)", "f2xz:n=2"]
