@@ -418,10 +418,36 @@ def _block_word(params: XiParams):
     return letters
 
 
+def _windows_hit(flips, lo, hi, w):
+    """Whether every window [u, u + w] with lo <= u < hi holds one of
+    the sorted flips.  A flip d covers every start from d - w up to d,
+    so one walk over the flips moves the first uncovered start to d + 1
+    or finds it uncovered."""
+    need = lo
+    for d in flips:
+        if need >= hi or d > need + w:
+            break
+        need = max(need, d + 1)
+    return need >= hi
+
+
+def _prefix_counts(positions, n):
+    """counts[i] = how many of the letter positions lie below i, for
+    0 <= i <= n."""
+    p = np.fromiter(positions, np.int64, len(positions))
+    return np.bincount(p + 1, minlength=n + 1).cumsum()
+
+
 def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
-    """Independent window scan of the four flip-set conditions."""
+    """Check the four flip-set conditions from the flips alone, without
+    the state of the selection that chose them.  The two density
+    conditions ask that every window of a zone hold a flip; one walk over
+    the sorted flips answers each (`_windows_hit`).  Local sparsity
+    compares 3 * flips < b-letters in every window at once, from prefix
+    counts; window widths are at least 0.  `flip_conditions_reference` in the tests is the
+    window-by-window scan this replaces, and a randomized test keeps the
+    two equal."""
     flips = sorted(flips)
-    bset = sorted(b_positions)
     out = {}
     gaps = [b - a for a, b in zip(flips, flips[1:])]
     out["distinct_gaps"] = {
@@ -429,33 +455,20 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
         "detail": f"{len(gaps)} gaps, {len(set(gaps))} distinct",
     }
     w = params.end_window
-    ok = True
-    zones = list(range(0, params.end_zone_a - 1)) + list(
-        range(n - params.end_zone_b_lo, n - params.end_zone_b_hi - 1)
+    ok = _windows_hit(flips, 0, params.end_zone_a - 1, w) and _windows_hit(
+        flips, n - params.end_zone_b_lo, n - params.end_zone_b_hi - 1, w
     )
-    for u in zones:
-        if not any(u <= d <= u + w for d in flips):
-            ok = False
-            break
     out["end_density"] = {"pass": ok, "detail": f"window {w} over both end zones"}
-    ok = True
-    for u in range(0, n - params.global_window):
-        lo_idx = bisect.bisect_left(flips, u)
-        if lo_idx >= len(flips) or flips[lo_idx] > u + params.global_window:
-            ok = False
-            break
     out["global_density"] = {
-        "pass": ok,
+        "pass": _windows_hit(flips, 0, n - params.global_window, params.global_window),
         "detail": f"window {params.global_window} everywhere",
     }
-    ok = True
+    # window [u, u + dw] holds surplus[u + dw + 1] - surplus[u] b-letters
+    # beyond three per flip
     dw = params.density_window
-    for u in range(0, n - dw):
-        nb = bisect.bisect_right(bset, u + dw) - bisect.bisect_left(bset, u)
-        nd = bisect.bisect_right(flips, u + dw) - bisect.bisect_left(flips, u)
-        if not 3 * nd < nb:
-            ok = False
-            break
+    starts = max(n - dw, 0)
+    surplus = _prefix_counts(b_positions, n) - 3 * _prefix_counts(flips, n)
+    ok = bool(np.all(surplus[dw + 1:dw + 1 + starts] > surplus[:starts]))
     out["local_sparsity"] = {
         "pass": ok,
         "detail": f"flips below 1/3 of b-letters in every {dw}-window",

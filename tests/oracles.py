@@ -4,6 +4,7 @@ These stay deliberately simple (triple loops, permutation sweeps) so
 they cannot share a bug with the production code paths they check.
 """
 
+import bisect
 import heapq
 import itertools
 from collections import deque
@@ -349,6 +350,52 @@ def held_karp_reference(D):
         mask, last = mask ^ (1 << last), par[mask][last]
     order.reverse()
     return int(best), order
+
+
+def flip_conditions_reference(n, b_positions, flips, params):
+    """The marker word's four flip-set conditions scanned window start
+    by window start; same contract as `testers._verify_flip_conditions`."""
+    flips = sorted(flips)
+    bset = sorted(b_positions)
+    out = {}
+    gaps = [b - a for a, b in zip(flips, flips[1:])]
+    out["distinct_gaps"] = {
+        "pass": len(gaps) == len(set(gaps)),
+        "detail": f"{len(gaps)} gaps, {len(set(gaps))} distinct",
+    }
+    w = params.end_window
+    ok = True
+    zones = list(range(0, params.end_zone_a - 1)) + list(
+        range(n - params.end_zone_b_lo, n - params.end_zone_b_hi - 1)
+    )
+    for u in zones:
+        if not any(u <= d <= u + w for d in flips):
+            ok = False
+            break
+    out["end_density"] = {"pass": ok, "detail": f"window {w} over both end zones"}
+    ok = True
+    for u in range(0, n - params.global_window):
+        lo_idx = bisect.bisect_left(flips, u)
+        if lo_idx >= len(flips) or flips[lo_idx] > u + params.global_window:
+            ok = False
+            break
+    out["global_density"] = {
+        "pass": ok,
+        "detail": f"window {params.global_window} everywhere",
+    }
+    ok = True
+    dw = params.density_window
+    for u in range(0, n - dw):
+        nb = bisect.bisect_right(bset, u + dw) - bisect.bisect_left(bset, u)
+        nd = bisect.bisect_right(flips, u + dw) - bisect.bisect_left(flips, u)
+        if not 3 * nd < nb:
+            ok = False
+            break
+    out["local_sparsity"] = {
+        "pass": ok,
+        "detail": f"flips below 1/3 of b-letters in every {dw}-window",
+    }
+    return out
 
 
 def tagged_product_reference(xi, xs, eps):

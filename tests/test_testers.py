@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -33,7 +35,7 @@ from ts_groups.testers import (
 )
 from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, random_word, reduce
 
-from oracles import tagged_product_reference
+from oracles import flip_conditions_reference, tagged_product_reference
 
 FREE2 = make_oracle("free:2")
 AB2 = make_oracle("abelian:2")
@@ -341,6 +343,125 @@ def test_flip_conditions_reported():
     }
     gaps = [b - a for a, b in zip(rep.flips, rep.flips[1:])]
     assert len(gaps) == len(set(gaps))
+
+
+@functools.lru_cache(maxsize=None)
+def _marker_blocks(params):
+    """(n, b-positions, the flip sets `_select_flips` picks for seeds
+    0-39) of the block word under `params`' target length."""
+    letters = testers._block_word(params)
+    n = len(letters)
+    b = [i for i, c in enumerate(letters) if c == 2]
+    picks = (testers._select_flips(n, b, params, random.Random(s)) for s in range(40))
+    return n, b, [f for f in picks if f is not None]
+
+
+_DESK = XiParams.desk()
+# desk word, n = 502: end zones that start below 0 or end past n, and
+# windows of n letters or more, where a zone with no start passes
+_EDGE_FLIP_PARAMS = [
+    dataclasses.replace(_DESK, end_zone_b_lo=600, end_zone_b_hi=-40),
+    dataclasses.replace(_DESK, end_zone_a=700, end_window=5),
+    dataclasses.replace(_DESK, global_window=502, density_window=502),
+    dataclasses.replace(_DESK, global_window=900, density_window=501, end_window=600),
+]
+
+
+def _xi_params(lo, hi):
+    """Desk parameters with every window and zone bound drawn from
+    [lo, hi]; windows are never negative."""
+    bound, window = st.integers(lo, hi), st.integers(max(lo, 0), hi)
+    return st.builds(functools.partial(dataclasses.replace, _DESK), end_window=window,
+                     end_zone_a=bound, end_zone_b_lo=bound, end_zone_b_hi=bound,
+                     global_window=window, density_window=window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flip_conditions_match_reference(data):
+    # the flips are real b-positions of the full or desk block word, or of
+    # a prefix of the desk word short enough that drawn windows and zone
+    # bounds often land on the start where a verdict turns
+    scale = data.draw(st.sampled_from(["full", "desk", "prefix"]), label="scale")
+    n, b, picks = _marker_blocks(XiParams() if scale == "full" else _DESK)
+    if scale == "full":
+        params = XiParams()
+    elif scale == "desk":
+        params = data.draw(st.one_of(st.sampled_from([_DESK] + _EDGE_FLIP_PARAMS),
+                                     _xi_params(-60, 600)), label="params")
+    else:
+        n = data.draw(st.integers(1, 60), label="n")
+        b = [p for p in b if p < n]
+        picks = [[d for d in f if d < n] for f in picks]
+        params = data.draw(_xi_params(-3, n + 3), label="params")
+    # a random subset, every k-th b-letter of a stretch (near k = 3 the
+    # window counts sit on their bound), or a selection with flips
+    # dropped and added
+    kind = data.draw(st.sampled_from(["subset", "stride", "selection"]), label="kind")
+    if kind == "subset":
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        flips = rng.sample(b, data.draw(st.integers(0, len(b)), label="size"))
+    elif kind == "stride":
+        start, stop = sorted(data.draw(st.lists(st.integers(0, len(b)), min_size=2, max_size=2)))
+        flips = b[start:stop:data.draw(st.integers(1, 400), label="stride")]
+    else:
+        flips = data.draw(st.sampled_from(picks), label="selection")
+        dropped = data.draw(st.sets(st.integers(0, len(flips)), max_size=4), label="dropped")
+        added = data.draw(st.lists(st.sampled_from(b), max_size=4), label="added")
+        flips = [d for i, d in enumerate(flips) if i not in dropped] + added
+    assert (testers._verify_flip_conditions(n, b, flips, params)
+            == flip_conditions_reference(n, b, flips, params))
+
+
+def test_flip_conditions_match_reference_at_every_bound():
+    # a 40-letter prefix of the desk word, small windows and zones, and
+    # each bound swept one at a time through every value that moves a
+    # zone edge or a window across the word
+    n, b, _ = _marker_blocks(_DESK)
+    n = 40
+    b = [p for p in b if p < n]
+    base = dataclasses.replace(_DESK, end_window=5, end_zone_a=15, end_zone_b_lo=20,
+                               end_zone_b_hi=5, global_window=8, density_window=6)
+    holes = [[p for p in b if not 20 <= p < 30], [p for p in b[::2] if not 6 <= p < 14]]
+    for flips in [b[::2], b[::3], b[1::3], b[::4], b[2::7]] + holes:
+        for field in ["end_window", "end_zone_a", "end_zone_b_lo", "end_zone_b_hi",
+                      "global_window", "density_window"]:
+            for value in range(0 if field.endswith("window") else -3, n + 4):
+                params = dataclasses.replace(base, **{field: value})
+                assert (testers._verify_flip_conditions(n, b, flips, params)
+                        == flip_conditions_reference(n, b, flips, params)), (flips, params)
+
+
+def _break_flip_condition(condition, flips, n, b, params):
+    """A flip set, made from a passing one, that breaks `condition`."""
+    if condition == "distinct_gaps":
+        # split the widest gap so that one part repeats the narrowest
+        gaps = [y - x for x, y in zip(flips, flips[1:])]
+        return sorted(flips + [flips[gaps.index(max(gaps))] + min(gaps)])
+    if condition == "end_density":
+        # the first end-zone window [0, end_window] loses its flips
+        return [d for d in flips if d > params.end_window]
+    mid = n // 2 - params.global_window // 2
+    if condition == "global_density":
+        # the window [mid, mid + global_window] loses its flips
+        return [d for d in flips if not mid <= d <= mid + params.global_window]
+    # every b-letter of the window [mid, mid + density_window] is flipped
+    return sorted(set(flips) | {p for p in b if mid <= p <= mid + params.density_window})
+
+
+@pytest.mark.parametrize("params", [XiParams(), _DESK], ids=["full", "desk"])
+@pytest.mark.parametrize("condition",
+                         ["distinct_gaps", "end_density", "global_density", "local_sparsity"])
+def test_each_flip_condition_can_fail(condition, params):
+    rep = construct_xi(0, params)
+    n, b, _ = _marker_blocks(params)
+    flips = _break_flip_condition(condition, list(rep.flips), n, b, params)
+    conditions = testers._verify_flip_conditions(n, b, flips, params)
+    assert not conditions[condition]["pass"]
+    assert conditions == flip_conditions_reference(n, b, flips, params)
+    broken = dataclasses.replace(rep, flips=tuple(flips),
+                                 conditions={**rep.conditions, **conditions})
+    assert rep.ok and not broken.ok
 
 
 # -- product verification ------------------------------------------------------------
