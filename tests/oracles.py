@@ -70,6 +70,32 @@ def period_scan_reference(tokens, max_period=None, stop_at_order=None):
     return best_order, best_start, best_period
 
 
+def first_power_reference(tokens, order, first=1):
+    """The anchored run probe alone, at every period; same contract as
+    `words._first_power`."""
+    n = len(tokens)
+    for p in range(first, n // order + 1):
+        need = p * (order - 1)
+        m = n - p
+        run, start = 0, 0
+        i = need - 1
+        while i < m:
+            if tokens[i] != tokens[i + p]:
+                i += need
+                continue
+            lo, hi = i, i + 1
+            while lo > 0 and tokens[lo - 1] == tokens[lo - 1 + p]:
+                lo -= 1
+            while hi < m and tokens[hi] == tokens[hi + p]:
+                hi += 1
+            if hi - lo > run and hi - lo >= need:
+                run, start = hi - lo, lo
+            i = hi + need
+        if run:
+            return (run + p) // p, start, p
+    return None
+
+
 def naive_pieces(words):
     """All maximal common prefixes of distinct words in an explicit
     inverse-closed list; returns the set of prefixes as tuples."""

@@ -7,8 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.errors import MalformedInputError
-from ts_groups.sequences import squarefree_ternary
+from ts_groups.sequences import (
+    label_tree_adversarial,
+    label_tree_three_letters,
+    random_tree_adversary,
+    squarefree_ternary,
+)
+from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 from ts_groups.words import (
+    _BIT_MAX_NEED,
+    _BIT_MIN_PROBES,
+    _bit_planes,
+    _first_power,
+    _first_unruled,
     _power_ends_last,
     Occurrence,
     PowerWitness,
@@ -23,7 +34,7 @@ from ts_groups.words import (
     shift_right,
 )
 
-from oracles import naive_max_power_order, period_scan_reference
+from oracles import first_power_reference, naive_max_power_order, period_scan_reference
 
 
 def w(text, rank=2):
@@ -442,3 +453,172 @@ def test_brute_force_power_scan_mid_size():
     seq = [rng.randint(0, 1) for _ in range(300)]
     fast, wit = max_power_order(seq)
     assert fast == naive_max_power_order(seq)
+
+
+# -- the bit test that rules out short periods on long input -------------------
+
+
+def bit_reach(n, order):
+    """The last period the bit test takes at this length and order."""
+    return min(_BIT_MAX_NEED, n // _BIT_MIN_PROBES) // (order - 1)
+
+
+def max_power_reference(tokens):
+    """`words._max_power`'s search over the probe loop alone."""
+    best = 1, 0, 0
+    while (found := first_power_reference(tokens, best[0] + 1, best[2] + 1)) is not None:
+        best = found
+    return best
+
+
+def assert_first_power_matches_reference(tokens, order, first):
+    expected = first_power_reference(tokens, order, first)
+    assert _first_power(tokens, order, first) == expected
+    planes = _bit_planes(tokens)
+    assert _first_power(tokens, order, first, planes) == expected
+    if planes:
+        # the test is exact: the first period it cannot rule out is the
+        # first that hosts the power, unless that lies past its reach
+        last = bit_reach(len(tokens), order)
+        hit = expected[2] if expected else len(tokens)
+        assert _first_unruled(planes, len(tokens), order, first, last) == max(
+            first, min(hit, last + 1)
+        )
+
+
+TOKEN_KINDS = {
+    "int": lambda x: x,
+    "negative": lambda x: -x - 1,
+    "str": lambda x: f"t{x}",
+    "tuple": lambda x: (x, "t"),
+    "word": lambda x: Word((1,) * (x + 1), 1),
+    "unhashable": lambda x: [x],
+}
+
+
+@st.composite
+def long_planted_sequences(draw):
+    """256-4,000 tokens, square-free or random over 2-6 symbols, with up
+    to three powers of order 2-6 whose need lies around the bit test's
+    reach, read as one token kind; "many" appends 250-258 fresh tokens,
+    for 252-264 distinct ones."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(256, 4000))
+    if draw(st.booleans()):
+        seq = [ord(c) - ord("A") for c in squarefree_ternary(n)]
+    else:
+        symbols = draw(st.integers(2, 6))
+        seq = [rng.randrange(symbols) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        order = draw(st.integers(2, 6))
+        period = max(1, bit_reach(n, order) + draw(st.integers(-2, 2)))
+        base = [rng.randrange(3) for _ in range(period)]
+        at = draw(st.integers(0, len(seq)))
+        seq[at:at] = base * (order - draw(st.integers(0, 1))) + base[: rng.randrange(period)]
+    kind = draw(st.sampled_from(sorted(TOKEN_KINDS) + ["many"]))
+    if kind == "many":
+        return seq[:n] + list(range(-1, -1 - draw(st.integers(250, 258)), -1)), kind
+    return [TOKEN_KINDS[kind](x) for x in seq[:n]], kind
+
+
+@settings(max_examples=120, deadline=None)
+@given(long_planted_sequences())
+def test_long_power_scans_match_reference(case):
+    tokens, kind = case
+    planes = _bit_planes(tokens)
+    if kind == "unhashable" or len(set(tokens)) > 255:
+        assert planes == []
+    else:
+        assert len(planes) == len(set(tokens)).bit_length()
+    for order in range(2, 7):
+        for first in (1, 2, 3):
+            assert_first_power_matches_reference(tokens, order, first)
+    for k in range(1, 6):
+        found = first_power_reference(tokens, k + 1)
+        expected = (True, None) if found is None else (False, reference_witness(tokens, *found))
+        assert is_k_aperiodic(tokens, k) == expected
+    order, start, period = max_power_reference(tokens)
+    assert max_power_order(tokens) == (order, reference_witness(tokens, order, start, period))
+
+
+@pytest.mark.parametrize("order, period", [(2, 255), (2, 256), (2, 257), (3, 128), (3, 129)])
+def test_power_scan_at_the_need_cap(order, period):
+    # past 8,192 tokens the need cap, not the probe count, ends the
+    # reach.  The plant's letters are apart from the background's, and
+    # one marker a period keeps its shorter periods square-free.
+    tokens = [ord(c) for c in squarefree_ternary(9000)]
+    base = [ord(c) + 32 for c in squarefree_ternary(period - 1)] + [0]
+    tokens[4000:4000] = base * order
+    assert bit_reach(len(tokens), order) == _BIT_MAX_NEED // (order - 1)
+    for first in (1, 2, 3):
+        assert_first_power_matches_reference(tokens, order, first)
+    assert first_power_reference(tokens, order)[2] == period
+
+
+@pytest.fixture(scope="module")
+def marker_words():
+    from ts_groups.testers import construct_xi
+
+    return [construct_xi(seed).word.letters for seed in (101, 102, 103)]
+
+
+def test_marker_words_stay_3_aperiodic(marker_words):
+    for letters in marker_words:
+        assert first_power_reference(letters, 4) is None
+        assert is_k_aperiodic(letters, 3) == (True, None)
+        last = bit_reach(len(letters), 4)
+        assert _first_unruled(_bit_planes(letters), len(letters), 4, 1, last) == last + 1
+
+
+def test_marker_word_with_a_planted_fourth_power(marker_words):
+    letters = marker_words[0]
+    at = len(letters) // 2
+    tokens = letters[:at] + letters[at : at + 40] * 4 + letters[at + 40 :]
+    found = first_power_reference(tokens, 4)
+    assert found[0] >= 4 and found[2] <= 40
+    assert is_k_aperiodic(tokens, 3) == (False, reference_witness(tokens, *found))
+    assert_first_power_matches_reference(tokens, 4, 1)
+
+
+def test_max_power_order_builds_bit_planes_once(monkeypatch, marker_words):
+    from ts_groups import words
+
+    built = []
+    monkeypatch.setattr(words, "_bit_planes", lambda tokens: built.append(1) or _bit_planes(tokens))
+    tokens = list(marker_words[0][:2000])
+    tokens[1000:1000] = tokens[1000:1003] * 5
+    order, start, period = max_power_reference(tokens)
+    assert order >= 5
+    assert max_power_order(tokens) == (order, reference_witness(tokens, order, start, period))
+    assert len(built) == 1
+
+
+@pytest.fixture
+def no_bit_planes(monkeypatch):
+    from ts_groups import words
+
+    def refuse(tokens):
+        raise AssertionError(f"bit planes built for {len(tokens)} tokens")
+
+    monkeypatch.setattr(words, "_bit_planes", refuse)
+
+
+def test_short_input_never_builds_bit_planes(no_bit_planes):
+    for n in range(9):
+        for tokens in itertools.product((0, 1, 2), repeat=n):
+            max_power_order(tokens)
+            for k in (1, 2, 3):
+                is_k_aperiodic(tokens, k)
+    tree = PlaneTernaryTree.random(200, 2)
+    fixed = label_tree_three_letters(tree)
+    advers = label_tree_adversarial(tree, set("wxyz"), random_tree_adversary(2))
+    for path in enumerate_simple_paths(tree):
+        is_k_aperiodic(fixed.path_labels(path), 3)
+        is_k_aperiodic(advers.path_labels(path), 10)
+
+
+def test_products_never_build_bit_planes(no_bit_planes, desk_product):
+    # need >= 499 is past the cap; at order 50 the few short periods in
+    # reach would not pay for the planes
+    assert is_k_aperiodic(desk_product, 499)[0]
+    assert is_k_aperiodic(desk_product, 49)[0]
