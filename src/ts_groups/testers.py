@@ -13,6 +13,7 @@ on.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 import struct
@@ -402,9 +403,11 @@ class XiReport:
         }
 
 
+@functools.lru_cache(maxsize=4)
 def _block_word(params: XiParams):
-    """Square-free blocks b / aba / aabaa until the letter count lands
-    in the target interval."""
+    """(letters, b-positions): square-free blocks b / aba / aabaa until
+    the letter count lands in the target interval, and the positions of
+    its b letters.  Both are tuples, built once per parameter set."""
     blocks = {"A": (2,), "B": (1, 2, 1), "C": (1, 1, 2, 1, 1)}
     letters: List[int] = []
     # every block has a letter, so total_low + 1 symbols are enough
@@ -415,7 +418,7 @@ def _block_word(params: XiParams):
     n = len(letters)
     if not (params.total_low < n < params.total_high):
         raise ResourceLimitError(f"block word landed at {n}, outside the target")
-    return letters
+    return tuple(letters), tuple(i for i, c in enumerate(letters) if c == 2)
 
 
 def _windows_hit(flips, lo, hi, w):
@@ -478,7 +481,14 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
 
 def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     """Greedy selection with pairwise distinct gaps: small gaps inside
-    both end zones, coarse gaps through the middle."""
+    both end zones, coarse gaps through the middle.  Each pick draws a
+    target gap and takes the b-position, below n - 1 and with an unused
+    gap in [max(lo_gap, 2), hi_gap + 6], whose gap is nearest the
+    target; the lower position wins a tie.  It bisects to cur + target
+    and walks outward on each side past used gaps.
+    `select_flips_reference` in the tests is the scan over the whole
+    window that this replaces, and a randomized test keeps the two
+    equal."""
     dense_hi = params.end_zone_a + params.end_window + 20
     dense_lo = n - params.end_zone_b_lo - params.end_window - 20
     small = (max(8, params.end_window // 3), params.end_window - 3)
@@ -488,19 +498,19 @@ def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     flips: List[int] = []
 
     def pick_next(cur, lo_gap, hi_gap):
-        target = rng.randint(lo_gap, hi_gap)
-        idx = bisect.bisect_left(b_positions, cur + max(lo_gap, 2))
-        best = None
-        for j in range(idx, len(b_positions)):
-            pos = b_positions[j]
-            gap = pos - cur
-            if gap > hi_gap + 6:
-                break
-            if gap in used_gaps or pos >= n - 1:
-                continue
-            if best is None or abs(gap - target) < abs(best[1] - target):
-                best = (pos, gap)
-        return best
+        target = cur + rng.randint(lo_gap, hi_gap)
+        lo = bisect.bisect_left(b_positions, cur + max(lo_gap, 2))
+        hi = bisect.bisect_right(b_positions, min(cur + hi_gap + 6, n - 2), lo)
+        right = bisect.bisect_left(b_positions, target, lo, hi)
+        left = right - 1
+        while left >= lo and b_positions[left] - cur in used_gaps:
+            left -= 1
+        while right < hi and b_positions[right] - cur in used_gaps:
+            right += 1
+        best = b_positions[left] if left >= lo else None
+        if right < hi and (best is None or b_positions[right] - target < target - best):
+            best = b_positions[right]
+        return None if best is None else (best, best - cur)
 
     first_idx = bisect.bisect_left(b_positions, max(2, small[0]))
     cur = b_positions[min(first_idx, len(b_positions) - 1)]
@@ -541,9 +551,8 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
     properties: 3-aperiodicity, target length, small cancellation at
     1/5 over the cyclic closure, and small cancellation at 1/3 for the
     prefix/suffix pair."""
-    letters = _block_word(params)
+    letters, b_positions = _block_word(params)
     n = len(letters)
-    b_positions = [i for i, c in enumerate(letters) if c == 2]
     last_error = None
     for attempt in range(_XI_ATTEMPTS):
         rng = random.Random(seed * 7_919 + attempt)

@@ -355,6 +355,12 @@ def _first_power(tokens, order, first=1, planes=None):
             lo, hi = i, i + 1
             while lo > 0 and tokens[lo - 1] == tokens[lo - 1 + p]:
                 lo -= 1
+            # a run of need matches from lo holds lo + need - 1; past a
+            # short run the next one starts beyond i and holds a probe
+            far = lo + need - 1
+            if far >= m or tokens[far] != tokens[far + p]:
+                i += need
+                continue
             while hi < m and tokens[hi] == tokens[hi + p]:
                 hi += 1
             if hi - lo > run and hi - lo >= need:

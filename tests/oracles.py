@@ -8,6 +8,7 @@ import bisect
 import heapq
 import itertools
 from collections import deque
+from typing import List
 
 from ts_groups.cancellation import Piece
 from ts_groups.errors import InternalInvariantError, MalformedInputError, ResourceLimitError
@@ -422,6 +423,64 @@ def flip_conditions_reference(n, b_positions, flips, params):
         "detail": f"flips below 1/3 of b-letters in every {dw}-window",
     }
     return out
+
+
+def select_flips_reference(n, b_positions, params, rng):
+    """The marker word's greedy flip selection with each pick a scan
+    over every b-position of its gap window; same contract as
+    `testers._select_flips`, kept literal."""
+    dense_hi = params.end_zone_a + params.end_window + 20
+    dense_lo = n - params.end_zone_b_lo - params.end_window - 20
+    small = (max(8, params.end_window // 3), params.end_window - 3)
+    coarse_hi = params.global_window - params.end_window - 10
+
+    used_gaps = set()
+    flips: List[int] = []
+
+    def pick_next(cur, lo_gap, hi_gap):
+        target = rng.randint(lo_gap, hi_gap)
+        idx = bisect.bisect_left(b_positions, cur + max(lo_gap, 2))
+        best = None
+        for j in range(idx, len(b_positions)):
+            pos = b_positions[j]
+            gap = pos - cur
+            if gap > hi_gap + 6:
+                break
+            if gap in used_gaps or pos >= n - 1:
+                continue
+            if best is None or abs(gap - target) < abs(best[1] - target):
+                best = (pos, gap)
+        return best
+
+    first_idx = bisect.bisect_left(b_positions, max(2, small[0]))
+    cur = b_positions[min(first_idx, len(b_positions) - 1)]
+    if cur > params.end_window - 2:
+        return None
+    flips.append(cur)
+    while True:
+        in_dense = cur < dense_hi or cur >= dense_lo
+        lo_gap, hi_gap = small if in_dense else (
+            params.end_window + 5,
+            coarse_hi,
+        )
+        if not in_dense and cur + coarse_hi >= dense_lo:
+            # bridge into the far dense zone without overshooting it
+            hi_gap = max(lo_gap + 4, dense_lo + params.end_window // 2 - cur)
+            hi_gap = min(hi_gap, coarse_hi)
+        nxt = pick_next(cur, lo_gap, hi_gap)
+        if nxt is None:
+            return None
+        pos, gap = nxt
+        flips.append(pos)
+        used_gaps.add(gap)
+        cur = pos
+        if cur >= n - params.end_window - 2:
+            break
+    # keep the cyclic wrap gap distinct as well
+    wrap = (n - flips[-1]) + flips[0]
+    if wrap in used_gaps:
+        return None
+    return flips
 
 
 def tagged_product_reference(xi, xs, eps):

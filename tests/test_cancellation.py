@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ts_groups.cancellation import (
     SymmetrizedSet,
     _WindowKeys,
+    _powers,
     _repeated_window,
     satisfies_small_cancellation,
 )
@@ -385,3 +386,11 @@ def test_full_scale_violating_piece_pinned():
     assert len(viol.word) == 2101
     assert hashlib.sha256(format_word(viol.word).encode()).hexdigest()[:16] == "cfd3254c5512049e"
     assert_real_violation(s, viol, 1, 6)
+
+
+def test_power_tables_are_cached_read_only():
+    table = _powers(1_000_003, 2_147_483_647, 50)
+    assert _powers(1_000_003, 2_147_483_647, 50) is table
+    assert [int(x) for x in table] == [pow(1_000_003, k, 2_147_483_647) for k in range(50)]
+    with pytest.raises(ValueError):
+        table[0] = 2

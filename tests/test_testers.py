@@ -35,7 +35,7 @@ from ts_groups.testers import (
 )
 from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, random_word, reduce
 
-from oracles import flip_conditions_reference, tagged_product_reference
+from oracles import flip_conditions_reference, select_flips_reference, tagged_product_reference
 
 FREE2 = make_oracle("free:2")
 AB2 = make_oracle("abelian:2")
@@ -349,7 +349,7 @@ def test_flip_conditions_reported():
 def _marker_blocks(params):
     """(n, b-positions, the flip sets `_select_flips` picks for seeds
     0-39) of the block word under `params`' target length."""
-    letters = testers._block_word(params)
+    letters, _ = testers._block_word(params)
     n = len(letters)
     b = [i for i, c in enumerate(letters) if c == 2]
     picks = (testers._select_flips(n, b, params, random.Random(s)) for s in range(40))
@@ -430,6 +430,73 @@ def test_flip_conditions_match_reference_at_every_bound():
                 params = dataclasses.replace(base, **{field: value})
                 assert (testers._verify_flip_conditions(n, b, flips, params)
                         == flip_conditions_reference(n, b, flips, params)), (flips, params)
+
+
+def _flips_or_error(select, n, b, params, seed):
+    """The flips `select` picks with the seed, None, or the name of the
+    error it raises: drawn windows can leave a gap range empty."""
+    try:
+        return select(n, b, params, random.Random(seed))
+    except (ValueError, IndexError) as e:
+        return type(e).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_select_flips_matches_reference(data):
+    # the full and desk words under their own parameters, the desk word
+    # under drawn and edge variants, and drawn b-positions of a drawn
+    # density, sparse enough that picks skip used gaps and reach the
+    # far end of their window or the last letters of the word
+    kind = data.draw(st.sampled_from(["full", "desk", "variant", "drawn"]), label="kind")
+    params = XiParams() if kind == "full" else _DESK
+    n, b, _ = _marker_blocks(params)
+    if kind == "variant":
+        params = data.draw(st.one_of(st.sampled_from(_EDGE_FLIP_PARAMS),
+                                     _xi_params(-60, 600)), label="params")
+    elif kind == "drawn":
+        n = data.draw(st.integers(1, 700), label="n")
+        density = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7, 1.0]), label="density")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="positions"))
+        b = [i for i in range(n) if rng.random() < density]
+        params = data.draw(st.one_of(st.just(_DESK), _xi_params(-60, 600)), label="params")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    assert (_flips_or_error(testers._select_flips, n, tuple(b), params, seed)
+            == _flips_or_error(select_flips_reference, n, b, params, seed))
+
+
+# desk parameters, first flip at 10, next gap in [10, 27 + 6]: the
+# last letter but one can be flipped and the last cannot, and gap 33 is
+# the last in reach
+@pytest.mark.parametrize("n, b, flips", [(40, [10, 38, 39], [10, 38]), (40, [10, 39], None),
+                                         (60, [10, 43], [10, 43]), (60, [10, 44], None)])
+def test_select_flips_window_edges(n, b, flips):
+    for seed in range(3):
+        assert testers._select_flips(n, tuple(b), _DESK, random.Random(seed)) == flips
+        assert select_flips_reference(n, b, _DESK, random.Random(seed)) == flips
+
+
+def test_block_word_tables_are_shared_and_read_only():
+    letters, b = testers._block_word(_DESK)
+    assert testers._block_word(XiParams.desk())[0] is letters
+    assert b == tuple(i for i, c in enumerate(letters) if c == 2)
+    with pytest.raises(TypeError):
+        letters[0] = -2
+    with pytest.raises(TypeError):
+        b[0] = 0
+
+
+def test_construct_xi_ignores_which_equal_params_it_gets():
+    # the block word is cached per parameter set; an equal but distinct
+    # instance reads the same entry and gives the same report
+    testers._block_word.cache_clear()
+    first = construct_xi(5, XiParams.desk())
+    other = dataclasses.replace(XiParams.desk())
+    assert other == XiParams.desk() and other is not first.params
+    second = construct_xi(5, other)
+    assert testers._block_word.cache_info().hits >= 1
+    assert (second.to_dict(), second.word, second.flips) == (
+        first.to_dict(), first.word, first.flips)
 
 
 def _break_flip_condition(condition, flips, n, b, params):

@@ -555,6 +555,27 @@ def test_power_scan_at_the_need_cap(order, period):
     assert first_power_reference(tokens, order)[2] == period
 
 
+@pytest.mark.parametrize("n", [60, 3000])
+@pytest.mark.parametrize("order, period", [(2, 1), (2, 5), (3, 4), (4, 7)])
+def test_power_scan_on_runs_of_need_and_one_short(n, order, period):
+    # a run of need - 1 matches hosts no power of the order and a run of
+    # need does; the run slides over the probes, and to both ends.  The
+    # plant's letters are apart from the square-free background's, and
+    # one marker a period keeps its shorter periods square-free.
+    need = period * (order - 1)
+    back = [ord(c) for c in squarefree_ternary(n)]
+    base = [ord(c) + 32 for c in squarefree_ternary(period)][: period - 1] + [0]
+    for run, expected in ((need - 1, None), (need, period)):
+        plant = (base * order)[: run + period]
+        for at in sorted({*range(need + 2), n // 2, n - need, n}):
+            tokens = back[:at] + plant + back[at:]
+            found = first_power_reference(tokens, order)
+            assert (found and found[2]) == expected
+            for first in (1, period):
+                assert _first_power(tokens, order, first) == first_power_reference(
+                    tokens, order, first)
+
+
 @pytest.fixture(scope="module")
 def marker_words():
     from ts_groups.testers import construct_xi
