@@ -37,8 +37,10 @@ from .sequences import squarefree_ternary
 from .tours import random_element
 from .words import (
     Word,
+    _first_power,
     format_word,
     is_k_aperiodic,
+    max_power_order,
     random_word,
 )
 
@@ -479,6 +481,13 @@ def _verify_flip_conditions(n, b_positions, flips, params: XiParams):
     return out
 
 
+def _gap_ranges(params: XiParams):
+    """The [lo, hi] ranges of the target gaps `_select_flips` draws:
+    small ones inside both end zones, coarse ones through the middle."""
+    return ((max(8, params.end_window // 3), params.end_window - 3),
+            (params.end_window + 5, params.global_window - params.end_window - 10))
+
+
 def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     """Greedy selection with pairwise distinct gaps: small gaps inside
     both end zones, coarse gaps through the middle.  Each pick draws a
@@ -491,8 +500,8 @@ def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     equal."""
     dense_hi = params.end_zone_a + params.end_window + 20
     dense_lo = n - params.end_zone_b_lo - params.end_window - 20
-    small = (max(8, params.end_window // 3), params.end_window - 3)
-    coarse_hi = params.global_window - params.end_window - 10
+    small, coarse = _gap_ranges(params)
+    coarse_hi = coarse[1]
 
     used_gaps = set()
     flips: List[int] = []
@@ -519,10 +528,7 @@ def _select_flips(n, b_positions, params: XiParams, rng: random.Random):
     flips.append(cur)
     while True:
         in_dense = cur < dense_hi or cur >= dense_lo
-        lo_gap, hi_gap = small if in_dense else (
-            params.end_window + 5,
-            coarse_hi,
-        )
+        lo_gap, hi_gap = small if in_dense else coarse
         if not in_dense and cur + coarse_hi >= dense_lo:
             # bridge into the far dense zone without overshooting it
             hi_gap = max(lo_gap + 4, dense_lo + params.end_window // 2 - cur)
@@ -551,6 +557,9 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
     properties: 3-aperiodicity, target length, small cancellation at
     1/5 over the cyclic closure, and small cancellation at 1/3 for the
     prefix/suffix pair."""
+    empty = [r for r in _gap_ranges(params) if r[0] > r[1]]
+    if empty:
+        raise ResourceLimitError(f"flip gap range [{empty[0][0]}, {empty[0][1]}] is empty")
     letters, b_positions = _block_word(params)
     n = len(letters)
     last_error = None
@@ -674,28 +683,93 @@ def _packed(letters: Sequence[int], code: str) -> array:
     return array(code, struct.Struct(f"{len(letters)}{code}").pack(*letters))
 
 
+@dataclass(frozen=True)
+class _XiTable:
+    """What every product check over one xi reads: xi and xi^-1 packed
+    as ``array`` letters, and xi's maximal power order."""
+
+    xi: Word
+    letters: array
+    inverse: array
+    order: int
+
+
+_XI_TABLES: List[_XiTable] = []  # the last few xi checked, newest first
+_XI_TABLE_SLOTS = 4
+
+
+def _xi_table(xi: Word) -> _XiTable:
+    """The table of xi, built once.  The cache is searched by identity
+    first, so a hit on the same word neither hashes nor scans its
+    letters; the cache holds the word, so its id is not reused while
+    the table is cached."""
+    for table in _XI_TABLES:
+        if table.xi is xi:
+            return table
+    for table in _XI_TABLES:
+        if table.xi == xi:
+            return table
+    code = _letter_typecode(xi.rank)
+    letters = _packed(xi.letters, code)
+    # xi^-1 is xi reversed, then negated
+    inverse = array(code, np.negative(np.frombuffer(letters, code)[::-1]).tobytes())
+    table = _XiTable(xi, letters, inverse, max_power_order(xi)[0])
+    _XI_TABLES.insert(0, table)
+    del _XI_TABLES[_XI_TABLE_SLOTS:]
+    return table
+
+
 def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
     """Reduced alternating product as one packed ``array`` of letters,
-    and the [start, end) spans of its surviving xi letters, adjacent
-    spans merged (as when a whole x_i cancels)."""
-    code = _letter_typecode(xi.rank)
-    xi_letters = _packed(xi.letters, code)
-    # xi^-1 is xi reversed, then negated
-    xi_inv = array(code, np.negative(np.frombuffer(xi_letters, code)[::-1]).tobytes())
-    runs = _reduced_runs(
-        _alternating_blocks(xi_letters, xi_inv, [_packed(x.letters, code) for x in xs], eps)
-    )
+    and the [start, end) span of each xi block's surviving letters, in
+    product order.  Two spans meet where a whole x_i cancels."""
+    table = _xi_table(xi)
+    code = table.letters.typecode
+    runs = _reduced_runs(_alternating_blocks(
+        table.letters, table.inverse, [_packed(x.letters, code) for x in xs], eps))
     letters = array(code)
     xi_runs = []
     for block, lo, hi, is_xi in runs:
-        offset = len(letters)
-        letters += block[lo:hi]
         if is_xi:
-            if xi_runs and xi_runs[-1][1] == offset:
-                xi_runs[-1] = (xi_runs[-1][0], len(letters))
-            else:
-                xi_runs.append((offset, len(letters)))
+            xi_runs.append((len(letters), len(letters) + hi - lo))
+        letters += block[lo:hi]
     return letters, xi_runs
+
+
+def _merged(spans):
+    """Sorted disjoint [start, end) spans with the ones that meet joined."""
+    out = []
+    for a, b in spans:
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
+
+
+def _first_product_power(letters, xi_runs, bound, order):
+    """(order, start, period) of the power that
+    `words._first_power(letters, bound)` finds in a reduced product, or
+    None.  `xi_runs` are the product's per-block xi spans and `order`
+    is xi's maximal power order K.  Past bound K + 1 only the free
+    segments are scanned, in period rounds [2^j, 2^(j+1)); see
+    `verify_product_aperiodicity` for why that is exact."""
+    if bound <= order + 1:
+        ok, witness = is_k_aperiodic(letters, bound - 1)
+        return None if ok else (witness.exponent, witness.start, witness.period)
+    n = len(letters)
+    first = 1
+    while first * bound <= n:
+        c = (order + 1) * (2 * first - 1) - 1
+        cuts = [(s + c, e - c) for s, e in xi_runs if e - s > 2 * c] + [(n, n)]
+        lo = 0
+        for cut_lo, cut_hi in cuts:
+            if (cut_lo - lo >= first * bound
+                    and _first_power(letters[lo:cut_lo], bound, first) is not None):
+                return _first_power(letters, bound, first)
+            lo = cut_hi
+        first *= 2
+    return None
 
 
 def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int],
@@ -713,6 +787,23 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     surviving blocks.  With check_xi, xi must meet the marker-word
     contract first: 3-aperiodic and longer than xi_floor letters, by
     default the full-scale XiParams().total_low.
+
+    The scan looks only near the junctions of the blocks.  Let K be
+    xi's maximal power order, and let bound > K + 1.  A power at period
+    p is a p-periodic factor F of at least bound * p letters.  The part
+    of F inside one xi run is p-periodic and lies in xi or xi^-1, which
+    hold no (K + 1)-th power, so it has at most c = (K + 1) * p - 1
+    letters, fewer than F.  So F avoids the deep interior [s + c, e - c)
+    of every xi run [s, e), and lies in one free segment between those
+    interiors.  The runs are taken per block, unmerged, since a merged
+    span would hide the junction of two xi blocks.  Periods are scanned
+    in rounds [2^j, 2^(j+1)).  Each round scans the free segments at its
+    largest period, which hold those of every smaller one, and only
+    those of at least bound * 2^j letters.  No earlier round found a
+    power, so on a segment's first hit the whole product is rescanned
+    from the round's first period, for the witness a whole-product scan
+    gives.  Up to bound K + 1 the whole product is scanned.  xi's table
+    (packed letters and K) is built once per word and cached.
     """
     if len(xs) != len(eps) or not xs:
         raise MalformedInputError("xs and eps must be nonempty and equal length")
@@ -732,13 +823,15 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         raise PreconditionError(
             f"x-sequence is not 10-aperiodic: period {wit.period} at {wit.start}"
         )
+    xi_order = _xi_table(xi).order
     if check_xi:
         low = XiParams().total_low if xi_floor is None else xi_floor
-        if not is_k_aperiodic(xi, 3)[0]:
+        if xi_order > 3:
             raise PreconditionError("xi is not 3-aperiodic")
         if len(xi) <= low:
             raise PreconditionError(f"xi has {len(xi)} letters, not more than {low}")
-    letters, xi_runs = _reduced_product(xi, xs, eps)
+    letters, block_runs = _reduced_product(xi, xs, eps)
+    xi_runs = _merged(block_runs)
     analysis = {
         "product_length": len(letters),
         "blocks": len(xs),
@@ -753,25 +846,25 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             prev_end = b
         gaps.append(len(letters) - prev_end)
         analysis["max_u_gap"] = max(gaps)
-    ok, witness = is_k_aperiodic(letters, bound - 1)
-    if ok:
+    found = _first_product_power(letters, block_runs, bound, xi_order)
+    if found is None:
         return True, analysis
-    p = witness.period
-    end = witness.start + p * witness.exponent
+    exponent, start, p = found
+    end = start + p * exponent
     analysis["witness"] = {
-        "start": witness.start,
+        "start": start,
         "period": p,
-        "exponent": witness.exponent,
+        "exponent": exponent,
     }
     if 5 * p <= len(xi):
         # the witness window is p-periodic, so an xi run overlapping it
         # by 4p letters holds a fourth power inside one xi block
-        inside = any(min(b, end) - max(a, witness.start) >= 4 * p for a, b in xi_runs)
+        inside = any(min(b, end) - max(a, start) >= 4 * p for a, b in xi_runs)
         analysis["case"] = "short-period-inside-block" if inside else "long-period"
     else:
         analysis["case"] = "long-period"
         analysis["blocks_crossed"] = [
-            i for i, (a, b) in enumerate(xi_runs) if a < end and b > witness.start
+            i for i, (a, b) in enumerate(xi_runs) if a < end and b > start
         ]
     return False, analysis
 

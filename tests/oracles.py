@@ -485,10 +485,10 @@ def select_flips_reference(n, b_positions, params, rng):
 
 def tagged_product_reference(xi, xs, eps):
     """The alternating product reduced letter by letter with a provenance
-    tag per letter, then the xi runs read off the tags; kept literal.
-    Same contract as `testers._reduced_product`, (letters, xi_runs),
-    with the letters as a tuple where `_reduced_product` packs them in
-    an ``array``."""
+    tag per letter, then the xi runs read off the tags, one per block;
+    kept literal.  Same contract as `testers._reduced_product`,
+    (letters, xi_runs), with the letters as a tuple where
+    `_reduced_product` packs them in an ``array``."""
     stack = []
     xi_letters = xi.letters
     xi_inv = (~xi).letters
@@ -507,13 +507,11 @@ def tagged_product_reference(xi, xs, eps):
     xi_runs = []
     start = None
     for i, t in enumerate(tags + (None,)):
-        if t is not None and t[0] == "xi":
-            if start is None:
-                start = i
-        else:
-            if start is not None:
-                xi_runs.append((start, i))
-                start = None
+        if start is not None and t != tags[start]:
+            xi_runs.append((start, i))
+            start = None
+        if start is None and t is not None and t[0] == "xi":
+            start = i
     return letters, xi_runs
 
 

@@ -33,7 +33,18 @@ from ts_groups.testers import (
     variety_counterexample,
     verify_product_aperiodicity,
 )
-from ts_groups.words import Word, format_word, is_k_aperiodic, parse_word, random_word, reduce
+from ts_groups.sequences import squarefree_ternary
+from ts_groups.words import (
+    Word,
+    _first_power,
+    format_word,
+    inverse_letters,
+    is_k_aperiodic,
+    max_power_order,
+    parse_word,
+    random_word,
+    reduce,
+)
 
 from oracles import flip_conditions_reference, select_flips_reference, tagged_product_reference
 
@@ -858,3 +869,189 @@ def test_long_period_violation_classified(desk_xi):
     assert analysis["case"] == "long-period"
     assert analysis["witness"]["period"] > len(desk_xi) // 5
     assert analysis["blocks_crossed"]
+
+
+# -- junction scan ------------------------------------------------------------------
+
+
+def _whole_scan(letters, xi_runs, bound, order):
+    """The whole-product scan: every letter, whatever the xi runs."""
+    ok, witness = is_k_aperiodic(tuple(letters), bound - 1)
+    return None if ok else (witness.exponent, witness.start, witness.period)
+
+
+def _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound):
+    """The verdict equals that of the whole scan over the reference
+    product; returns it."""
+    args = dict(bound=bound, max_x_len=10**6, check_xi=False)
+    verdict = verify_product_aperiodicity(xi, xs, eps, **args)
+    with mock.patch.object(testers, "_reduced_product", tagged_product_reference), \
+            mock.patch.object(testers, "_first_product_power", _whole_scan):
+        assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
+    return verdict
+
+
+_SCAN_BOUNDS = [3, 4, 5, 6, 7, 8, 50, 500]
+
+
+@st.composite
+def _planted_products(draw):
+    """(xi, xs, eps, bound): xi holds a planted power of a short base,
+    of small order or of order bound - 2 to bound + 1 (so the whole scan
+    runs too), at the end of xi or deep inside it.  The x_i are random,
+    powers of the base (which extend planted powers across junctions),
+    prefixes of xi, inverses of its suffixes, repeats of the x before,
+    or xi^(-e_i) x_(i-1)^-1, which cancels x_(i-1) xi^(e_i) and leaves
+    two xi runs adjacent."""
+    bound = draw(st.sampled_from(_SCAN_BOUNDS), label="bound")
+    letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8)
+    base = reduce(draw(letters)[:3] or [1], 2)
+    if base.is_identity or not base.is_cyclically_reduced():
+        base = Word((1,), 2)
+    order = draw(st.one_of(st.integers(1, 4), st.integers(bound - 2, bound + 1)), label="order")
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    ends = st.integers(0, (order + 2) * len(base) + 4)
+    xi = reduce(random_word(rng, 2, draw(ends)).letters + (base ** order).letters
+                + random_word(rng, 2, draw(ends)).letters, 2)
+    if xi.is_identity:
+        xi = Word((1, 2), 2)
+    k = draw(st.integers(1, 8), label="k")
+    eps = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k), label="eps")
+    xs = []
+    for i in range(k):
+        kind = draw(st.sampled_from(["random", "power", "prefix", "suffix-inverse", "repeat",
+                                     "cancel"]))
+        m = draw(st.integers(1, len(xi)))
+        if kind == "power":
+            x = base ** draw(st.integers(1, bound + 1))
+        elif kind == "prefix":
+            x = xi.subword(0, m)
+        elif kind == "suffix-inverse":
+            x = ~xi.subword(len(xi) - m, len(xi))
+        elif kind == "repeat" and xs:
+            x = xs[-1]
+        elif kind == "cancel" and xs:
+            x = (xi if eps[i] < 0 else ~xi) * ~xs[-1]
+        else:
+            x = reduce(draw(letters), 2)
+        xs.append(x if len(x) else Word((2,), 2))
+    return xi, xs, eps, bound
+
+
+def _squarefree(n):
+    """n letters of the square-free word over 1, 2, 3."""
+    return tuple(" ABC".index(c) for c in squarefree_ternary(n))
+
+
+def _periodic_tail_case(p, side):
+    """A power of order 6 at period p that holds exactly c = 4p - 1
+    letters of one xi run, where xi's maximal power order is 3.  xi is a
+    3, a square-free word, a 3, and then those c letters of a p-periodic
+    word over 1, 2.  "right": xi x, the power running from xi's tail
+    into x.  "left": xi^-1 x xi^-1 x, the power running from x into the
+    head of the second xi^-1."""
+    base = {1: (1,), 3: (1, 1, 2), 7: (1, 2, 1, 1, 2, 2, 2)}[p]
+    c = 4 * p - 1
+    tail = tuple(base[i % p] for i in range(c))
+    xi = Word((3,) + _squarefree(2 * c + 5) + (3,) + tail, 3)
+    more = 6 * p - c
+    if side == "right":
+        x = Word(tuple(base[(c + i) % p] for i in range(more)), 3)
+        return xi, [x], [1]
+    head = inverse_letters(tail)
+    x = Word(tuple(head[i % p] for i in range(-more, 0)), 3)
+    return xi, [x, x], [-1, -1]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("p", [1, 3, 7])
+def test_power_holding_exactly_c_letters_of_an_xi_run_is_found(p, side):
+    # p = 3 and 7 are the largest periods of their rounds, [2, 4) and
+    # [4, 8); one letter fewer from the xi run and the power is too short
+    xi, xs, eps = _periodic_tail_case(p, side)
+    assert max_power_order(xi)[0] == 3
+    ok, analysis = _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound=6)
+    assert not ok
+    assert (analysis["witness"]["period"], analysis["witness"]["exponent"]) == (p, 6)
+
+
+def test_power_across_two_adjacent_xi_runs_is_found():
+    # x2 = xi x1^-1 cancels x1 xi^-1 x2, so xi meets xi, and a^3 | a^3
+    # is a sixth power across the junction of two per-block xi runs
+    xi = Word((1, 1, 1, 3) + _squarefree(20) + (3, 1, 1, 1), 3)
+    assert max_power_order(xi)[0] == 3
+    x1 = Word((2,), 3)
+    xs, eps = [x1, xi * ~x1, x1], [1, -1, 1]
+    letters, xi_runs = _reduced_product(xi, xs, eps)
+    assert xi_runs == [(0, len(xi)), (len(xi), 2 * len(xi))]
+    ok, analysis = _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound=6)
+    assert not ok
+    assert analysis["witness"] == {"start": len(xi) - 3, "period": 1, "exponent": 6}
+
+
+# a sixth power deep inside xi, which the bound-5 scan finds only by scanning it whole
+_DEEP_POWER = (Word(_squarefree(30) + (2,) * 5 + _squarefree(30), 3), [Word((1,), 3)], [1], 5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_planted_products())
+@example((*_periodic_tail_case(3, "right"), 5))
+@example((*_periodic_tail_case(7, "left"), 8))
+@example(_DEEP_POWER)
+def test_junction_scan_matches_whole_scan(case):
+    _assert_junction_scan_matches_whole_scan(*case)
+
+
+def test_burnside_long_products_scan_under_one_percent_of_their_letters():
+    # the seed-1 products at bound 500: xi's power order is computed once
+    # for all of them, and the free segments hold under 1 % of the letters
+    tokens = []
+
+    def first_power(letters, *args):
+        tokens.append(len(letters))
+        return _first_power(letters, *args)
+
+    letters = 0
+    with mock.patch.object(testers, "_XI_TABLES", []), \
+            mock.patch.object(testers, "_first_power", first_power), \
+            mock.patch.object(testers, "max_power_order", wraps=max_power_order) as order:
+        for p in _burnside_long_products(1):
+            ok, analysis = verify_product_aperiodicity(p.xi, p.xs, p.eps, check_xi=False)
+            assert ok
+            letters += analysis["product_length"]
+    assert order.call_count == 1
+    assert letters > 10**6
+    assert sum(tokens) < letters // 100
+
+
+def test_check_xi_reads_the_power_order_of_the_table():
+    xi = construct_xi(0).word
+    with mock.patch.object(testers, "_XI_TABLES", []), \
+            mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
+            mock.patch.object(testers, "max_power_order", wraps=max_power_order) as order:
+        for _ in range(2):
+            assert verify_product_aperiodicity(xi, [parse_word("a", 2)], [1], check_xi=True)[0]
+    assert order.call_count == 1
+    assert all(not isinstance(call.args[0], Word) for call in scan.call_args_list)
+
+
+def test_xi_table_is_found_by_identity_and_holds_the_word():
+    xi = construct_xi(0, XiParams.desk()).word
+    with mock.patch.object(testers, "_XI_TABLES", []):
+        table = testers._xi_table(xi)
+        assert table.xi is xi and table.order == max_power_order(xi)[0]
+        assert tuple(table.letters) == xi.letters
+        assert tuple(table.inverse) == (~xi).letters
+        with mock.patch.object(Word, "__eq__", side_effect=AssertionError("scanned xi")):
+            assert testers._xi_table(xi) is table
+        assert testers._xi_table(Word(xi.letters, 2)) is table
+        for n in range(1, testers._XI_TABLE_SLOTS + 1):
+            testers._xi_table(Word((1,) * n, 2))
+        assert all(t.xi is not xi for t in testers._XI_TABLES)
+
+
+@pytest.mark.parametrize("change", [dict(global_window=60), dict(end_window=10)])
+def test_construct_xi_empty_gap_range_is_a_resource_limit(change):
+    # the coarse gaps [35, 20], then the small gaps [8, 7]
+    with pytest.raises(ResourceLimitError, match="gap range .* is empty"):
+        construct_xi(0, dataclasses.replace(XiParams.desk(), **change))
