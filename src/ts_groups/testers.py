@@ -344,6 +344,13 @@ def variety_counterexample(n: int, p: int, m: int, k: int, seed: int = 0):
 # repeated factor would repeat a gap; density conditions keep the flips
 # frequent enough near the ends (short prefix/suffix pieces) and
 # globally (short cyclic pieces).
+#
+# construct_xi reads 3-aperiodicity and C'(1/5) off the flip gaps when
+# the premises of two lemmas hold (see its docstring), and runs the full
+# scans only when one fails.  Both lemmas read a flip as the only source
+# of a letter b^-1 (-2): the blocks hold only the letters a and b.  The
+# block word's 3-aperiodicity and longest gap between letters a are
+# tabled once per parameter set.
 # ---------------------------------------------------------------------------
 
 
@@ -421,6 +428,59 @@ def _block_word(params: XiParams):
     if not (params.total_low < n < params.total_high):
         raise ResourceLimitError(f"block word landed at {n}, outside the target")
     return tuple(letters), tuple(i for i, c in enumerate(letters) if c == 2)
+
+
+def _block_word_facts(letters: Sequence[int]):
+    """(3-aperiodic, longest cyclic gap between consecutive letters 1)
+    of a block word: what the marker-word lemmas read of it beyond its
+    letters lying in {1, 2}.  The gap is one more than the word's length
+    when it has no letter 1."""
+    n = len(letters)
+    ones = [i for i, c in enumerate(letters) if c == 1]
+    gaps = [b - a for a, b in zip(ones, ones[1:])] + [n - ones[-1] + ones[0]] if ones else []
+    return is_k_aperiodic(letters, 3)[0], max(gaps, default=n + 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _block_facts(params: XiParams):
+    """`_block_word_facts` of the block word under `params`, built once."""
+    return _block_word_facts(_block_word(params)[0])
+
+
+def _aperiodic_3(word: Word, flips, block_aperiodic: bool) -> dict:
+    """The aperiodic_3 condition of a marker word whose sorted flips
+    (b-positions of the block word) carry its letters -2.  Lemma A
+    decides it from the flips when it applies, else `is_k_aperiodic`."""
+    gaps = [b - a for a, b in zip(flips, flips[1:])]
+    if block_aperiodic and len(set(gaps)) == len(gaps):
+        return {"pass": True, "detail": "no fourth power"}
+    ok, wit = is_k_aperiodic(word, 3)
+    return {"pass": ok, "detail": "no fourth power" if ok else f"power at {wit.start}"}
+
+
+def _distinct_cyclic_windows(n: int, flips, one_gap: int) -> bool:
+    """Whether Lemma B's premises hold, so that the length-ceil(n/5)
+    cyclic windows of the marker word and its inverse are pairwise
+    distinct."""
+    t = -(-n // 5)
+    if len(flips) < 2 or one_gap > t:
+        return False
+    gaps = [b - a for a, b in zip(flips, flips[1:])] + [n - flips[-1] + flips[0]]
+    return (len(set(gaps)) == len(gaps)
+            and all(a + b < t for a, b in zip(gaps, gaps[1:] + gaps[:1])))
+
+
+def _small_cancellation_1_5(word: Word, flips, one_gap: int) -> dict:
+    """The small_cancellation_1_5 condition of a marker word whose
+    sorted flips (b-positions of the block word) carry its letters -2.
+    Lemma B decides it from the flips when it applies, else the window
+    scan of `satisfies_small_cancellation`."""
+    ok = _distinct_cyclic_windows(len(word), flips, one_gap)
+    if not ok:
+        whole = SymmetrizedSet.of([word], cyclic=True)
+        ok, viol = satisfies_small_cancellation(whole, 1, 5)
+    return {"pass": ok,
+            "detail": "cyclic pieces below n/5" if ok else f"piece of length {len(viol.word)}"}
 
 
 def _windows_hit(flips, lo, hi, w):
@@ -556,11 +616,46 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
     """Build the marker word and machine-verify all of its contracted
     properties: 3-aperiodicity, target length, small cancellation at
     1/5 over the cyclic closure, and small cancellation at 1/3 for the
-    prefix/suffix pair."""
+    prefix/suffix pair.
+
+    xi is the block word with its b letters (2) at the sorted flips
+    f_0 < ... < f_(m-1) turned into b^-1 (-2).  The block word's letters
+    lie in {1, 2}, so -2 occurs only at flips, and a factor of xi that
+    holds no flip is one of the block word.  Two lemmas read the two
+    costly conditions off the flip gaps:
+
+    - Lemma A: if the linear gaps f_(i+1) - f_i are pairwise distinct
+      and the block word is 3-aperiodic, xi is 3-aperiodic.  A fourth
+      power AAAA of xi holds a flip, else it is one of the block word,
+      so A holds one: with one flip in A the copies give two
+      consecutive gaps of the period, and with more a gap inside A
+      repeats in the next copy.
+    - Lemma B, with t = ceil(n/5): xi is C'(1/5) if the cyclic gaps (the
+      wrap gap n - f_(m-1) + f_0 included) are pairwise distinct, every
+      two consecutive cyclic gaps sum to at most t - 1, and the block
+      word has no t letters in a row without a letter 1.  The check
+      asks that the 2n length-t cyclic windows of xi and xi^-1 be
+      pairwise distinct.  With f_i the last flip before a window's start
+      u, f_(i+2) <= f_i + t - 1 < u + t, so the window holds the
+      consecutive flips f_(i+1), f_(i+2).  An equal window holds two
+      consecutive flips at the same offsets, and their gap occurs once
+      only, so equal windows of xi start at the same position.  xi^-1
+      marks its flips by +2 and has the same gaps, reversed, so the
+      same holds for it.  A window of xi holds a letter 1 and xi^-1 has
+      none, so no window of one equals one of the other.
+
+    When a premise fails, the condition comes from the full scan
+    (`is_k_aperiodic`, or `satisfies_small_cancellation` on the cyclic
+    closure), failure detail included.  The block word's facts are
+    built once per parameter set (`_block_facts`).  Its square-free
+    block sequence never puts two blocks b side by side, so each 2 has
+    letters 1 beside it, and no flip falls on its first or last letter:
+    every xi is freely and cyclically reduced and is built unchecked."""
     empty = [r for r in _gap_ranges(params) if r[0] > r[1]]
     if empty:
         raise ResourceLimitError(f"flip gap range [{empty[0][0]}, {empty[0][1]}] is empty")
     letters, b_positions = _block_word(params)
+    block_aperiodic, one_gap = _block_facts(params)
     n = len(letters)
     last_error = None
     for attempt in range(_XI_ATTEMPTS):
@@ -572,25 +667,14 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
         flipped = list(letters)
         for i in flips:
             flipped[i] = -2
-        word = Word(tuple(flipped), 2)
+        word = Word._trusted(tuple(flipped), 2)
         conditions = _verify_flip_conditions(n, b_positions, flips, params)
-        ok3, wit = is_k_aperiodic(word, 3)
-        conditions["aperiodic_3"] = {
-            "pass": ok3,
-            "detail": "no fourth power" if ok3 else f"power at {wit.start}",
-        }
+        conditions["aperiodic_3"] = _aperiodic_3(word, flips, block_aperiodic)
         conditions["length"] = {
             "pass": params.total_low < n < params.total_high,
             "detail": f"length {n}",
         }
-        whole = SymmetrizedSet.of([word], cyclic=True)
-        ok5, viol5 = satisfies_small_cancellation(whole, 1, 5)
-        conditions["small_cancellation_1_5"] = {
-            "pass": ok5,
-            "detail": "cyclic pieces below n/5"
-            if ok5
-            else f"piece of length {len(viol5.word)}",
-        }
+        conditions["small_cancellation_1_5"] = _small_cancellation_1_5(word, flips, one_gap)
         pl = params.prefix_len
         ends = SymmetrizedSet.of(
             [word.subword(0, pl), word.subword(n - pl, n)], cyclic=False
@@ -761,9 +845,13 @@ def _first_product_power(letters, xi_runs, bound, order):
     first = 1
     while first * bound <= n:
         c = (order + 1) * (2 * first - 1) - 1
-        cuts = [(s + c, e - c) for s, e in xi_runs if e - s > 2 * c] + [(n, n)]
+        cuts = [(s + c, e - c) for s, e in xi_runs if e - s > 2 * c]
+        if not cuts:
+            # the one segment is the whole product, and cuts only shrink
+            # as c grows, so no later round would scan less
+            return _first_power(letters, bound, first)
         lo = 0
-        for cut_lo, cut_hi in cuts:
+        for cut_lo, cut_hi in cuts + [(n, n)]:
             if (cut_lo - lo >= first * bound
                     and _first_power(letters[lo:cut_lo], bound, first) is not None):
                 return _first_power(letters, bound, first)
@@ -802,7 +890,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     those of at least bound * 2^j letters.  No earlier round found a
     power, so on a segment's first hit the whole product is rescanned
     from the round's first period, for the witness a whole-product scan
-    gives.  Up to bound K + 1 the whole product is scanned.  xi's table
+    gives.  A round that cuts no xi run scans the whole product from its
+    first period on, and ends the scan: cuts only shrink as the rounds
+    go on.  Up to bound K + 1 the whole product is scanned.  xi's table
     (packed letters and K) is built once per word and cached.
     """
     if len(xs) != len(eps) or not xs:

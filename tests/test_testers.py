@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -327,6 +328,9 @@ def test_construct_xi_full_scale_single_seed():
     beta = rep.word.subword(rep.n - 400, rep.n)
     ok, _ = satisfies_small_cancellation(SymmetrizedSet.of([alpha, beta]), 1, 3)
     assert ok
+    # so are the two conditions the flip-gap lemmas decide
+    assert is_k_aperiodic(rep.word, 3)[0]
+    assert satisfies_small_cancellation(SymmetrizedSet.of([rep.word], cyclic=True), 1, 5)[0]
 
 
 def test_marker_reports_pinned():
@@ -540,6 +544,194 @@ def test_each_flip_condition_can_fail(condition, params):
     broken = dataclasses.replace(rep, flips=tuple(flips),
                                  conditions={**rep.conditions, **conditions})
     assert rep.ok and not broken.ok
+
+
+@pytest.mark.parametrize("params, seeds", [(_DESK, range(30)), (XiParams(), range(10))],
+                         ids=["desk", "full"])
+def test_construct_xi_words_are_reduced(params, seeds):
+    # the marker word is built unchecked, so check it here, and the
+    # block-word facts that make it safe: letters in {1, 2}, 2s isolated
+    letters = testers._block_word(params)[0]
+    assert set(letters) <= {1, 2} and (2, 2) not in zip(letters, letters[1:])
+    for seed in seeds:
+        rep = construct_xi(seed, params)
+        assert Word(rep.word.letters, 2) == rep.word
+        assert rep.word.is_cyclically_reduced()
+
+
+def test_block_facts_are_built_once_per_equal_params():
+    # an equal but distinct parameter set reads the same facts, and no
+    # attempt scans the marker word for fourth powers
+    testers._block_facts.cache_clear()
+    with mock.patch.object(testers, "_block_word_facts",
+                           wraps=testers._block_word_facts) as facts, \
+            mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan:
+        first = construct_xi(5, XiParams.desk())
+        second = construct_xi(5, dataclasses.replace(XiParams.desk()))
+    assert facts.call_count == 1 and scan.call_count == 1
+    assert testers._block_facts.cache_info().hits >= 1
+    assert testers._block_facts(_DESK) == (True, 2)
+    assert (second.to_dict(), second.word, second.flips) == (
+        first.to_dict(), first.word, first.flips)
+
+
+def _marker_word(letters, flips):
+    """The block word with its letters at the flips turned into -2."""
+    flipped = list(letters)
+    for i in flips:
+        flipped[i] = -2
+    return Word(tuple(flipped), 2)
+
+
+def _scanned_conditions(word):
+    """aperiodic_3 and small_cancellation_1_5 as the full scans give them."""
+    ok3, wit = is_k_aperiodic(word, 3)
+    ok5, viol = satisfies_small_cancellation(SymmetrizedSet.of([word], cyclic=True), 1, 5)
+    return ({"pass": ok3, "detail": "no fourth power" if ok3 else f"power at {wit.start}"},
+            {"pass": ok5,
+             "detail": "cyclic pieces below n/5" if ok5 else f"piece of length {len(viol.word)}"})
+
+
+def _lemma_conditions(word, flips, facts):
+    block_aperiodic, one_gap = facts
+    return (testers._aperiodic_3(word, flips, block_aperiodic),
+            testers._small_cancellation_1_5(word, flips, one_gap))
+
+
+# (a b)^4 a ahead of the desk block word: a block word with a fourth
+# power, whose b-positions are the desk word's moved 9 letters on
+_PLANTED_PREFIX = (1, 2) * 4 + (1,)
+
+
+@functools.lru_cache(maxsize=None)
+def _lemma_block(kind):
+    """(letters, b-positions, facts) of the full, desk or planted block word."""
+    letters = testers._block_word(XiParams() if kind == "full" else _DESK)[0]
+    if kind == "planted":
+        letters = _PLANTED_PREFIX + letters
+    return letters, [i for i, c in enumerate(letters) if c == 2], testers._block_word_facts(letters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_flip_gap_lemmas_match_the_full_scans(data):
+    # arbitrary sorted flip sets over b-positions: a random subset, a
+    # walk whose gaps are drawn from [1, hi] and kept distinct (its wrap
+    # gap and consecutive sums land on either side of the premises), or
+    # a selection with flips dropped and added
+    kind = data.draw(st.sampled_from(["full", "desk", "planted"]), label="block")
+    letters, b, facts = _lemma_block(kind)
+    n = len(letters)
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    how = data.draw(st.sampled_from(["subset", "walk", "selection"]), label="how")
+    if how == "subset":
+        flips = rng.sample(b, data.draw(st.integers(0, min(len(b), 60)), label="size"))
+    elif how == "walk":
+        hi = data.draw(st.integers(2, n // 4), label="hi")
+        pos, used, flips = rng.choice(b), set(), []
+        while pos is not None:
+            flips.append(pos)
+            target = bisect.bisect_left(b, pos + rng.randint(1, hi))
+            pos = next((p for p in b[target:] if p - pos not in used), None)
+            used.add(None if pos is None else pos - flips[-1])
+    else:
+        picks = _marker_blocks(XiParams() if kind == "full" else _DESK)[2]
+        shift = len(_PLANTED_PREFIX) if kind == "planted" else 0
+        flips = [d + shift for d in data.draw(st.sampled_from(picks), label="selection")]
+        dropped = data.draw(st.sets(st.integers(0, len(flips)), max_size=4), label="dropped")
+        added = data.draw(st.lists(st.sampled_from(b), max_size=4), label="added")
+        flips = [d for i, d in enumerate(flips) if i not in dropped] + added
+    flips = sorted(set(flips))
+    word = _marker_word(letters, flips)
+    assert _lemma_conditions(word, flips, facts) == _scanned_conditions(word)
+
+
+def test_lemma_a_needs_an_aperiodic_block_word():
+    letters, _, (block_aperiodic, _) = _lemma_block("planted")
+    assert not block_aperiodic
+    flips = [d + len(_PLANTED_PREFIX) for d in construct_xi(0, _DESK).flips]
+    word = _marker_word(letters, flips)
+    assert testers._aperiodic_3(word, flips, False) == {"pass": False, "detail": "power at 0"}
+
+
+def _gap_premises_failing(n, flips):
+    """Which of Lemma B's gap premises the sorted flips fail: "linear"
+    (a repeated linear gap), "wrap" (linear gaps distinct, the wrap gap
+    repeats one) and "sum" (two consecutive cyclic gaps sum to t or more)."""
+    t = -(-n // 5)
+    gaps = [y - x for x, y in zip(flips, flips[1:])] + [n - flips[-1] + flips[0]]
+    linear = gaps[:-1]
+    failing = set()
+    if len(set(linear)) < len(linear):
+        failing.add("linear")
+    elif gaps[-1] in linear:
+        failing.add("wrap")
+    if any(x + y >= t for x, y in zip(gaps, gaps[1:] + gaps[:1])):
+        failing.add("sum")
+    return failing
+
+
+def _plant_premise_failure(premise, n, b, flips):
+    """A flip set of b-positions, made from a passing one, that fails
+    `premise` of Lemma B's gap premises and no other: one b-position
+    added, the first or last flip moved, or one or two flips dropped."""
+    def candidates():
+        for p in b:
+            if p not in flips:
+                yield sorted(flips + [p])
+        for p in b:
+            if p < flips[1]:
+                yield [p] + flips[1:]
+            if p > flips[-2]:
+                yield flips[:-1] + [p]
+        for i in range(len(flips)):
+            for j in (i + 1, i + 2):
+                yield flips[:i] + flips[j:]
+    return next(f for f in candidates() if _gap_premises_failing(n, f) == {premise})
+
+
+@pytest.mark.parametrize("params", [XiParams(), _DESK], ids=["full", "desk"])
+@pytest.mark.parametrize("premise", ["linear", "wrap", "sum"])
+def test_planted_premise_failure_takes_the_full_scans(premise, params):
+    letters, b = testers._block_word(params)
+    n = len(letters)
+    flips = _plant_premise_failure(premise, n, b, list(construct_xi(0, params).flips))
+    word = _marker_word(letters, flips)
+    facts = testers._block_facts(params)
+    with mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
+            mock.patch.object(testers, "satisfies_small_cancellation",
+                              wraps=satisfies_small_cancellation) as windows:
+        conditions = _lemma_conditions(word, flips, facts)
+    # Lemma A reads the linear gaps only
+    assert scan.call_count == (premise == "linear")
+    assert windows.call_count == 1
+    assert conditions == _scanned_conditions(word)
+
+
+def test_lemma_b_premises_at_their_bounds():
+    # the desk word of seed 0 meets every premise; each is then moved to
+    # its bound, and one step past it
+    n = len(testers._block_word(_DESK)[0])
+    t = -(-n // 5)
+    one_gap = testers._block_facts(_DESK)[1]
+    flips = list(construct_xi(0, _DESK).flips)
+    assert testers._distinct_cyclic_windows(n, flips, one_gap)
+    assert testers._distinct_cyclic_windows(n, flips, t)
+    assert not testers._distinct_cyclic_windows(n, flips, t + 1)
+    assert not any(testers._distinct_cyclic_windows(n, few, one_gap) for few in ([], flips[:1]))
+
+    def moved(i, s):
+        # f_(i+1) moved to f_(i-1) + s, so that g_(i-1) + g_i = s
+        return flips[:i + 1] + [flips[i - 1] + s] + flips[i + 2:]
+
+    bounds = [i for i in range(1, len(flips) - 2)
+              if flips[i] < flips[i - 1] + t - 1 and flips[i - 1] + t < flips[i + 2]
+              and _gap_premises_failing(n, moved(i, t - 1)) == set()
+              and _gap_premises_failing(n, moved(i, t)) == {"sum"}]
+    assert bounds
+    for i in bounds:
+        assert testers._distinct_cyclic_windows(n, moved(i, t - 1), one_gap)
+        assert not testers._distinct_cyclic_windows(n, moved(i, t), one_gap)
 
 
 # -- product verification ------------------------------------------------------------
@@ -1022,6 +1214,27 @@ def test_burnside_long_products_scan_under_one_percent_of_their_letters():
     assert order.call_count == 1
     assert letters > 10**6
     assert sum(tokens) < letters // 100
+
+
+@pytest.mark.parametrize("bound", [6, 10, 50])
+def test_junction_scan_hands_over_a_whole_product_at_most_once(bound):
+    # the seed-1 products at lowered bounds, where the cuts run out: once
+    # a round's one segment is the whole product the scan ends there,
+    # and the verdict is the whole scan's
+    sliced = []
+
+    def first_power(letters, *args):
+        sliced.append(len(letters))
+        return _first_power(letters, *args)
+
+    for p in _burnside_long_products(1):
+        args = dict(bound=bound, check_xi=False)
+        with mock.patch.object(testers, "_first_power", first_power):
+            verdict = verify_product_aperiodicity(p.xi, p.xs, p.eps, **args)
+        with mock.patch.object(testers, "_first_product_power", _whole_scan):
+            assert verify_product_aperiodicity(p.xi, p.xs, p.eps, **args) == verdict
+        assert sliced.count(verdict[1]["product_length"]) <= 1
+        sliced.clear()
 
 
 def test_check_xi_reads_the_power_order_of_the_table():
