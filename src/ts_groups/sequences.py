@@ -88,22 +88,34 @@ class LabeledTree:
         """Labels along a simple path, read edge by edge.  The path
         climbs from its start by parent steps, may turn once into a
         child other than the vertex it just left, and from then on only
-        descends; anything else is not a simple path.  Memory is linear
-        in the path's length."""
+        descends; anything else is not a simple path.  The walk is two
+        loops: the climb stops at the first step that is not a parent
+        step, the turn is checked once, and the descent checks only
+        child steps.  `path` must support indexing and slicing (a list,
+        tuple or range).  Memory is linear in the path's length."""
         parent, labels = self.tree.parent, self.edge_labels
         out = []
         try:
-            a, prev, climbing = path[0], None, True
-            parent[a]  # an unknown start raises KeyError
-            for b in path[1:]:
-                if climbing and parent[a] == b:
-                    out.append(labels[a])
-                elif parent[b] == a and b != prev:
-                    climbing = False
-                    out.append(labels[b])
-                else:
+            a = path[0]
+            steps = iter(path[1:])
+            for b in steps:
+                if parent[a] != b:  # an unknown start raises KeyError
+                    break
+                out.append(labels[a])
+                a = b
+            else:
+                parent[a]  # so does a path of one unknown vertex
+                return out
+            # the turn: b is a child of a, and not the one just left
+            if parent[b] != a or (out and b == path[len(out) - 1]):
+                raise MalformedInputError("not a path in the tree")
+            out.append(labels[b])
+            a = b
+            for b in steps:
+                if parent[b] != a:
                     raise MalformedInputError("not a path in the tree")
-                prev, a = a, b
+                out.append(labels[b])
+                a = b
         except (IndexError, KeyError, TypeError):
             raise MalformedInputError("not a path in the tree") from None
         return out

@@ -28,7 +28,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .groups import AbelianOracle, FreeOracle, GroupOracle, ProductOracle
-from .words import _common_prefix, random_word
+from .words import Word, _common_prefix, random_word
 
 __all__ = [
     "RelatedSet",
@@ -538,12 +538,21 @@ def random_element(oracle: GroupOracle, rng: random.Random, size: int):
             random_element(oracle.left, rng, size),
             random_element(oracle.right, rng, size),
         )
-    # mixed-generator product: random short generator walk
+    # F2xZ, whose generators mix the factors: a random generator walk.
+    # Its free part is reduced on one letter stack and its z exponent
+    # summed, so a walk costs the letters it pushes, not a copy of the
+    # word per step; the draws are those of a multiply() walk
     gens = oracle.generators()
-    g = oracle.identity()
+    stack, z = [], 0
     for _ in range(rng.randint(0, size)):
-        g = oracle.multiply(g, rng.choice(gens))
-    return g
+        word, t = rng.choice(gens)
+        for a in word.letters:
+            if stack and stack[-1] == -a:
+                stack.pop()
+            else:
+                stack.append(a)
+        z += t
+    return Word._trusted(tuple(stack), oracle.rank), z
 
 
 _SAMPLE_BASE_SIZE = 6  # random-walk length of each sampled pair or chain base

@@ -124,14 +124,21 @@ class PlaneTernaryTree:
         return level
 
     def path_between(self, u: int, v: int) -> List[int]:
-        """The unique simple path from u to v (inclusive)."""
+        """The unique simple path from u to v (inclusive): up from u to
+        the deepest vertex its root path shares with v's, then down."""
+        for w in (u, v):
+            if w not in self.parent:
+                raise MalformedInputError(f"no vertex {w}")
         up, vp = [u], [v]
         for path in (up, vp):
             while self.parent[path[-1]] is not None:
                 path.append(self.parent[path[-1]])
         a, b = up[::-1], vp[::-1]
-        d = _meet(a, b)
-        return a[d:][::-1] + b[d + 1 :]
+        # both root paths start at the origin
+        d = 1
+        while d < len(a) and d < len(b) and a[d] == b[d]:
+            d += 1
+        return a[d - 1 :][::-1] + b[d:]
 
     # -- text format -------------------------------------------------------
 
@@ -170,28 +177,24 @@ class PlaneTernaryTree:
         return tree
 
 
-def _meet(a, b) -> int:
-    """Depth of the deepest vertex that the root paths a and b share."""
-    d = 1
-    while d < len(a) and d < len(b) and a[d] == b[d]:
-        d += 1
-    return d - 1
-
-
 def enumerate_simple_paths(tree: PlaneTernaryTree) -> Iterator[Tuple[int, ...]]:
     """Every simple path with at least one edge, once per endpoint pair
     u < v in sorted order: up from u to the deepest vertex shared with
-    v, then down to v.  Root paths come from one pass, and the upward
-    halves from each u once."""
+    v, then down to v.  Root paths come from one pass, the upward
+    halves from each u once, and the shared depth from comparing the
+    two root paths in place."""
     paths = {}
     for v in tree.planar_order():
         p = tree.parent[v]
         paths[v] = (v,) if p is None else paths[p] + (v,)
-    vs = sorted(paths)
-    for i, u in enumerate(vs):
-        ru = paths[u]
-        ups = [ru[d:][::-1] for d in range(len(ru))]
-        for v in vs[i + 1 :]:
-            rv = paths[v]
-            d = _meet(ru, rv)
-            yield ups[d] + rv[d + 1 :]
+    roots = [paths[v] for v in sorted(paths)]
+    for i, ru in enumerate(roots):
+        n = len(ru)
+        ups = [ru[d:][::-1] for d in range(n)]
+        for rv in roots[i + 1 :]:
+            # both root paths start at the origin; d ends one past the
+            # deepest vertex they share
+            d = 1
+            while d < n and d < len(rv) and ru[d] == rv[d]:
+                d += 1
+            yield ups[d - 1] + rv[d:]

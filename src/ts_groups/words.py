@@ -165,14 +165,41 @@ def inverse_letters(letters: Sequence[int]) -> Tuple[int, ...]:
     return tuple(map(operator.neg, reversed(letters)))
 
 
+# Common prefixes of words of at least _GALLOP_MIN letters are found by
+# comparing slices in C, of _GALLOP_FIRST letters and then of doubling
+# length, until one differs, and bisecting inside that one.  Shorter
+# words take the letter loop, which is cheaper on the short words most
+# callers compare.  The sorted chain words of a free hull share
+# prefixes thousands of letters long: the hull of an 8,454-point chain
+# of 86.6 M letters took 3.5 s with the loop alone and takes 1.4 s
+# (2-vCPU VM).
+_GALLOP_MIN = 256
+_GALLOP_FIRST = 32
+
+
 def _common_prefix(s, e) -> int:
     """Length of the longest common prefix of two letter tuples."""
-    common = 0
-    for a, b in zip(s, e):
-        if a != b:
-            break
-        common += 1
-    return common
+    if len(s) < _GALLOP_MIN or len(e) < _GALLOP_MIN:
+        common = 0
+        for a, b in zip(s, e):
+            if a != b:
+                break
+            common += 1
+        return common
+    top = min(len(s), len(e))
+    lo, step = 0, _GALLOP_FIRST  # s[:lo] == e[:lo]
+    while lo < top:
+        hi = min(lo + step, top)
+        if s[lo:hi] != e[lo:hi]:
+            while hi - lo > 1:  # and s[lo:hi] != e[lo:hi]
+                mid = (lo + hi) // 2
+                if s[lo:mid] == e[lo:mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        lo, step = hi, 2 * step
+    return top
 
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
@@ -411,12 +438,15 @@ def is_k_aperiodic(seq, k: int):
     """True iff no k+1 consecutive identical blocks occur.
 
     Returns (flag, witness); on failure the witness pins down an
-    offending (k+1)-th power.  The empty sequence is k-aperiodic for
-    every k.
+    offending (k+1)-th power.  A sequence of at most k tokens (the
+    empty one included) holds no (k+1)-th power and returns before any
+    scan; most tree paths checked at k = 10 are that short.
     """
     if k < 1:
         raise MalformedInputError(f"aperiodicity order must be >= 1, got {k}")
     tokens = seq.letters if isinstance(seq, Word) else seq
+    if len(tokens) <= k:
+        return True, None
     found = _first_power(tokens, k + 1)
     if found is None:
         return True, None

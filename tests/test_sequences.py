@@ -346,6 +346,28 @@ def test_path_labels_reject_all_but_simple_paths(path):
         labeled.path_labels(path)
 
 
+@pytest.mark.parametrize("make", [set, dict.fromkeys, iter, lambda p: (v for v in p)],
+                         ids=["set", "dict", "iterator", "generator"])
+@pytest.mark.parametrize("path", [(0, 1), (4, 1, 0, 2, 6)])
+def test_path_labels_need_an_indexable_path(make, path):
+    # only a sequence that indexes and slices names a path: a walk over
+    # iter(path) would read {0, 1} as the edge 0-1
+    labeled = label_tree_three_letters(PlaneTernaryTree.complete(2))
+    assert labeled.path_labels(path)
+    with pytest.raises(MalformedInputError):
+        labeled.path_labels(make(path))
+
+
+def test_path_labels_read_lists_tuples_and_ranges_alike():
+    ray = label_tree_three_letters(PlaneTernaryTree.ray_tree(12))
+    for path in (range(13), range(12, -1, -1), range(3, 9), range(5, 6)):
+        labels = ray.path_labels(path)
+        assert labels == ray.path_labels(list(path)) == ray.path_labels(tuple(path))
+        assert labels == path_labels_reference(ray, list(path))
+    tree = label_tree_three_letters(PlaneTernaryTree.complete(2))
+    assert tree.path_labels([4, 1, 0, 2, 6]) == tree.path_labels((4, 1, 0, 2, 6)) == list("BAAB")
+
+
 @settings(deadline=None)
 @given(trees(), st.data())
 def test_path_labels_accept_exactly_the_simple_paths(tree, data):

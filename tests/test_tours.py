@@ -815,6 +815,28 @@ def test_l_prime_counts_points_between_others():
     assert l_prime(RelatedSet(oracle, None, ((0,), (1,), (2,)))).value == -1
 
 
+def _multiply_walk(oracle, rng, size):
+    """An F2xZ random element as a walk of `multiply` steps, one copy of
+    the word per step."""
+    gens = oracle.generators()
+    g = oracle.identity()
+    for _ in range(rng.randint(0, size)):
+        g = oracle.multiply(g, rng.choice(gens))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32), st.integers(0, 40))
+def test_f2xz_random_element_matches_the_multiply_walk(n, seed, size):
+    # the same draws give the same elements, and the generator stays in
+    # step with the reference's
+    oracle = make_oracle(f"f2xz:n={n}")
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(5):
+        assert random_element(oracle, rng, size) == _multiply_walk(oracle, ref, size)
+    assert rng.random() == ref.random()
+
+
 WALK_GROUPS = ["free:2", "abelian:2", "abelian:3", "prod(free:2,abelian:1)", "f2xz:n=2"]
 
 

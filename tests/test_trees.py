@@ -73,6 +73,12 @@ def test_path_between_endpoints():
     assert len(set(path)) == len(path)
 
 
+@pytest.mark.parametrize("u, v", [(0, 99), (99, 0), (99, 99), (-1, 3)])
+def test_path_between_rejects_unknown_vertices(u, v):
+    with pytest.raises(MalformedInputError, match="no vertex"):
+        PlaneTernaryTree.complete(2).path_between(u, v)
+
+
 def test_serialize_parse_round_trip():
     t = PlaneTernaryTree.random(60, 7)
     text = t.serialize()

@@ -17,7 +17,10 @@ from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
 from ts_groups.words import (
     _BIT_MAX_NEED,
     _BIT_MIN_PROBES,
+    _GALLOP_FIRST,
+    _GALLOP_MIN,
     _bit_planes,
+    _common_prefix,
     _first_power,
     _first_unruled,
     _power_ends_last,
@@ -201,6 +204,60 @@ def test_power_witness_replays():
 def test_empty_sequence_is_aperiodic():
     for k in (1, 5, 100):
         assert is_k_aperiodic([], k) == (True, None)
+
+
+@pytest.mark.parametrize("make", [lambda m: "x" * m, lambda m: [7] * m, lambda m: Word((2,) * m, 2)],
+                         ids=["str", "int", "Word"])
+def test_k_tokens_are_k_aperiodic_before_any_scan(monkeypatch, make):
+    # k tokens, even all equal, hold no (k+1)-th power, so the answer
+    # comes without a scan; one equal token more is the period-1 power
+    # at start 0
+    from ts_groups import words
+
+    scan = words._first_power
+    for k in range(1, 13):
+        monkeypatch.setattr(words, "_first_power", None)
+        assert is_k_aperiodic(make(k), k) == (True, None)
+        monkeypatch.setattr(words, "_first_power", scan)
+        seq = make(k + 1)
+        tokens = seq.letters if isinstance(seq, Word) else seq
+        assert naive_max_power_order(tokens) == k + 1
+        assert is_k_aperiodic(seq, k) == (False, PowerWitness(0, 1, k + 1, (tokens[0],)))
+
+
+# -- common prefixes -----------------------------------------------------------
+
+
+def _common_prefix_by_letters(s, e):
+    common = 0
+    for a, b in zip(s, e):
+        if a != b:
+            break
+        common += 1
+    return common
+
+
+_NEAR_THRESHOLDS = [n + d for n in (_GALLOP_FIRST, _GALLOP_MIN, 2 * _GALLOP_MIN, 3 * _GALLOP_FIRST)
+                    for d in (-1, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.one_of(st.sampled_from(_NEAR_THRESHOLDS), st.integers(0, 1500)),
+       st.integers(0, 2 * _GALLOP_MIN), st.integers(0, 2 * _GALLOP_MIN))
+@example(seed=0, planted=_GALLOP_MIN, tail_s=0, tail_e=0)
+@example(seed=0, planted=_GALLOP_MIN - 1, tail_s=0, tail_e=1)
+@example(seed=0, planted=0, tail_s=_GALLOP_MIN, tail_e=_GALLOP_MIN)
+def test_common_prefix_matches_the_letter_loop(seed, planted, tail_s, tail_e):
+    # a planted shared prefix on either side of the gallop threshold,
+    # then two-letter tails that may agree for a while longer; one word
+    # may be a prefix of the other
+    rng = random.Random(seed)
+    prefix = tuple(rng.choice((1, -1, 2, -2)) for _ in range(planted))
+    s = prefix + tuple(rng.choice((1, 2)) for _ in range(tail_s))
+    e = prefix + tuple(rng.choice((1, 2)) for _ in range(tail_e))
+    expected = _common_prefix_by_letters(s, e)
+    assert expected >= planted
+    assert _common_prefix(s, e) == _common_prefix(e, s) == expected
 
 
 # -- shifts ------------------------------------------------------------------
