@@ -34,7 +34,6 @@ All length comparisons against lambda are exact integer arithmetic.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -107,10 +106,8 @@ _PRIMES = (2_147_483_647, 2_147_483_629)
 _BASES = (1_000_003, 972_663_749)
 
 
-@functools.lru_cache(maxsize=8)
 def _powers(base: int, prime: int, count: int) -> np.ndarray:
-    """base**k mod prime for k < count, by doubling; read-only, since
-    the table is shared by every call with the same arguments."""
+    """base**k mod prime for k < count, by doubling."""
     out = np.ones(count, dtype=np.int64)
     filled, step = 1, base  # step == base**filled while filled doubles
     while filled < count:
@@ -118,7 +115,6 @@ def _powers(base: int, prime: int, count: int) -> np.ndarray:
         out[filled : filled + take] = out[:take] * step % prime
         filled += take
         step = step * step % prime
-    out.flags.writeable = False
     return out
 
 

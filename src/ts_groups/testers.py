@@ -414,9 +414,10 @@ class XiReport:
 
 @functools.lru_cache(maxsize=4)
 def _block_word(params: XiParams):
-    """(letters, b-positions): square-free blocks b / aba / aabaa until
-    the letter count lands in the target interval, and the positions of
-    its b letters.  Both are tuples, built once per parameter set."""
+    """(letters, b-positions, *`_block_word_facts`) of the block word,
+    built once per parameter set: square-free blocks b / aba / aabaa
+    until the letter count lands in the target interval.  The letters
+    and the positions of its b letters are tuples."""
     blocks = {"A": (2,), "B": (1, 2, 1), "C": (1, 1, 2, 1, 1)}
     letters: List[int] = []
     # every block has a letter, so total_low + 1 symbols are enough
@@ -427,7 +428,8 @@ def _block_word(params: XiParams):
     n = len(letters)
     if not (params.total_low < n < params.total_high):
         raise ResourceLimitError(f"block word landed at {n}, outside the target")
-    return tuple(letters), tuple(i for i, c in enumerate(letters) if c == 2)
+    b_positions = tuple(i for i, c in enumerate(letters) if c == 2)
+    return (tuple(letters), b_positions, *_block_word_facts(letters))
 
 
 def _block_word_facts(letters: Sequence[int]):
@@ -439,12 +441,6 @@ def _block_word_facts(letters: Sequence[int]):
     ones = [i for i, c in enumerate(letters) if c == 1]
     gaps = [b - a for a, b in zip(ones, ones[1:])] + [n - ones[-1] + ones[0]] if ones else []
     return is_k_aperiodic(letters, 3)[0], max(gaps, default=n + 1)
-
-
-@functools.lru_cache(maxsize=4)
-def _block_facts(params: XiParams):
-    """`_block_word_facts` of the block word under `params`, built once."""
-    return _block_word_facts(_block_word(params)[0])
 
 
 def _aperiodic_3(word: Word, flips, block_aperiodic: bool) -> dict:
@@ -646,16 +642,15 @@ def construct_xi(seed: int = 0, params: XiParams = XiParams()) -> XiReport:
 
     When a premise fails, the condition comes from the full scan
     (`is_k_aperiodic`, or `satisfies_small_cancellation` on the cyclic
-    closure), failure detail included.  The block word's facts are
-    built once per parameter set (`_block_facts`).  Its square-free
+    closure), failure detail included.  The block word and its facts
+    are built once per parameter set (`_block_word`).  Its square-free
     block sequence never puts two blocks b side by side, so each 2 has
     letters 1 beside it, and no flip falls on its first or last letter:
     every xi is freely and cyclically reduced and is built unchecked."""
     empty = [r for r in _gap_ranges(params) if r[0] > r[1]]
     if empty:
         raise ResourceLimitError(f"flip gap range [{empty[0][0]}, {empty[0][1]}] is empty")
-    letters, b_positions = _block_word(params)
-    block_aperiodic, one_gap = _block_facts(params)
+    letters, b_positions, block_aperiodic, one_gap = _block_word(params)
     n = len(letters)
     last_error = None
     for attempt in range(_XI_ATTEMPTS):

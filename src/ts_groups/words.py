@@ -273,103 +273,14 @@ def format_word(word: Word) -> str:
 # given order, which makes bounded queries (is there a (k+1)-th power?)
 # nearly linear for large k.  The worst case stays quadratic, on input
 # that is almost periodic at many periods.
-#
-# On long input a bit test first rules out short periods (Baeza-Yates &
-# Gonnet, CACM 1992).  Each distinct token gets a code from 1 to c, in
-# order of first occurrence, and plane j is a big int whose bit n-1-i is
-# bit j of the code of token i.  At period p, OR over j of plane ^
-# (plane >> p) has bit n-1-p-i set where token i differs from token
-# i + p, a mirror image that keeps every run; every code has a set bit,
-# so the top p bits, which have no partner, read as mismatches too.  The
-# complement is the match vector, and `y &= y >> s` doublings leave a
-# bit set iff a run of `need` matches starts there.  The test is exact
-# and only rules periods out: the first period it cannot rule out, or
-# the first past its reach, goes to the probe loop, which decides every
-# remaining period and builds every witness.  The constants, measured
-# on a 2-vCPU VM:
-# - a probe costs 50-100 ns, and testing one period 1.4-2.8 us on 256
-#   tokens and 4-7 us on 10,005.  So a period is tested only if the loop
-#   would probe it at least _BIT_MIN_PROBES times (need <= n // 32);
-# - runs of more than _BIT_MAX_NEED matches are left to the loop.  On
-#   input without long match runs the loop probes a period about
-#   n / need times, so past this cap one test costs more than the probes
-#   it saves.  The 3-aperiodicity scan of the 10,005-letter marker words
-#   of seeds 101-103 tests periods 1-85 and took 4.4-5.3 ms, against
-#   7.0-9.1 ms for the loop alone (best of 9, four runs);
-# - building the planes costs 45-160 ns a token, about one probe, so
-#   they are built only when the loop would make at least n probes on
-#   the tested periods, about n / need at each.  Product checks never
-#   build them: at order 500 no period is in reach, and at order 50 (a
-#   20,318-letter desk-scale product) five periods are, where building
-#   took the check from 0.67 to 3.7 ms.  Input whose first tested
-#   period hosts a power pays for planes it does not use;
-# - input of fewer than _BIT_MIN_TOKENS tokens (tree paths have at most
-#   25) never builds planes, and pays one length comparison for it.
-#   Built at any length, the planes made the scan 4-36 % slower than the
-#   loop alone on 64-128-token windows of the square-free ternary word
-#   and the marker word at orders 3 and 4, and broke even near 256-384.
 # ---------------------------------------------------------------------------
 
-_BIT_MIN_TOKENS = 256
-_BIT_MAX_NEED = 256
-_BIT_MIN_PROBES = 32
 
-# _CODE_DIGITS[j] maps a code byte to the ASCII digit of its bit j
-_CODE_DIGITS = [bytes(48 + (c >> j & 1) for c in range(256)) for j in range(8)]
-
-
-def _bit_planes(tokens):
-    """The code bit planes of a token sequence; [] when the tokens are
-    unhashable or more than 255 distinct, which leaves every period to
-    the probe loop."""
-    try:
-        distinct = dict.fromkeys(tokens)
-    except TypeError:
-        return []
-    if len(distinct) > 255:
-        return []
-    code = {token: c for c, token in enumerate(distinct, 1)}
-    digits = bytes(map(code.__getitem__, tokens))
-    return [int(digits.translate(_CODE_DIGITS[j]), 2)
-            for j in range(len(distinct).bit_length())]
-
-
-def _first_unruled(planes, n, order, first, last):
-    """The first period from `first` to `last` whose match vector holds
-    a run of p * (order - 1) matches; the first period past `last` if
-    none does."""
-    full = (1 << n) - 1
-    p = first
-    while p <= last:
-        mismatch = 0
-        for plane in planes:
-            mismatch |= plane ^ (plane >> p)
-        y = full ^ mismatch
-        need, run = p * (order - 1), 1
-        while y and run < need:
-            step = min(run, need - run)
-            y &= y >> step
-            run += step
-        if y:
-            break
-        p += 1
-    return p
-
-
-def _first_power(tokens, order, first=1, planes=None):
+def _first_power(tokens, order, first=1):
     """(order, start, period) of a power of at least the given order
     (>= 2) at the first period from `first` on that hosts one, taking
-    the first longest run there; None if there is no such power.
-    `planes` are the tokens' `_bit_planes` when the caller has built
-    them; otherwise they are built here when worth it."""
+    the first longest run there; None if there is no such power."""
     n = len(tokens)
-    if n >= _BIT_MIN_TOKENS:
-        last = min(_BIT_MAX_NEED, n // _BIT_MIN_PROBES) // (order - 1)
-        # at least n probes: n / (p * (order - 1)) summed over the reach
-        if planes is None and sum(1 / p for p in range(first, last + 1)) >= order - 1:
-            planes = _bit_planes(tokens)
-        if planes:
-            first = _first_unruled(planes, n, order, first, last)
     for p in range(first, n // order + 1):
         need = p * (order - 1)
         m = n - p
@@ -404,11 +315,9 @@ def _max_power(tokens):
     window when the sequence is square-free.  Each search asks for one
     order more than the last hit, from the period after it (no period up
     to it hosts that order), so the last hit is at the first period of
-    the highest order.  Long input builds its bit planes once for all
-    the searches."""
-    planes = _bit_planes(tokens) if len(tokens) >= _BIT_MIN_TOKENS else None
+    the highest order."""
     best = 1, 0, 0
-    while (found := _first_power(tokens, best[0] + 1, best[2] + 1, planes)) is not None:
+    while (found := _first_power(tokens, best[0] + 1, best[2] + 1)) is not None:
         best = found
     return best
 

@@ -364,7 +364,7 @@ def test_flip_conditions_reported():
 def _marker_blocks(params):
     """(n, b-positions, the flip sets `_select_flips` picks for seeds
     0-39) of the block word under `params`' target length."""
-    letters, _ = testers._block_word(params)
+    letters = testers._block_word(params)[0]
     n = len(letters)
     b = [i for i, c in enumerate(letters) if c == 2]
     picks = (testers._select_flips(n, b, params, random.Random(s)) for s in range(40))
@@ -492,7 +492,7 @@ def test_select_flips_window_edges(n, b, flips):
 
 
 def test_block_word_tables_are_shared_and_read_only():
-    letters, b = testers._block_word(_DESK)
+    letters, b = testers._block_word(_DESK)[:2]
     assert testers._block_word(XiParams.desk())[0] is letters
     assert b == tuple(i for i, c in enumerate(letters) if c == 2)
     with pytest.raises(TypeError):
@@ -562,15 +562,15 @@ def test_construct_xi_words_are_reduced(params, seeds):
 def test_block_facts_are_built_once_per_equal_params():
     # an equal but distinct parameter set reads the same facts, and no
     # attempt scans the marker word for fourth powers
-    testers._block_facts.cache_clear()
+    testers._block_word.cache_clear()
     with mock.patch.object(testers, "_block_word_facts",
                            wraps=testers._block_word_facts) as facts, \
             mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan:
         first = construct_xi(5, XiParams.desk())
         second = construct_xi(5, dataclasses.replace(XiParams.desk()))
     assert facts.call_count == 1 and scan.call_count == 1
-    assert testers._block_facts.cache_info().hits >= 1
-    assert testers._block_facts(_DESK) == (True, 2)
+    assert testers._block_word.cache_info().hits >= 1
+    assert testers._block_word(_DESK)[2:] == (True, 2)
     assert (second.to_dict(), second.word, second.flips) == (
         first.to_dict(), first.word, first.flips)
 
@@ -693,11 +693,11 @@ def _plant_premise_failure(premise, n, b, flips):
 @pytest.mark.parametrize("params", [XiParams(), _DESK], ids=["full", "desk"])
 @pytest.mark.parametrize("premise", ["linear", "wrap", "sum"])
 def test_planted_premise_failure_takes_the_full_scans(premise, params):
-    letters, b = testers._block_word(params)
+    letters, b = testers._block_word(params)[:2]
     n = len(letters)
     flips = _plant_premise_failure(premise, n, b, list(construct_xi(0, params).flips))
     word = _marker_word(letters, flips)
-    facts = testers._block_facts(params)
+    facts = testers._block_word(params)[2:]
     with mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
             mock.patch.object(testers, "satisfies_small_cancellation",
                               wraps=satisfies_small_cancellation) as windows:
@@ -713,7 +713,7 @@ def test_lemma_b_premises_at_their_bounds():
     # its bound, and one step past it
     n = len(testers._block_word(_DESK)[0])
     t = -(-n // 5)
-    one_gap = testers._block_facts(_DESK)[1]
+    one_gap = testers._block_word(_DESK)[3]
     flips = list(construct_xi(0, _DESK).flips)
     assert testers._distinct_cyclic_windows(n, flips, one_gap)
     assert testers._distinct_cyclic_windows(n, flips, t)

@@ -7,22 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.errors import MalformedInputError
-from ts_groups.sequences import (
-    label_tree_adversarial,
-    label_tree_three_letters,
-    random_tree_adversary,
-    squarefree_ternary,
-)
-from ts_groups.trees import PlaneTernaryTree, enumerate_simple_paths
+from ts_groups.sequences import squarefree_ternary
 from ts_groups.words import (
-    _BIT_MAX_NEED,
-    _BIT_MIN_PROBES,
     _GALLOP_FIRST,
     _GALLOP_MIN,
-    _bit_planes,
     _common_prefix,
     _first_power,
-    _first_unruled,
     _power_ends_last,
     Occurrence,
     PowerWitness,
@@ -512,12 +502,18 @@ def test_brute_force_power_scan_mid_size():
     assert fast == naive_max_power_order(seq)
 
 
-# -- the bit test that rules out short periods on long input -------------------
+# -- long input, with powers planted around a period reach ---------------------
+
+# A bit-parallel pre-filter once ruled out periods up to a reach of
+# min(NEED_CAP, n // MIN_PROBES) // (order - 1) before the probe loop; the
+# long-input tests still plant powers on both sides of that reach.
+NEED_CAP = 256
+MIN_PROBES = 32
 
 
 def bit_reach(n, order):
-    """The last period the bit test takes at this length and order."""
-    return min(_BIT_MAX_NEED, n // _BIT_MIN_PROBES) // (order - 1)
+    """The last period of that reach at this length and order."""
+    return min(NEED_CAP, n // MIN_PROBES) // (order - 1)
 
 
 def max_power_reference(tokens):
@@ -531,16 +527,6 @@ def max_power_reference(tokens):
 def assert_first_power_matches_reference(tokens, order, first):
     expected = first_power_reference(tokens, order, first)
     assert _first_power(tokens, order, first) == expected
-    planes = _bit_planes(tokens)
-    assert _first_power(tokens, order, first, planes) == expected
-    if planes:
-        # the test is exact: the first period it cannot rule out is the
-        # first that hosts the power, unless that lies past its reach
-        last = bit_reach(len(tokens), order)
-        hit = expected[2] if expected else len(tokens)
-        assert _first_unruled(planes, len(tokens), order, first, last) == max(
-            first, min(hit, last + 1)
-        )
 
 
 TOKEN_KINDS = {
@@ -556,8 +542,8 @@ TOKEN_KINDS = {
 @st.composite
 def long_planted_sequences(draw):
     """256-4,000 tokens, square-free or random over 2-6 symbols, with up
-    to three powers of order 2-6 whose need lies around the bit test's
-    reach, read as one token kind; "many" appends 250-258 fresh tokens,
+    to three powers of order 2-6 whose period lies around `bit_reach`,
+    read as one token kind; "many" appends 250-258 fresh tokens,
     for 252-264 distinct ones."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(256, 4000))
@@ -581,12 +567,7 @@ def long_planted_sequences(draw):
 @settings(max_examples=120, deadline=None)
 @given(long_planted_sequences())
 def test_long_power_scans_match_reference(case):
-    tokens, kind = case
-    planes = _bit_planes(tokens)
-    if kind == "unhashable" or len(set(tokens)) > 255:
-        assert planes == []
-    else:
-        assert len(planes) == len(set(tokens)).bit_length()
+    tokens, _ = case
     for order in range(2, 7):
         for first in (1, 2, 3):
             assert_first_power_matches_reference(tokens, order, first)
@@ -606,7 +587,7 @@ def test_power_scan_at_the_need_cap(order, period):
     tokens = [ord(c) for c in squarefree_ternary(9000)]
     base = [ord(c) + 32 for c in squarefree_ternary(period - 1)] + [0]
     tokens[4000:4000] = base * order
-    assert bit_reach(len(tokens), order) == _BIT_MAX_NEED // (order - 1)
+    assert bit_reach(len(tokens), order) == NEED_CAP // (order - 1)
     for first in (1, 2, 3):
         assert_first_power_matches_reference(tokens, order, first)
     assert first_power_reference(tokens, order)[2] == period
@@ -644,8 +625,6 @@ def test_marker_words_stay_3_aperiodic(marker_words):
     for letters in marker_words:
         assert first_power_reference(letters, 4) is None
         assert is_k_aperiodic(letters, 3) == (True, None)
-        last = bit_reach(len(letters), 4)
-        assert _first_unruled(_bit_planes(letters), len(letters), 4, 1, last) == last + 1
 
 
 def test_marker_word_with_a_planted_fourth_power(marker_words):
@@ -656,47 +635,3 @@ def test_marker_word_with_a_planted_fourth_power(marker_words):
     assert found[0] >= 4 and found[2] <= 40
     assert is_k_aperiodic(tokens, 3) == (False, reference_witness(tokens, *found))
     assert_first_power_matches_reference(tokens, 4, 1)
-
-
-def test_max_power_order_builds_bit_planes_once(monkeypatch, marker_words):
-    from ts_groups import words
-
-    built = []
-    monkeypatch.setattr(words, "_bit_planes", lambda tokens: built.append(1) or _bit_planes(tokens))
-    tokens = list(marker_words[0][:2000])
-    tokens[1000:1000] = tokens[1000:1003] * 5
-    order, start, period = max_power_reference(tokens)
-    assert order >= 5
-    assert max_power_order(tokens) == (order, reference_witness(tokens, order, start, period))
-    assert len(built) == 1
-
-
-@pytest.fixture
-def no_bit_planes(monkeypatch):
-    from ts_groups import words
-
-    def refuse(tokens):
-        raise AssertionError(f"bit planes built for {len(tokens)} tokens")
-
-    monkeypatch.setattr(words, "_bit_planes", refuse)
-
-
-def test_short_input_never_builds_bit_planes(no_bit_planes):
-    for n in range(9):
-        for tokens in itertools.product((0, 1, 2), repeat=n):
-            max_power_order(tokens)
-            for k in (1, 2, 3):
-                is_k_aperiodic(tokens, k)
-    tree = PlaneTernaryTree.random(200, 2)
-    fixed = label_tree_three_letters(tree)
-    advers = label_tree_adversarial(tree, set("wxyz"), random_tree_adversary(2))
-    for path in enumerate_simple_paths(tree):
-        is_k_aperiodic(fixed.path_labels(path), 3)
-        is_k_aperiodic(advers.path_labels(path), 10)
-
-
-def test_products_never_build_bit_planes(no_bit_planes, desk_product):
-    # need >= 499 is past the cap; at order 50 the few short periods in
-    # reach would not pay for the planes
-    assert is_k_aperiodic(desk_product, 499)[0]
-    assert is_k_aperiodic(desk_product, 49)[0]
