@@ -381,7 +381,7 @@ def held_karp_reference(D):
 
 def flip_conditions_reference(n, b_positions, flips, params):
     """The marker word's four flip-set conditions scanned window start
-    by window start; same contract as `testers._verify_flip_conditions`."""
+    by window start; same contract as `markers._verify_flip_conditions`."""
     flips = sorted(flips)
     bset = sorted(b_positions)
     out = {}
@@ -428,7 +428,7 @@ def flip_conditions_reference(n, b_positions, flips, params):
 def select_flips_reference(n, b_positions, params, rng):
     """The marker word's greedy flip selection with each pick a scan
     over every b-position of its gap window; same contract as
-    `testers._select_flips`, kept literal."""
+    `markers._select_flips`, kept literal."""
     dense_hi = params.end_zone_a + params.end_window + 20
     dense_lo = n - params.end_zone_b_lo - params.end_window - 20
     small = (max(8, params.end_window // 3), params.end_window - 3)
@@ -486,7 +486,7 @@ def select_flips_reference(n, b_positions, params, rng):
 def tagged_product_reference(xi, xs, eps):
     """The alternating product reduced letter by letter with a provenance
     tag per letter, then the xi runs read off the tags, one per block;
-    kept literal.  Same contract as `testers._reduced_product`,
+    kept literal.  Same contract as `products._reduced_product`,
     (letters, xi_runs), with the letters as a tuple where
     `_reduced_product` packs them in an ``array``."""
     stack = []

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.cancellation import SymmetrizedSet, satisfies_small_cancellation
-from ts_groups import testers
+from ts_groups import markers, products, testers
 from ts_groups.errors import (
     InternalInvariantError,
     MalformedInputError,
@@ -27,13 +27,13 @@ from ts_groups.testers import (
     SearchBudget,
     XiParams,
     _random_sequence,
-    _reduced_product,
     burnside_pipeline,
     construct_xi,
     test_property as run_property_search,
     variety_counterexample,
     verify_product_aperiodicity,
 )
+from ts_groups.products import _reduced_product
 from ts_groups.sequences import squarefree_ternary
 from ts_groups.words import (
     Word,
@@ -364,10 +364,10 @@ def test_flip_conditions_reported():
 def _marker_blocks(params):
     """(n, b-positions, the flip sets `_select_flips` picks for seeds
     0-39) of the block word under `params`' target length."""
-    letters = testers._block_word(params)[0]
+    letters = markers._block_word(params)[0]
     n = len(letters)
     b = [i for i, c in enumerate(letters) if c == 2]
-    picks = (testers._select_flips(n, b, params, random.Random(s)) for s in range(40))
+    picks = (markers._select_flips(n, b, params, random.Random(s)) for s in range(40))
     return n, b, [f for f in picks if f is not None]
 
 
@@ -424,7 +424,7 @@ def test_flip_conditions_match_reference(data):
         dropped = data.draw(st.sets(st.integers(0, len(flips)), max_size=4), label="dropped")
         added = data.draw(st.lists(st.sampled_from(b), max_size=4), label="added")
         flips = [d for i, d in enumerate(flips) if i not in dropped] + added
-    assert (testers._verify_flip_conditions(n, b, flips, params)
+    assert (markers._verify_flip_conditions(n, b, flips, params)
             == flip_conditions_reference(n, b, flips, params))
 
 
@@ -443,7 +443,7 @@ def test_flip_conditions_match_reference_at_every_bound():
                       "global_window", "density_window"]:
             for value in range(0 if field.endswith("window") else -3, n + 4):
                 params = dataclasses.replace(base, **{field: value})
-                assert (testers._verify_flip_conditions(n, b, flips, params)
+                assert (markers._verify_flip_conditions(n, b, flips, params)
                         == flip_conditions_reference(n, b, flips, params)), (flips, params)
 
 
@@ -476,7 +476,7 @@ def test_select_flips_matches_reference(data):
         b = [i for i in range(n) if rng.random() < density]
         params = data.draw(st.one_of(st.just(_DESK), _xi_params(-60, 600)), label="params")
     seed = data.draw(st.integers(0, 2**32), label="seed")
-    assert (_flips_or_error(testers._select_flips, n, tuple(b), params, seed)
+    assert (_flips_or_error(markers._select_flips, n, tuple(b), params, seed)
             == _flips_or_error(select_flips_reference, n, b, params, seed))
 
 
@@ -487,13 +487,13 @@ def test_select_flips_matches_reference(data):
                                          (60, [10, 43], [10, 43]), (60, [10, 44], None)])
 def test_select_flips_window_edges(n, b, flips):
     for seed in range(3):
-        assert testers._select_flips(n, tuple(b), _DESK, random.Random(seed)) == flips
+        assert markers._select_flips(n, tuple(b), _DESK, random.Random(seed)) == flips
         assert select_flips_reference(n, b, _DESK, random.Random(seed)) == flips
 
 
 def test_block_word_tables_are_shared_and_read_only():
-    letters, b = testers._block_word(_DESK)[:2]
-    assert testers._block_word(XiParams.desk())[0] is letters
+    letters, b = markers._block_word(_DESK)[:2]
+    assert markers._block_word(XiParams.desk())[0] is letters
     assert b == tuple(i for i, c in enumerate(letters) if c == 2)
     with pytest.raises(TypeError):
         letters[0] = -2
@@ -504,12 +504,12 @@ def test_block_word_tables_are_shared_and_read_only():
 def test_construct_xi_ignores_which_equal_params_it_gets():
     # the block word is cached per parameter set; an equal but distinct
     # instance reads the same entry and gives the same report
-    testers._block_word.cache_clear()
+    markers._block_word.cache_clear()
     first = construct_xi(5, XiParams.desk())
     other = dataclasses.replace(XiParams.desk())
     assert other == XiParams.desk() and other is not first.params
     second = construct_xi(5, other)
-    assert testers._block_word.cache_info().hits >= 1
+    assert markers._block_word.cache_info().hits >= 1
     assert (second.to_dict(), second.word, second.flips) == (
         first.to_dict(), first.word, first.flips)
 
@@ -538,7 +538,7 @@ def test_each_flip_condition_can_fail(condition, params):
     rep = construct_xi(0, params)
     n, b, _ = _marker_blocks(params)
     flips = _break_flip_condition(condition, list(rep.flips), n, b, params)
-    conditions = testers._verify_flip_conditions(n, b, flips, params)
+    conditions = markers._verify_flip_conditions(n, b, flips, params)
     assert not conditions[condition]["pass"]
     assert conditions == flip_conditions_reference(n, b, flips, params)
     broken = dataclasses.replace(rep, flips=tuple(flips),
@@ -551,7 +551,7 @@ def test_each_flip_condition_can_fail(condition, params):
 def test_construct_xi_words_are_reduced(params, seeds):
     # the marker word is built unchecked, so check it here, and the
     # block-word facts that make it safe: letters in {1, 2}, 2s isolated
-    letters = testers._block_word(params)[0]
+    letters = markers._block_word(params)[0]
     assert set(letters) <= {1, 2} and (2, 2) not in zip(letters, letters[1:])
     for seed in seeds:
         rep = construct_xi(seed, params)
@@ -562,15 +562,15 @@ def test_construct_xi_words_are_reduced(params, seeds):
 def test_block_facts_are_built_once_per_equal_params():
     # an equal but distinct parameter set reads the same facts, and no
     # attempt scans the marker word for fourth powers
-    testers._block_word.cache_clear()
-    with mock.patch.object(testers, "_block_word_facts",
-                           wraps=testers._block_word_facts) as facts, \
-            mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan:
+    markers._block_word.cache_clear()
+    with mock.patch.object(markers, "_block_word_facts",
+                           wraps=markers._block_word_facts) as facts, \
+            mock.patch.object(markers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan:
         first = construct_xi(5, XiParams.desk())
         second = construct_xi(5, dataclasses.replace(XiParams.desk()))
     assert facts.call_count == 1 and scan.call_count == 1
-    assert testers._block_word.cache_info().hits >= 1
-    assert testers._block_word(_DESK)[2:] == (True, 2)
+    assert markers._block_word.cache_info().hits >= 1
+    assert markers._block_word(_DESK)[2:] == (True, 2)
     assert (second.to_dict(), second.word, second.flips) == (
         first.to_dict(), first.word, first.flips)
 
@@ -594,8 +594,8 @@ def _scanned_conditions(word):
 
 def _lemma_conditions(word, flips, facts):
     block_aperiodic, one_gap = facts
-    return (testers._aperiodic_3(word, flips, block_aperiodic),
-            testers._small_cancellation_1_5(word, flips, one_gap))
+    return (markers._aperiodic_3(word, flips, block_aperiodic),
+            markers._small_cancellation_1_5(word, flips, one_gap))
 
 
 # (a b)^4 a ahead of the desk block word: a block word with a fourth
@@ -606,10 +606,10 @@ _PLANTED_PREFIX = (1, 2) * 4 + (1,)
 @functools.lru_cache(maxsize=None)
 def _lemma_block(kind):
     """(letters, b-positions, facts) of the full, desk or planted block word."""
-    letters = testers._block_word(XiParams() if kind == "full" else _DESK)[0]
+    letters = markers._block_word(XiParams() if kind == "full" else _DESK)[0]
     if kind == "planted":
         letters = _PLANTED_PREFIX + letters
-    return letters, [i for i, c in enumerate(letters) if c == 2], testers._block_word_facts(letters)
+    return letters, [i for i, c in enumerate(letters) if c == 2], markers._block_word_facts(letters)
 
 
 @settings(max_examples=300, deadline=None)
@@ -651,7 +651,7 @@ def test_lemma_a_needs_an_aperiodic_block_word():
     assert not block_aperiodic
     flips = [d + len(_PLANTED_PREFIX) for d in construct_xi(0, _DESK).flips]
     word = _marker_word(letters, flips)
-    assert testers._aperiodic_3(word, flips, False) == {"pass": False, "detail": "power at 0"}
+    assert markers._aperiodic_3(word, flips, False) == {"pass": False, "detail": "power at 0"}
 
 
 def _gap_premises_failing(n, flips):
@@ -693,13 +693,13 @@ def _plant_premise_failure(premise, n, b, flips):
 @pytest.mark.parametrize("params", [XiParams(), _DESK], ids=["full", "desk"])
 @pytest.mark.parametrize("premise", ["linear", "wrap", "sum"])
 def test_planted_premise_failure_takes_the_full_scans(premise, params):
-    letters, b = testers._block_word(params)[:2]
+    letters, b = markers._block_word(params)[:2]
     n = len(letters)
     flips = _plant_premise_failure(premise, n, b, list(construct_xi(0, params).flips))
     word = _marker_word(letters, flips)
-    facts = testers._block_word(params)[2:]
-    with mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
-            mock.patch.object(testers, "satisfies_small_cancellation",
+    facts = markers._block_word(params)[2:]
+    with mock.patch.object(markers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
+            mock.patch.object(markers, "satisfies_small_cancellation",
                               wraps=satisfies_small_cancellation) as windows:
         conditions = _lemma_conditions(word, flips, facts)
     # Lemma A reads the linear gaps only
@@ -711,14 +711,14 @@ def test_planted_premise_failure_takes_the_full_scans(premise, params):
 def test_lemma_b_premises_at_their_bounds():
     # the desk word of seed 0 meets every premise; each is then moved to
     # its bound, and one step past it
-    n = len(testers._block_word(_DESK)[0])
+    n = len(markers._block_word(_DESK)[0])
     t = -(-n // 5)
-    one_gap = testers._block_word(_DESK)[3]
+    one_gap = markers._block_word(_DESK)[3]
     flips = list(construct_xi(0, _DESK).flips)
-    assert testers._distinct_cyclic_windows(n, flips, one_gap)
-    assert testers._distinct_cyclic_windows(n, flips, t)
-    assert not testers._distinct_cyclic_windows(n, flips, t + 1)
-    assert not any(testers._distinct_cyclic_windows(n, few, one_gap) for few in ([], flips[:1]))
+    assert markers._distinct_cyclic_windows(n, flips, one_gap)
+    assert markers._distinct_cyclic_windows(n, flips, t)
+    assert not markers._distinct_cyclic_windows(n, flips, t + 1)
+    assert not any(markers._distinct_cyclic_windows(n, few, one_gap) for few in ([], flips[:1]))
 
     def moved(i, s):
         # f_(i+1) moved to f_(i-1) + s, so that g_(i-1) + g_i = s
@@ -730,8 +730,8 @@ def test_lemma_b_premises_at_their_bounds():
               and _gap_premises_failing(n, moved(i, t)) == {"sum"}]
     assert bounds
     for i in bounds:
-        assert testers._distinct_cyclic_windows(n, moved(i, t - 1), one_gap)
-        assert not testers._distinct_cyclic_windows(n, moved(i, t), one_gap)
+        assert markers._distinct_cyclic_windows(n, moved(i, t - 1), one_gap)
+        assert not markers._distinct_cyclic_windows(n, moved(i, t), one_gap)
 
 
 # -- product verification ------------------------------------------------------------
@@ -921,7 +921,7 @@ def _assert_product_matches_reference(xi, xs, eps):
     assert xi_runs == ref_runs
     args = dict(bound=3, max_x_len=64, check_xi=False)
     verdict = verify_product_aperiodicity(xi, xs, eps, **args)
-    with mock.patch("ts_groups.testers._reduced_product", tagged_product_reference):
+    with mock.patch("ts_groups.products._reduced_product", tagged_product_reference):
         assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
     return letters
 
@@ -1012,7 +1012,7 @@ def test_burnside_long_products_match_pins(seed):
 def test_free_product_length_matches_oracle(case):
     xi, xs, eps = case
     xi_inv = FREE2.inverse(xi)
-    assert testers._free_product_length(xi.letters, xi_inv.letters, xs, eps) == FREE2.length(
+    assert products._free_product_length(xi.letters, xi_inv.letters, xs, eps) == FREE2.length(
         testers._product(FREE2, xi, xi_inv, xs, eps))
 
 
@@ -1077,8 +1077,8 @@ def _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound):
     product; returns it."""
     args = dict(bound=bound, max_x_len=10**6, check_xi=False)
     verdict = verify_product_aperiodicity(xi, xs, eps, **args)
-    with mock.patch.object(testers, "_reduced_product", tagged_product_reference), \
-            mock.patch.object(testers, "_first_product_power", _whole_scan):
+    with mock.patch.object(products, "_reduced_product", tagged_product_reference), \
+            mock.patch.object(products, "_first_product_power", _whole_scan):
         assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
     return verdict
 
@@ -1204,9 +1204,9 @@ def test_burnside_long_products_scan_under_one_percent_of_their_letters():
         return _first_power(letters, *args)
 
     letters = 0
-    with mock.patch.object(testers, "_XI_TABLES", []), \
-            mock.patch.object(testers, "_first_power", first_power), \
-            mock.patch.object(testers, "max_power_order", wraps=max_power_order) as order:
+    with mock.patch.object(products, "_XI_TABLES", []), \
+            mock.patch.object(products, "_first_power", first_power), \
+            mock.patch.object(products, "max_power_order", wraps=max_power_order) as order:
         for p in _burnside_long_products(1):
             ok, analysis = verify_product_aperiodicity(p.xi, p.xs, p.eps, check_xi=False)
             assert ok
@@ -1229,9 +1229,9 @@ def test_junction_scan_hands_over_a_whole_product_at_most_once(bound):
 
     for p in _burnside_long_products(1):
         args = dict(bound=bound, check_xi=False)
-        with mock.patch.object(testers, "_first_power", first_power):
+        with mock.patch.object(products, "_first_power", first_power):
             verdict = verify_product_aperiodicity(p.xi, p.xs, p.eps, **args)
-        with mock.patch.object(testers, "_first_product_power", _whole_scan):
+        with mock.patch.object(products, "_first_product_power", _whole_scan):
             assert verify_product_aperiodicity(p.xi, p.xs, p.eps, **args) == verdict
         assert sliced.count(verdict[1]["product_length"]) <= 1
         sliced.clear()
@@ -1239,9 +1239,9 @@ def test_junction_scan_hands_over_a_whole_product_at_most_once(bound):
 
 def test_check_xi_reads_the_power_order_of_the_table():
     xi = construct_xi(0).word
-    with mock.patch.object(testers, "_XI_TABLES", []), \
-            mock.patch.object(testers, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
-            mock.patch.object(testers, "max_power_order", wraps=max_power_order) as order:
+    with mock.patch.object(products, "_XI_TABLES", []), \
+            mock.patch.object(products, "is_k_aperiodic", wraps=is_k_aperiodic) as scan, \
+            mock.patch.object(products, "max_power_order", wraps=max_power_order) as order:
         for _ in range(2):
             assert verify_product_aperiodicity(xi, [parse_word("a", 2)], [1], check_xi=True)[0]
     assert order.call_count == 1
@@ -1250,17 +1250,17 @@ def test_check_xi_reads_the_power_order_of_the_table():
 
 def test_xi_table_is_found_by_identity_and_holds_the_word():
     xi = construct_xi(0, XiParams.desk()).word
-    with mock.patch.object(testers, "_XI_TABLES", []):
-        table = testers._xi_table(xi)
+    with mock.patch.object(products, "_XI_TABLES", []):
+        table = products._xi_table(xi)
         assert table.xi is xi and table.order == max_power_order(xi)[0]
         assert tuple(table.letters) == xi.letters
         assert tuple(table.inverse) == (~xi).letters
         with mock.patch.object(Word, "__eq__", side_effect=AssertionError("scanned xi")):
-            assert testers._xi_table(xi) is table
-        assert testers._xi_table(Word(xi.letters, 2)) is table
-        for n in range(1, testers._XI_TABLE_SLOTS + 1):
-            testers._xi_table(Word((1,) * n, 2))
-        assert all(t.xi is not xi for t in testers._XI_TABLES)
+            assert products._xi_table(xi) is table
+        assert products._xi_table(Word(xi.letters, 2)) is table
+        for n in range(1, products._XI_TABLE_SLOTS + 1):
+            products._xi_table(Word((1,) * n, 2))
+        assert all(t.xi is not xi for t in products._XI_TABLES)
 
 
 @pytest.mark.parametrize("change", [dict(global_window=60), dict(end_window=10)])
