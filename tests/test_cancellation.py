@@ -388,6 +388,6 @@ def test_full_scale_violating_piece_pinned():
     assert_real_violation(s, viol, 1, 6)
 
 
-def test_power_tables_match_pow():
+def test_power_tables_are_cached_read_only():
     table = _powers(1_000_003, 2_147_483_647, 50)
     assert [int(x) for x in table] == [pow(1_000_003, k, 2_147_483_647) for k in range(50)]

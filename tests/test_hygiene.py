@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ts_groups
-from ts_groups import groups
+from ts_groups import groups, testers
 from ts_groups.testers import SearchBudget, XiParams
 from ts_groups.tours import SamplerConfig
 
@@ -54,6 +54,34 @@ def test_exports_resolve(path):
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
     assert [n for n in REEXPORTS.get(path.stem, []) if n not in exported] == []
+
+
+# testers.__all__ before the marker word and the long-product check moved
+# out of it, by the module that now defines each name
+TESTERS_EXPORTS = {
+    "testers": ["PropertySpec", "SearchBudget", "Verdict", "test_property",
+                "VarietyCertificate", "variety_counterexample", "burnside_pipeline",
+                "PipelineReport"],
+    "markers": ["XiParams", "XiReport", "construct_xi"],
+    "products": ["verify_product_aperiodicity"],
+}
+
+
+def test_testers_exports_are_the_same_objects_everywhere():
+    """Every name testers exported before the split is one object from
+    its home module, from testers, and from the package for the names
+    the package re-exports from testers."""
+    assert sorted(testers.__all__) == sorted(sum(TESTERS_EXPORTS.values(), []))
+    assert sorted(REEXPORTS["testers"]) == [
+        "PropertySpec", "SearchBudget", "Verdict", "XiParams", "burnside_pipeline",
+        "construct_xi", "test_property", "variety_counterexample",
+        "verify_product_aperiodicity"]
+    for home, names in TESTERS_EXPORTS.items():
+        module = importlib.import_module(f"ts_groups.{home}")
+        for name in names:
+            assert getattr(testers, name) is getattr(module, name), name
+            if name in REEXPORTS["testers"]:
+                assert getattr(ts_groups, name) is getattr(module, name), name
 
 
 def _names_used(path):
@@ -202,3 +230,67 @@ def test_oracle_overrides_are_cross_checked():
                   and {"geodesic_points", "distance"} & set(vars(c))}
     checked = {type(groups.make_oracle(d)) for d in _BASE_METHOD_GROUPS}
     assert sorted(c.__name__ for c in overriding - checked) == []
+
+
+PACKAGE = Path(ts_groups.__file__).parent
+TEST_FILES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _module_patches(source):
+    """(line, module, name) for every `mock.patch.object(m, "name", ...)`
+    and `monkeypatch.setattr(m, "name", ...)` whose m is a ts_groups
+    module, and every `mock.patch("ts_groups.m.name", ...)`."""
+    tree = ast.parse(source)
+    modules = {
+        a.asname or a.name: f"ts_groups.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "ts_groups"
+        for a in node.names if (PACKAGE / f"{a.name}.py").exists()
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        call, target = ast.unparse(node.func), node.args[0]
+        if (call in ("mock.patch.object", "monkeypatch.setattr") and len(node.args) > 1
+                and isinstance(target, ast.Name) and target.id in modules
+                and isinstance(node.args[1], ast.Constant)):
+            out.append((node.lineno, modules[target.id], node.args[1].value))
+        elif (call == "mock.patch" and isinstance(target, ast.Constant)
+                and str(target.value).startswith("ts_groups.")):
+            out.append((node.lineno, *target.value.rsplit(".", 1)))
+    return out
+
+
+def _globals_read(module):
+    """The module-level names that a module's own code loads."""
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return bound & {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_patches(path, source):
+    return [f"{path.name}:{line} {module}.{name}"
+            for line, module, name in _module_patches(source)
+            if name not in _globals_read(module)]
+
+
+def test_module_patches_name_globals_the_module_reads():
+    """A test that patches a module's global sees only the lookups that
+    module's code makes; a patch on a name the module no longer reads,
+    say after a function moved to another module, silently checks
+    nothing."""
+    patches = [p for path in TEST_FILES for p in _module_patches(path.read_text())]
+    assert patches
+    assert [u for path in TEST_FILES for u in _unread_patches(path, path.read_text())] == []
+    moved = 'from ts_groups import testers\nmock.patch.object(testers, "_first_power", None)\n'
+    assert _unread_patches(Path("t.py"), moved) == ["t.py:2 ts_groups.testers._first_power"]

@@ -456,8 +456,9 @@ def desk_product():
 
 
 def test_power_scan_matches_reference_on_long_product(desk_product):
-    assert is_k_aperiodic(desk_product, 499)[0]
-    assert_aperiodicity_matches_reference(desk_product, (499,))
+    # the full-scale and the desk-scale bounds of the product check
+    assert is_k_aperiodic(desk_product, 499)[0] and is_k_aperiodic(desk_product, 49)[0]
+    assert_aperiodicity_matches_reference(desk_product, (49, 499))
 
 
 def test_power_scan_matches_reference_on_planted_500th_power(desk_product):
