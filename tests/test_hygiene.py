@@ -278,10 +278,8 @@ def _globals_read(module):
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-def _unread_patches(path, source):
-    return [f"{path.name}:{line} {module}.{name}"
-            for line, module, name in _module_patches(source)
-            if name not in _globals_read(module)]
+def _unread(patches):
+    return [p for p in patches if p[-1] not in _globals_read(p[-2])]
 
 
 def test_module_patches_name_globals_the_module_reads():
@@ -289,8 +287,8 @@ def test_module_patches_name_globals_the_module_reads():
     module's code makes; a patch on a name the module no longer reads,
     say after a function moved to another module, silently checks
     nothing."""
-    patches = [p for path in TEST_FILES for p in _module_patches(path.read_text())]
+    patches = [(path.name, *p) for path in TEST_FILES for p in _module_patches(path.read_text())]
     assert patches
-    assert [u for path in TEST_FILES for u in _unread_patches(path, path.read_text())] == []
+    assert _unread(patches) == []
     moved = 'from ts_groups import testers\nmock.patch.object(testers, "_first_power", None)\n'
-    assert _unread_patches(Path("t.py"), moved) == ["t.py:2 ts_groups.testers._first_power"]
+    assert _unread(_module_patches(moved)) == [(2, "ts_groups.testers", "_first_power")]
