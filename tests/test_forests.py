@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ts_groups import tours
+from ts_groups import forests, tours
 from ts_groups.errors import MalformedInputError, PreconditionError
 from ts_groups.forests import (
     ClusterTree,
@@ -15,7 +17,7 @@ from ts_groups.forests import (
     decompose_pieces,
     verify_forest,
 )
-from ts_groups.groups import make_oracle
+from ts_groups.groups import FreeOracle, make_oracle
 from ts_groups.sequences import InadmissibleEngine
 from ts_groups.tours import (
     RelatedSet,
@@ -232,6 +234,90 @@ def test_mode_p10_determinism():
     assert f1.to_dict(FREE2) == f2.to_dict(FREE2)
 
 
+# -- the P10 engine ground -------------------------------------------------------
+
+
+def _full_ground(rset):
+    """All n(n - 1) differences x^-1 y of the set, as P10 once grounded
+    its engine."""
+    o = rset.oracle
+    return {o.multiply(o.inverse(x), y) for x in rset.elements for y in rset.elements if x != y}
+
+
+def _sampled_free_set(style, xi_len, seed, max_size):
+    config = SamplerConfig(seed=seed, max_size=max_size, style=style)
+    return sample_related_set(FREE2, first_aperiodic_word(2, xi_len), config, 0)
+
+
+_FREE_GROUND_SETS = st.one_of(
+    st.builds(_sampled_free_set, st.sampled_from(["pairs", "chains"]), st.sampled_from([5, 9]),
+              st.integers(0, 2**16), st.integers(2, 40)),
+    st.builds(lambda seed, r, deep, size: cluster_instance(seed, r, deep, size)[0],
+              st.integers(0, 50), st.sampled_from([4, 12, 24]), st.booleans(), st.integers(2, 5)),
+    st.builds(lambda r, depth: nested_cluster_instance(r, depth)[0],
+              st.sampled_from([2, 8, 24]), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rset=_FREE_GROUND_SETS)
+def test_p10_ground_keeps_the_two_least_differences(rset):
+    """The engine reads only the two least tokens of its ground; on a free
+    set those of the least-distance differences are those of all of them."""
+    pruned = forests._engine_ground(rset)
+    full = _full_ground(rset)
+    assert pruned <= full
+    assert InadmissibleEngine(pruned).ground[:2] == InadmissibleEngine(full).ground[:2]
+
+
+@pytest.mark.parametrize("instance", ["chains", "nested"])
+def test_p10_products_grow_linearly(monkeypatch, instance):
+    """A P10 build on a free set of n >= 200 points makes O(n) products;
+    its ground alone once made n(n - 1)."""
+    if instance == "chains":
+        rset = _sampled_free_set("chains", 9, 1, 400)
+        tour = tsp_exact(rset)
+    else:
+        rset, _xi, tour = nested_cluster_instance(8, depth=5)
+    n = rset.size
+    assert n >= 200
+    calls = 0
+    multiply = FreeOracle.multiply
+
+    def counting(oracle, g, h):
+        nonlocal calls
+        calls += 1
+        return multiply(oracle, g, h)
+
+    monkeypatch.setattr(FreeOracle, "multiply", counting)
+    build_forest_p10(rset, 8, tour)
+    assert 0 < calls <= 10 * n
+
+
+def test_mode_p10_bans_live_threats(monkeypatch):
+    """Six nested levels give P10 engines histories of 4 labels.  Two of
+    them, a a a a and b b b b, would end in a fifth power if the next
+    label repeated the last, and the engine bans that letter; an engine
+    that is not walked down the root path never sees such a history."""
+    calls = []
+    designate = InadmissibleEngine.designate
+
+    def recording(engine, candidates):
+        z = designate(engine, candidates)
+        calls.append((engine.history, candidates, z))
+        return z
+
+    monkeypatch.setattr(InadmissibleEngine, "designate", recording)
+    r = 8
+    rset, _xi, tour = nested_cluster_instance(r, depth=6)
+    forest = build_forest_p10(rset, r, tour)
+    a, b, B = (parse_word(t, 2) for t in ("a", "b", "B"))
+    banned = [(h, c, z) for h, c, z in calls if len(h) >= 4 and set(h[-4:]) == {z}]
+    assert banned == [((a,) * 4, frozenset({a, b, B}), a), ((b,) * 4, frozenset({a, b, B}), b)]
+    assert verify_forest(forest, rset, r).ok
+    assert _forest_digest(forest, rset, r) == "f90ebf82e23355bc"
+
+
 # -- verification ----------------------------------------------------------------
 
 
@@ -364,13 +450,13 @@ def _forest_sets():
 def _forest_digest(forest, rset, r):
     """Digest of the stored forest, the verifier's report, and the
     vertex children and pair witnesses, which to_dict leaves out."""
-    fmt = FREE2.format_element
+    fmt = rset.oracle.format_element
     links = [
         [(v.children, None if v.witness is None else [fmt(x) for x in v.witness])
          for v in t.vertices]
         for t in forest.trees
     ]
-    body = [forest.to_dict(FREE2), verify_forest(forest, rset, r).to_dict(), links]
+    body = [forest.to_dict(rset.oracle), verify_forest(forest, rset, r).to_dict(), links]
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -424,13 +510,61 @@ PINNED_FOREST_DIGESTS = {
 }
 
 
-def test_forests_pinned():
+def _pinned_digests(forest_sets):
     got = {}
-    for name, rset, r, tour in _forest_sets():
+    for name, rset, r, tour in forest_sets:
         for build in (build_forest_p, build_forest_p10):
             forest = build(rset, r, tour)
             got[f"{name}-{forest.mode}"] = _forest_digest(forest, rset, r)
-    assert got == PINNED_FOREST_DIGESTS
+    return got
+
+
+def test_forests_pinned():
+    assert _pinned_digests(_forest_sets()) == PINNED_FOREST_DIGESTS
+
+
+def _forest_sets_off_free_groups():
+    """(name, rset, r, tour) over revised sets of at most 15 points in
+    groups that are not free, on their exact tours.  Their engine tokens
+    sort by str, so P10 grounds its engine on every difference; each
+    P10 forest here makes designations, and half of them change if the
+    ground is cut to the least-distance pairs."""
+    for descriptor, xi_text, style, seed, r in (
+        ("abelian:2", "2,1", "box-pairs", 0, 4),
+        ("abelian:2", "3,0", "box-pairs", 3, 8),
+        ("prod(free:2,abelian:1)", "a|1", "chains", 0, 8),
+        ("prod(free:2,abelian:1)", "a|1", "chains", 1, 8),
+        ("f2xz:n=2", "a|1", "chains", 0, 8),
+        ("f2xz:n=2", "a|1", "chains", 2, 8),
+    ):
+        oracle = make_oracle(descriptor)
+        config = SamplerConfig(seed=seed, max_size=15, style=style)
+        rset = sample_related_set(oracle, oracle.parse_element(xi_text), config, 0)
+        assert rset.is_revised() and rset.size <= 15
+        yield f"{descriptor}-{seed}-r{r}", rset, r, tsp_exact(rset)
+
+
+# recorded from the builders that grounded P10's engine on every
+# difference of the set, in every group
+PINNED_FOREST_DIGESTS_OFF_FREE_GROUPS = {
+    "abelian:2-0-r4-P": "e3824971cb3192d7",
+    "abelian:2-0-r4-P10": "a7c2bbd8920342f8",
+    "abelian:2-3-r8-P": "a80b3636b26f7e12",
+    "abelian:2-3-r8-P10": "945f7c1031cc728b",
+    "prod(free:2,abelian:1)-0-r8-P": "bc34912d90844050",
+    "prod(free:2,abelian:1)-0-r8-P10": "07d654e3fd01cd3e",
+    "prod(free:2,abelian:1)-1-r8-P": "e0c0ae14896b7c7a",
+    "prod(free:2,abelian:1)-1-r8-P10": "eb86a1d368204af1",
+    "f2xz:n=2-0-r8-P": "2093cb5642dd5b84",
+    "f2xz:n=2-0-r8-P10": "fcf68d8dbb9fdafd",
+    "f2xz:n=2-2-r8-P": "0a4ad4c0ef8e4e76",
+    "f2xz:n=2-2-r8-P10": "629df6bdac2e0251",
+}
+
+
+def test_forests_pinned_off_free_groups():
+    got = _pinned_digests(_forest_sets_off_free_groups())
+    assert got == PINNED_FOREST_DIGESTS_OFF_FREE_GROUPS
 
 
 def _reordered(tree, order):
