@@ -17,13 +17,10 @@ shorter of its two hosts.  Each kind of set has one exact rule:
   at most n - 1, the length-t windows at the cyclic positions of the
   length-n relators go into one dict, and the windows of the longer
   relators are looked up in it.  The first repeat is a violation.
-  A key filter runs first: every position gets a Karp-Rabin key of its
-  window (prefix sums of letter * base**i modulo two primes below
-  2**31), and only positions whose key repeats enter the dict
-  scan, in the same order.  Equal windows have equal keys, so the scan
-  returns the same hit; a collision only costs a slice comparison.
-  The primes are not replaced by arithmetic mod 2**64, under which
-  Thue-Morse words collide for every base.
+  A window is a slice of a memoryview of the doubled word's bytes,
+  each letter encoded once at one fixed signed width that holds every
+  letter of the rank.  Views, not bytes slices, keep the dict at O(n)
+  memory: copied windows cost about lambda*n**2 bytes.
 * prefix: sorted by letters, an element's longest common prefix with
   any other element is with a sorted neighbour, so only adjacent pairs
   are compared.
@@ -36,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .errors import MalformedInputError
 from .words import Word, _common_prefix
@@ -99,60 +94,14 @@ def _cyclic_lcp(w1: Word, r1: int, w2: Word, r2: int) -> int:
     return k
 
 
-# two primes below 2**31: every product of two residues (letter codes
-# a + rank + 1 among them) fits int64, and the pair of residues packs
-# into one int64 key
-_PRIMES = (2_147_483_647, 2_147_483_629)
-_BASES = (1_000_003, 972_663_749)
-
-
-def _powers(base: int, prime: int, count: int) -> np.ndarray:
-    """base**k mod prime for k < count, by doubling."""
-    out = np.ones(count, dtype=np.int64)
-    filled, step = 1, base  # step == base**filled while filled doubles
-    while filled < count:
-        take = min(filled, count - filled)
-        out[filled : filled + take] = out[:take] * step % prime
-        filled += take
-        step = step * step % prime
-    return out
-
-
-class _WindowKeys:
-    """Karp-Rabin keys of the cyclic windows of a tuple of words: prefix
-    sums of letter * base**position over each doubled word, modulo two
-    primes."""
-
-    def __init__(self, base: Tuple[Word, ...]):
-        self.span = max(len(w) for w in base)
-        self.powers = [_powers(b, p, 2 * self.span + 1) for b, p in zip(_BASES, _PRIMES)]
-        self.sums = []
-        for w in base:
-            codes = np.tile(np.array(w.letters, dtype=np.int64) + (w.rank + 1), 2)
-            per_prime = []
-            for pw, p in zip(self.powers, _PRIMES):
-                s = np.zeros(len(codes) + 1, dtype=np.int64)
-                np.cumsum(codes * pw[: len(codes)] % p, out=s[1:])
-                per_prime.append(s % p)
-            self.sums.append(per_prime)
-
-    def keys(self, wi: int, t: int) -> np.ndarray:
-        """One key per cyclic position of word wi for its length-t
-        window; equal windows get equal keys in every word."""
-        n = len(self.sums[wi][0]) // 2
-        h = [
-            # window i sums to base**i * h_i; shift every h_i to base**span
-            (s[t : t + n] - s[:n]) % p * pw[self.span - n + 1 : self.span + 1][::-1] % p
-            for s, pw, p in zip(self.sums[wi], self.powers, _PRIMES)
-        ]
-        return (h[0] << 31) | h[1]
-
-
 def _repeated_window(base: Tuple[Word, ...], num: int, den: int) -> Optional[tuple]:
     """Two distinct cyclic occurrences sharing a window of length
     ceil(num/den * n), n the shorter host's length, or None."""
-    doubled = [w.letters * 2 for w in base]
-    window_keys = _WindowKeys(base)
+    # each word read twice, every letter as width signed bytes; windows
+    # are views, so the dict holds no copy of their letters
+    width = (base[0].rank.bit_length() + 8) // 8
+    doubled = [memoryview(b"".join(a.to_bytes(width, "little", signed=True) for a in w.letters) * 2)
+               for w in base]
     for n in sorted({len(w) for w in base}):
         t = -(-num * n // den)  # ceil
         if t > n - 1:
@@ -162,17 +111,11 @@ def _repeated_window(base: Tuple[Word, ...], num: int, den: int) -> Optional[tup
             (wi for wi, w in enumerate(base) if len(w) >= n),
             key=lambda wi: len(base[wi]) > n,
         )
-        # a position whose key is unique shares its window with no
-        # other position, so only repeated keys go through the dict
-        keys = np.concatenate([window_keys.keys(wi, t) for wi in hosts])
-        ordered = np.sort(keys)
-        repeated = np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
-        ends = np.cumsum([len(base[wi]) for wi in hosts])
         seen = {}
-        for wi, mask in zip(hosts, np.split(repeated, ends[:-1])):
+        for wi in hosts:
             windows, insert = doubled[wi], len(base[wi]) == n
-            for i in np.flatnonzero(mask).tolist():
-                key = windows[i : i + t]
+            for i in range(len(base[wi])):
+                key = windows[width * i : width * (i + t)]
                 other = seen.get(key)
                 if other is not None:
                     return other, (wi, i)

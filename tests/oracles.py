@@ -203,8 +203,8 @@ def _has_repeated_window(sset, length):
     return None
 
 
-# The cyclic C'(lambda) scan before the key filter, kept literal: every
-# cyclic position's window goes through the dict.
+# The cyclic C'(lambda) scan on another encoding (_doubled_windows):
+# a cross-check of the fixed-width byte windows.
 
 
 def repeated_window_reference(base, num, den):

@@ -1,19 +1,17 @@
 import hashlib
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ts_groups.cancellation import (
     SymmetrizedSet,
-    _WindowKeys,
-    _powers,
     _repeated_window,
     satisfies_small_cancellation,
 )
 from ts_groups.errors import MalformedInputError
+from ts_groups.groups import FREE_RANK_CAP
 from ts_groups.words import Word, format_word, parse_word, reduce
 
 from oracles import (
@@ -327,26 +325,33 @@ def test_full_scale_marker_threshold(full_scale_marker, side):
         assert_real_violation(s, viol, num, den)
 
 
-# -- the key-filtered window scan against the unfiltered one -----------------
+# -- the byte-window scan against the reference encoding -------------------
 
 
 @st.composite
-def rank_80_sets(draw):
-    """1-3 cyclically reduced relators over 80 generators, drawn from a
-    few of them so that windows repeat; the scan slices tuples here."""
+def wide_sets(draw, rank, alphabet):
+    """1-3 cyclically reduced relators over many generators, drawn from
+    a few letters so that windows repeat."""
     words = []
     for _ in range(draw(st.integers(1, 3))):
-        letters = draw(st.lists(st.sampled_from([1, -1, 2, 79, -80]), min_size=1, max_size=24))
-        word = _cyclically_reduced(letters, 80)
+        letters = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=24))
+        word = _cyclically_reduced(letters, rank)
         if not word.is_identity:
             words.append(word)
     if not words:
-        words.append(Word((1, 80), 80))
+        words.append(Word((1, rank), rank))
     return SymmetrizedSet.of(words, cyclic=True)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(cyclic_sets(), rank_80_sets()))
+# ranks 127 and 128 straddle the one- and two-byte widths; letters +-1
+# and +-rank reach both ends of each width's range
+_WIDE_SETS = [wide_sets(80, [1, -1, 2, 79, -80])] + [
+    wide_sets(rank, [1, -1, rank, -rank]) for rank in (127, 128, FREE_RANK_CAP)
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cyclic_sets(), *_WIDE_SETS))
 @example(SymmetrizedSet.of([w("a b a b a b"), w("a b")], cyclic=True))
 @example(SymmetrizedSet.of([w("B C B c", 3), w("c c a c A B a", 3), w("C B B A A C", 3)], cyclic=True))
 def test_window_scan_matches_unfiltered_scan(s):
@@ -360,16 +365,10 @@ def _thue_morse(n):
 
 @pytest.mark.parametrize("lam", [(1, 5), (1, 2), (9, 10)])
 def test_thue_morse_window_scan(lam):
-    # Thue-Morse words make polynomial hashes modulo 2**64 collide for
-    # every base; the two-prime keys must neither mislead nor slow it
+    # an 8192-letter Thue-Morse relator: a repeat at 1/5, none at 1/2 or
+    # 9/10, so the scan reads every window there
     base = SymmetrizedSet.of([_thue_morse(8192)], cyclic=True).base
-    hit = repeated_window_reference(base, *lam)
-    assert _repeated_window(base, *lam) == hit
-    if hit is None:
-        # all windows differ, so no two keys may agree
-        t = -(-lam[0] * 8192 // lam[1])
-        keys = _WindowKeys(base)
-        assert len(set(np.concatenate([keys.keys(0, t), keys.keys(1, t)]).tolist())) == 2 * 8192
+    assert _repeated_window(base, *lam) == repeated_window_reference(base, *lam)
 
 
 def test_full_scale_violating_piece_pinned():
@@ -387,7 +386,3 @@ def test_full_scale_violating_piece_pinned():
     assert hashlib.sha256(format_word(viol.word).encode()).hexdigest()[:16] == "cfd3254c5512049e"
     assert_real_violation(s, viol, 1, 6)
 
-
-def test_power_tables_are_cached_read_only():
-    table = _powers(1_000_003, 2_147_483_647, 50)
-    assert [int(x) for x in table] == [pow(1_000_003, k, 2_147_483_647) for k in range(50)]

@@ -708,6 +708,41 @@ def test_planted_premise_failure_takes_the_full_scans(premise, params):
     assert conditions == _scanned_conditions(word)
 
 
+
+def _cyclic_scan_seeds(params):
+    """Seed -> number of cyclic C'(lambda) scans construct_xi makes, over
+    seeds 0-119, for the seeds that make any."""
+    calls = {}
+
+    def spy(sset, num, den):
+        if sset.cyclic:
+            calls[seed] = calls.get(seed, 0) + 1
+        return satisfies_small_cancellation(sset, num, den)
+
+    with mock.patch.object(markers, "satisfies_small_cancellation", spy):
+        for seed in range(120):
+            construct_xi(seed, params)
+    return calls
+
+
+def test_cyclic_scan_traffic():
+    # Lemma B decides C'(1/5) for every full-scale seed 0-119, so the
+    # cyclic window scan's speed matters only where this changes
+    assert _cyclic_scan_seeds(XiParams()) == {}
+    assert _cyclic_scan_seeds(_DESK) == {17: 1, 18: 1, 61: 1, 70: 1}
+
+
+@pytest.mark.parametrize("seed,digest", [(17, "66c6e0b9d96b999b"), (18, "8a4969027eeb818f"),
+                                         (61, "978a672e79506735"), (70, "8faa0a46d15cc61f")])
+def test_scanned_desk_reports_pinned(seed, digest):
+    # the desk seeds whose C'(1/5) condition the cyclic window scan
+    # decides, recorded before the scan dropped its window keys
+    rep = construct_xi(seed, _DESK)
+    got = hashlib.sha256(json.dumps(rep.to_dict(), sort_keys=True).encode())
+    got.update(format_word(rep.word).encode())
+    assert got.hexdigest()[:16] == digest
+
+
 def test_lemma_b_premises_at_their_bounds():
     # the desk word of seed 0 meets every premise; each is then moved to
     # its bound, and one step past it
