@@ -1,7 +1,7 @@
 """Long-product aperiodicity, the word combinatorics of the Burnside
 side: the reduced alternating product xi^(e1) x1 ... xi^(ek) xk of a
 marker word and a short x-sequence, scanned for powers near its block
-junctions."""
+junctions.  Its letters are packed into an ``array`` only for a scan."""
 
 from __future__ import annotations
 
@@ -70,11 +70,11 @@ def _letter_typecode(rank: int) -> str:
     raise ResourceLimitError(f"rank {rank} has letters too wide to pack")
 
 
-def _packed(letters: Sequence[int], code: str) -> array:
-    """Letters as an ``array`` of the given typecode.  One ``struct``
-    pack converts a long tuple about twice as fast as ``array`` does
-    item by item."""
-    return array(code, struct.Struct(f"{len(letters)}{code}").pack(*letters))
+def _packed(letters: Sequence[int], code: str) -> bytes:
+    """Letters as the bytes of an ``array`` of the given typecode.  One
+    ``struct`` pack converts a long tuple about twice as fast as
+    ``array`` does item by item."""
+    return struct.Struct(f"{len(letters)}{code}").pack(*letters)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def _xi_table(xi: Word) -> _XiTable:
         if table.xi == xi:
             return table
     code = _letter_typecode(xi.rank)
-    letters = _packed(xi.letters, code)
+    letters = array(code, _packed(xi.letters, code))
     # xi^-1 is xi reversed, then negated
     inverse = array(code, np.negative(np.frombuffer(letters, code)[::-1]).tobytes())
     table = _XiTable(xi, letters, inverse, max_power_order(xi)[0])
@@ -113,21 +113,43 @@ def _xi_table(xi: Word) -> _XiTable:
     return table
 
 
-def _reduced_product(xi: Word, xs: Sequence[Word], eps: Sequence[int]):
-    """Reduced alternating product as one packed ``array`` of letters,
-    and the [start, end) span of each xi block's surviving letters, in
-    product order.  Two spans meet where a whole x_i cancels."""
-    table = _xi_table(xi)
-    code = table.letters.typecode
-    runs = _reduced_runs(_alternating_blocks(
-        table.letters, table.inverse, [_packed(x.letters, code) for x in xs], eps))
+def _packed_product(runs, code: str) -> array:
+    """The letters of reduced runs as one ``array``: each xi piece
+    copied from xi's table, each x piece packed once."""
     letters = array(code)
-    xi_runs = []
     for block, lo, hi, is_xi in runs:
         if is_xi:
-            xi_runs.append((len(letters), len(letters) + hi - lo))
-        letters += block[lo:hi]
-    return letters, xi_runs
+            letters += block[lo:hi]
+        else:
+            letters.frombytes(_packed(block[lo:hi], code))
+    return letters
+
+
+class _ReducedProduct:
+    """The reduced alternating product as the runs of `_reduced_runs`,
+    which only compares letters: xi and xi^-1 come from xi's table and
+    each x_i is its letter tuple.  It holds the product's length and the
+    [start, end) span of each xi block's surviving letters, in product
+    order (two spans meet where a whole x_i cancels).  `letters` packs
+    the product on its first read, for every scan of the check."""
+
+    def __init__(self, xi: Word, xs: Sequence[Word], eps: Sequence[int]):
+        table = _xi_table(xi)
+        self.code, self._letters = table.letters.typecode, None
+        self.runs = runs = _reduced_runs(_alternating_blocks(
+            table.letters, table.inverse, [x.letters for x in xs], eps))
+        n, xi_runs = 0, []
+        for _, lo, hi, is_xi in runs:
+            if is_xi:
+                xi_runs.append((n, n + hi - lo))
+            n += hi - lo
+        self.length, self.xi_runs = n, xi_runs
+
+    @property
+    def letters(self) -> array:
+        if self._letters is None:
+            self._letters = _packed_product(self.runs, self.code)
+        return self._letters
 
 
 def _merged(spans):
@@ -141,30 +163,30 @@ def _merged(spans):
     return out
 
 
-def _first_product_power(letters, xi_runs, bound, order):
+def _first_product_power(product: _ReducedProduct, bound, order):
     """(order, start, period) of the power that
-    `words._first_power(letters, bound)` finds in a reduced product, or
-    None.  `xi_runs` are the product's per-block xi spans and `order`
-    is xi's maximal power order K.  Past bound K + 1 only the free
-    segments are scanned, in period rounds [2^j, 2^(j+1)); see
-    `verify_product_aperiodicity` for why that is exact."""
+    `words._first_power(product.letters, bound)` finds, or None.
+    `order` is xi's maximal power order K.  Past bound K + 1 only the
+    free segments between the per-block xi spans are scanned, in period
+    rounds [2^j, 2^(j+1)); see `verify_product_aperiodicity` for why
+    that is exact.  Only a scan reads, and so packs, the letters."""
     if bound <= order + 1:
-        ok, witness = is_k_aperiodic(letters, bound - 1)
+        ok, witness = is_k_aperiodic(product.letters, bound - 1)
         return None if ok else (witness.exponent, witness.start, witness.period)
-    n = len(letters)
+    n = product.length
     first = 1
     while first * bound <= n:
         c = (order + 1) * (2 * first - 1) - 1
-        cuts = [(s + c, e - c) for s, e in xi_runs if e - s > 2 * c]
+        cuts = [(s + c, e - c) for s, e in product.xi_runs if e - s > 2 * c]
         if not cuts:
             # the one segment is the whole product, and cuts only shrink
             # as c grows, so no later round would scan less
-            return _first_power(letters, bound, first)
+            return _first_power(product.letters, bound, first)
         lo = 0
         for cut_lo, cut_hi in cuts + [(n, n)]:
             if (cut_lo - lo >= first * bound
-                    and _first_power(letters[lo:cut_lo], bound, first) is not None):
-                return _first_power(letters, bound, first)
+                    and _first_power(product.letters[lo:cut_lo], bound, first) is not None):
+                return _first_power(product.letters, bound, first)
             lo = cut_hi
         first *= 2
     return None
@@ -203,7 +225,8 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
     gives.  A round that cuts no xi run scans the whole product from its
     first period on, and ends the scan: cuts only shrink as the rounds
     go on.  Up to bound K + 1 the whole product is scanned.  xi's table
-    (packed letters and K) is built once per word and cached.
+    (packed letters and K) is built once per word and cached.  The
+    product's letters are packed only when a scan reads them.
     """
     if len(xs) != len(eps) or not xs:
         raise MalformedInputError("xs and eps must be nonempty and equal length")
@@ -230,10 +253,10 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
             raise PreconditionError("xi is not 3-aperiodic")
         if len(xi) <= low:
             raise PreconditionError(f"xi has {len(xi)} letters, not more than {low}")
-    letters, block_runs = _reduced_product(xi, xs, eps)
-    xi_runs = _merged(block_runs)
+    product = _ReducedProduct(xi, xs, eps)
+    xi_runs = _merged(product.xi_runs)
     analysis = {
-        "product_length": len(letters),
+        "product_length": product.length,
         "blocks": len(xs),
         "min_xi_run": min((b - a for a, b in xi_runs), default=0),
         "max_u_gap": 0,
@@ -244,9 +267,9 @@ def verify_product_aperiodicity(xi: Word, xs: Sequence[Word], eps: Sequence[int]
         for a, b in xi_runs:
             gaps.append(a - prev_end)
             prev_end = b
-        gaps.append(len(letters) - prev_end)
+        gaps.append(product.length - prev_end)
         analysis["max_u_gap"] = max(gaps)
-    found = _first_product_power(letters, block_runs, bound, xi_order)
+    found = _first_product_power(product, bound, xi_order)
     if found is None:
         return True, analysis
     exponent, start, p = found

@@ -8,6 +8,7 @@ import bisect
 import heapq
 import itertools
 from collections import deque
+from types import SimpleNamespace
 from typing import List
 
 from ts_groups.cancellation import Piece
@@ -486,9 +487,10 @@ def select_flips_reference(n, b_positions, params, rng):
 def tagged_product_reference(xi, xs, eps):
     """The alternating product reduced letter by letter with a provenance
     tag per letter, then the xi runs read off the tags, one per block;
-    kept literal.  Same contract as `products._reduced_product`,
-    (letters, xi_runs), with the letters as a tuple where
-    `_reduced_product` packs them in an ``array``."""
+    kept literal.  Same contract as `products._ReducedProduct`: an
+    object with the product's `length`, its per-block `xi_runs` and its
+    `letters`, here a tuple built at once where `_ReducedProduct` packs
+    an ``array`` the first time `letters` is read."""
     stack = []
     xi_letters = xi.letters
     xi_inv = (~xi).letters
@@ -512,7 +514,7 @@ def tagged_product_reference(xi, xs, eps):
             start = None
         if start is None and t is not None and t[0] == "xi":
             start = i
-    return letters, xi_runs
+    return SimpleNamespace(length=len(letters), xi_runs=xi_runs, letters=letters)
 
 
 def hull_reference(o, pts, radius):

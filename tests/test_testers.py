@@ -33,7 +33,7 @@ from ts_groups.testers import (
     variety_counterexample,
     verify_product_aperiodicity,
 )
-from ts_groups.products import _reduced_product
+from ts_groups.products import _ReducedProduct
 from ts_groups.sequences import squarefree_ternary
 from ts_groups.words import (
     Word,
@@ -900,12 +900,13 @@ def test_reduced_product_matches_plain_reduction(desk_xi):
     rng = random.Random(5)
     for _ in range(30):
         xs, eps = _random_sequence(rng, k_max=6, max_len=20)
-        product, xi_runs = _reduced_product(desk_xi, xs, eps)
+        product = _ReducedProduct(desk_xi, xs, eps)
         letters = []
         for x, e in zip(xs, eps):
             letters += (desk_xi if e > 0 else ~desk_xi).letters + x.letters
-        assert tuple(product) == reduce(letters, 2).letters
-        assert sum(b - a for a, b in xi_runs) <= len(product)
+        assert tuple(product.letters) == reduce(letters, 2).letters
+        assert product.length == len(product.letters)
+        assert sum(b - a for a, b in product.xi_runs) <= product.length
 
 
 @st.composite
@@ -948,17 +949,18 @@ def test_reduced_product_matches_reference(case):
 
 
 def _assert_product_matches_reference(xi, xs, eps):
-    """Letters, xi runs and verdict equal the reference's; returns the
-    packed letters."""
-    letters, xi_runs = _reduced_product(xi, xs, eps)
-    ref_letters, ref_runs = tagged_product_reference(xi, xs, eps)
-    assert tuple(letters) == ref_letters
-    assert xi_runs == ref_runs
+    """Length, xi runs, letters and verdict equal the reference's;
+    returns the packed letters."""
+    product = _ReducedProduct(xi, xs, eps)
+    ref = tagged_product_reference(xi, xs, eps)
+    assert (product.length, product.xi_runs) == (ref.length, ref.xi_runs)
+    assert tuple(product.letters) == ref.letters
     args = dict(bound=3, max_x_len=64, check_xi=False)
     verdict = verify_product_aperiodicity(xi, xs, eps, **args)
-    with mock.patch("ts_groups.products._reduced_product", tagged_product_reference):
+    with mock.patch("ts_groups.products._ReducedProduct", wraps=tagged_product_reference) as double:
         assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
-    return letters
+    assert double.call_count == 1
+    return product.letters
 
 
 # (rank, item size of the packed letters): both sides of each typecode's
@@ -983,19 +985,23 @@ def test_rank_past_every_typecode_is_a_resource_limit():
 
 
 def test_product_check_peaks_below_four_bytes_a_letter():
+    # at bound 50 the segments are scanned, so the product is packed; at
+    # bound 500 nothing is scanned, and the check holds only the runs.
+    # The first check builds xi's table, so the second measures none.
     xi = construct_xi(0).word
     rng = random.Random(3)
     xs = [random_word(rng, 2, 192) for _ in range(20)]
     eps = [rng.choice((1, -1)) for _ in xs]
-    tracemalloc.start()
-    try:
-        ok, analysis = verify_product_aperiodicity(xi, xs, eps, check_xi=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ok
-    assert analysis["product_length"] >= 200_000
-    assert peak < 4 * analysis["product_length"]
+    for bound, bytes_a_letter in ((50, 4), (500, 0.1)):
+        tracemalloc.start()
+        try:
+            ok, analysis = verify_product_aperiodicity(xi, xs, eps, bound=bound, check_xi=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert analysis["product_length"] >= 200_000
+        assert peak < bytes_a_letter * analysis["product_length"]
 
 
 def _burnside_long_products(seed):
@@ -1101,9 +1107,9 @@ def test_long_period_violation_classified(desk_xi):
 # -- junction scan ------------------------------------------------------------------
 
 
-def _whole_scan(letters, xi_runs, bound, order):
+def _whole_scan(product, bound, order):
     """The whole-product scan: every letter, whatever the xi runs."""
-    ok, witness = is_k_aperiodic(tuple(letters), bound - 1)
+    ok, witness = is_k_aperiodic(tuple(product.letters), bound - 1)
     return None if ok else (witness.exponent, witness.start, witness.period)
 
 
@@ -1112,9 +1118,10 @@ def _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound):
     product; returns it."""
     args = dict(bound=bound, max_x_len=10**6, check_xi=False)
     verdict = verify_product_aperiodicity(xi, xs, eps, **args)
-    with mock.patch.object(products, "_reduced_product", tagged_product_reference), \
-            mock.patch.object(products, "_first_product_power", _whole_scan):
+    with mock.patch.object(products, "_ReducedProduct", wraps=tagged_product_reference) as ref, \
+            mock.patch.object(products, "_first_product_power", wraps=_whole_scan) as scan:
         assert verify_product_aperiodicity(xi, xs, eps, **args) == verdict
+    assert (ref.call_count, scan.call_count) == (1, 1)
     return verdict
 
 
@@ -1209,8 +1216,7 @@ def test_power_across_two_adjacent_xi_runs_is_found():
     assert max_power_order(xi)[0] == 3
     x1 = Word((2,), 3)
     xs, eps = [x1, xi * ~x1, x1], [1, -1, 1]
-    letters, xi_runs = _reduced_product(xi, xs, eps)
-    assert xi_runs == [(0, len(xi)), (len(xi), 2 * len(xi))]
+    assert _ReducedProduct(xi, xs, eps).xi_runs == [(0, len(xi)), (len(xi), 2 * len(xi))]
     ok, analysis = _assert_junction_scan_matches_whole_scan(xi, xs, eps, bound=6)
     assert not ok
     assert analysis["witness"] == {"start": len(xi) - 3, "period": 1, "exponent": 6}
@@ -1251,12 +1257,19 @@ def test_burnside_long_products_scan_under_one_percent_of_their_letters():
     assert sum(tokens) < letters // 100
 
 
-@pytest.mark.parametrize("bound", [6, 10, 50])
+# how many of the 33 seed-1 checks pack their product, per bound: at
+# bound 50 the first product has no segment long enough to scan, and at
+# bound 500 none has
+_PACKED_CHECKS = {6: 33, 10: 33, 50: 32, 500: 0}
+
+
+@pytest.mark.parametrize("bound", sorted(_PACKED_CHECKS))
 def test_junction_scan_hands_over_a_whole_product_at_most_once(bound):
     # the seed-1 products at lowered bounds, where the cuts run out: once
     # a round's one segment is the whole product the scan ends there,
-    # and the verdict is the whole scan's
-    sliced = []
+    # and the verdict is the whole scan's.  A check packs its product
+    # only to scan it, at most once: one array serves every scan
+    sliced, packs = [], []
 
     def first_power(letters, *args):
         sliced.append(len(letters))
@@ -1264,12 +1277,18 @@ def test_junction_scan_hands_over_a_whole_product_at_most_once(bound):
 
     for p in _burnside_long_products(1):
         args = dict(bound=bound, check_xi=False)
-        with mock.patch.object(products, "_first_power", first_power):
+        with mock.patch.object(products, "_first_power", first_power), \
+                mock.patch.object(products, "_packed_product",
+                                  wraps=products._packed_product) as pack:
             verdict = verify_product_aperiodicity(p.xi, p.xs, p.eps, **args)
-        with mock.patch.object(products, "_first_product_power", _whole_scan):
+        packs.append(pack.call_count)
+        with mock.patch.object(products, "_first_product_power", wraps=_whole_scan) as scan:
             assert verify_product_aperiodicity(p.xi, p.xs, p.eps, **args) == verdict
+        assert scan.call_count == 1
         assert sliced.count(verdict[1]["product_length"]) <= 1
         sliced.clear()
+    assert max(packs) <= 1
+    assert sum(packs) == _PACKED_CHECKS[bound]
 
 
 def test_check_xi_reads_the_power_order_of_the_table():
