@@ -186,38 +186,19 @@ def _require_revised(rset: RelatedSet):
         raise PreconditionError("forest construction needs a revised set")
 
 
-def _engine_ground(rset: RelatedSet) -> set:
-    """Differences x^-1 y (x != y) of the set, seen from an entry
-    element, to ground the P10 engine, which reads only its two least
-    tokens (its pad letters)."""
-    oracle, pts = rset.oracle, rset.elements
+def _engine_pads(rset: RelatedSet, key) -> tuple:
+    """The P10 engine's pads: the two least differences x^-1 y (x != y)
+    under the length-first order ``key``.  As |x^-1 y| = d(x, y), they
+    come from the least-distance pairs, each giving two distinct ones,
+    x^-1 y and y^-1 x, since every supported group is torsion-free."""
+    oracle, pts, D = rset.oracle, rset.elements, rset.distances
+    least = min(min(row[i + 1:]) for i, row in enumerate(D[:-1]))
     ground = set()
-    if isinstance(oracle, FreeOracle):
-        # Free words sort as tokens by (length, letters), and |x^-1 y| =
-        # d(x, y), so the least tokens of all n(n - 1) differences are
-        # differences of pairs at the least distance.  Each such pair
-        # gives two of them, x^-1 y and its inverse y^-1 x, which differ
-        # since a free group has no 2-torsion; so the two least tokens of
-        # the differences below are the two least of all of them.
-        D = rset.distances
-        least = min(min(row[i + 1:]) for i, row in enumerate(D[:-1]))
-        for x, row in zip(pts, D):
-            if least in row:
-                x_inv = oracle.inverse(x)
-                ground.update(
-                    oracle.multiply(x_inv, y) for y, d in zip(pts, row) if d == least
-                )
-        return ground
-    # Other tokens sort by str, not by length, so they keep every
-    # difference.  A revised set holds a pair {x, x*xi}, so the ground
-    # has xi and xi^-1, which differ in every supported (torsion-free)
-    # group.
-    for x in pts:
-        x_inv = oracle.inverse(x)
-        for y in pts:
-            if x != y:
-                ground.add(oracle.multiply(x_inv, y))
-    return ground
+    for x, row in zip(pts, D):
+        if least in row:
+            x_inv = oracle.inverse(x)
+            ground.update(oracle.multiply(x_inv, y) for y, d in zip(pts, row) if d == least)
+    return tuple(sorted(ground, key=key)[:2])
 
 
 def build_forest_p(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
@@ -313,7 +294,9 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
     oracle = rset.oracle
     piece_pos = decomp.piece_index()
 
-    root_engine = InadmissibleEngine(_engine_ground(rset))
+    # the P10 token order: length first on every oracle, F2xZ too
+    key = lambda t: (oracle.length(t), oracle.sort_key(t))
+    root_engine = InadmissibleEngine(_engine_pads(rset, key))
     used = set()
     trees: List[ClusterTree] = []
     advisory_reasons: List[str] = []
@@ -334,7 +317,7 @@ def build_forest_p10(rset: RelatedSet, r: int, tour: Tour) -> TreeForest:
         fv = {}
         for t in rights + lefts:
             fv[oracle.multiply(oracle.inverse(entry), t)] = t
-        banned = {fv[engine.designate(frozenset(fv))]} if len(fv) >= 2 else set()
+        banned = {fv[engine.designate(sorted(fv, key=key))]} if len(fv) >= 2 else set()
         chosen = []
         for t in rights + lefts:
             if len(chosen) == 2:

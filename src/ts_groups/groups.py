@@ -68,6 +68,8 @@ class GroupOracle:
         return pts
 
     def sort_key(self, g):
+        """A total order key on elements; length-first on every oracle
+        but F2xZ, whose key leads with the letter count plus |z|."""
         raise NotImplementedError
 
     def parse_element(self, text: str):

@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .errors import MalformedInputError
 from .trees import PlaneTernaryTree
-from .words import Word
 
 __all__ = [
     "squarefree_ternary",
@@ -152,12 +151,12 @@ def label_tree_three_letters(tree: PlaneTernaryTree) -> LabeledTree:
 # ---------------------------------------------------------------------------
 
 
-def _token_sort_key(t):
-    if isinstance(t, Word):
-        return (2, len(t), t.letters)
-    if isinstance(t, (int, float)):
-        return (0, t, ())
-    return (1, str(t), ())
+def _ordered(tokens) -> tuple:
+    """The tokens in their natural order, which the labelers use."""
+    try:
+        return tuple(sorted(tokens))
+    except TypeError:
+        raise MalformedInputError("candidate tokens have no common order") from None
 
 
 class InadmissibleEngine:
@@ -170,21 +169,21 @@ class InadmissibleEngine:
     path is one honest run of the engine: the ray guarantee becomes the
     tree guarantee.
 
-    The engine holds only its ground set and history.  A designation
-    reads each period's run up to n // 4 off the n labels, in O(n/4 +
-    the runs it walks), so labeling a ray is quadratic in its depth.
+    The engine holds only its two pad tokens, in the caller's token
+    order, and its history.  A designation reads each period's run up
+    to n // 4 off the n labels, in O(n/4 + the runs it walks), so
+    labeling a ray is quadratic in its depth.
     """
 
-    def __init__(self, ground):
-        tokens = sorted(set(ground), key=_token_sort_key)
-        if len(tokens) < 2:
-            raise MalformedInputError("ground set needs at least 2 elements")
-        self.ground = tuple(tokens)
-        self.history = ()
+    def __init__(self, pads):
+        # a set has no order to take the pads in
+        if isinstance(pads, (set, frozenset)) or len(pads) != 2 or pads[0] == pads[1]:
+            raise MalformedInputError("the pads must be two distinct tokens, in order")
+        self.pads, self.history = tuple(pads), ()
 
     def designate(self, candidates) -> object:
         """The inadmissible element for the current step, drawn from the
-        candidate set."""
+        candidates, a sequence in the caller's token order."""
         h, n = self.history, len(self.history)
         # live threats as (letters left to a fifth power, p, continuation
         # letter), where the p-periodic suffix has length p + run; p
@@ -199,15 +198,15 @@ class InadmissibleEngine:
                 threats.append((4 * p - run, p, h[n - p]))
         if threats:
             return min(threats)[2]
-        pad = _pair_stream_letter(n, self.ground[0], self.ground[1])
+        pad = _pair_stream_letter(n, *self.pads)
         if pad in candidates:
             return pad
-        return min(candidates, key=_token_sort_key)
+        return candidates[0]
 
     def observe(self, x) -> "InadmissibleEngine":
         """The engine after the label x; this one is unchanged."""
         nxt = object.__new__(type(self))
-        nxt.ground = self.ground
+        nxt.pads = self.pads
         nxt.history = self.history + (x,)
         return nxt
 
@@ -239,16 +238,16 @@ def label_ray_adversarial(length: int, candidates, adversary: Callable):
     such as abelian elements included), or a list or tuple of per-vertex
     sets or frozensets, each of size >= 2.  adversary(i, F_v, z_v)
     returns the label for step i and must avoid z_v.  Returns
-    (labels, inadmissibles).
+    (labels, inadmissibles).  The tokens take their natural order, so
+    they must compare with each other.
     """
     if length < 1:
         raise MalformedInputError("ray length must be >= 1")
     sets = _normalize_candidates(candidates, length, 2)
-    ground = set().union(*sets)
-    engine = InadmissibleEngine(ground)
+    engine = InadmissibleEngine(_ordered(set().union(*sets))[:2])
     zs = []
     for i in range(length):
-        z = engine.designate(sets[i])
+        z = engine.designate(_ordered(sets[i]))
         x = adversary(i, sets[i], z)
         if x not in sets[i] or x == z:
             raise MalformedInputError(
@@ -264,7 +263,8 @@ def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callab
 
     candidates: one collection F_v, shared by every vertex, of size >= 4.
     adversary(v, F_v, z_v, k) returns k distinct admissible labels for
-    the k lower edges of v, mapped to children left to right.
+    the k lower edges of v, mapped to children left to right.  The
+    tokens take their natural order, as in ``label_ray_adversarial``.
     """
     fv = frozenset(candidates)
     if len(fv) < 4:
@@ -275,13 +275,14 @@ def label_tree_adversarial(tree: PlaneTernaryTree, candidates, adversary: Callab
                 f"vertex {v} has {len(tree.children[v])} children but only "
                 f"{len(fv) - 1} admissible labels"
             )
-    states = {tree.ORIGIN: InadmissibleEngine(fv)}
+    order = _ordered(fv)
+    states = {tree.ORIGIN: InadmissibleEngine(order[:2])}
     labels: Dict[int, object] = {}
     inadmissibles: Dict[int, object] = {}
     for v in tree.planar_order():
         engine = states.pop(v)
         kids = tree.children[v]
-        z = engine.designate(fv)
+        z = engine.designate(order)
         inadmissibles[v] = z
         if not kids:
             continue
@@ -310,14 +311,14 @@ def random_ray_adversary(seed: int) -> Callable:
     rng = random.Random(seed)
 
     def pick(i, fv, z):
-        return rng.choice(sorted((t for t in fv if t != z), key=_token_sort_key))
+        return rng.choice(sorted(t for t in fv if t != z))
 
     return pick
 
 
 def greedy_ray_adversary() -> Callable:
     def pick(i, fv, z):
-        return min((t for t in fv if t != z), key=_token_sort_key)
+        return min(t for t in fv if t != z)
 
     return pick
 
@@ -326,7 +327,7 @@ def random_tree_adversary(seed: int) -> Callable:
     rng = random.Random(seed)
 
     def pick(v, fv, z, k):
-        pool = sorted((t for t in fv if t != z), key=_token_sort_key)
+        pool = sorted(t for t in fv if t != z)
         return tuple(rng.sample(pool, k))
 
     return pick
@@ -334,7 +335,7 @@ def random_tree_adversary(seed: int) -> Callable:
 
 def greedy_tree_adversary() -> Callable:
     def pick(v, fv, z, k):
-        pool = sorted((t for t in fv if t != z), key=_token_sort_key)
+        pool = sorted(t for t in fv if t != z)
         return tuple(pool[:k])
 
     return pick

@@ -296,18 +296,17 @@ def _held_karp_layers(n: int):
     return tuple(chunks)
 
 
-def tsp_exact(rset: RelatedSet, cap: int = EXACT_SOLVER_CAP) -> Tour:
+def tsp_exact(rset: RelatedSet) -> Tour:
     """Optimal closed tour.  On a free group the Cayley graph is a tree
     and the points in sorted order of their letter tuples are an optimal
     tour, of any size (see ``_free_hull``); every other oracle runs
-    Held-Karp on at most ``cap`` points."""
+    Held-Karp on at most ``EXACT_SOLVER_CAP`` points."""
     if isinstance(rset.oracle, FreeOracle):
         order, _lcp, _meet, edges = rset.free_hull
         return Tour(tuple(order), 2 * edges, "exact")
-    if rset.size > cap:
-        raise ResourceLimitError(
-            f"{rset.size} elements exceed the exact solver cap {cap}; use tsp_heuristic"
-        )
+    if rset.size > EXACT_SOLVER_CAP:
+        raise ResourceLimitError(f"{rset.size} elements exceed the exact solver cap "
+                                 f"{EXACT_SOLVER_CAP}; use tsp_heuristic")
     return _held_karp(rset.elements, rset.distances)
 
 

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 from typing import List
 
 from ts_groups.cancellation import Piece
-from ts_groups.errors import InternalInvariantError, MalformedInputError, ResourceLimitError
-from ts_groups.sequences import _pair_stream_letter, _token_sort_key
+from ts_groups.errors import InternalInvariantError, ResourceLimitError
+from ts_groups.sequences import _pair_stream_letter
 from ts_groups.words import Word
 
 
@@ -747,13 +747,11 @@ class InadmissibleEngineReference:
     """The mutable inadmissible-element engine that the immutable
     `sequences.InadmissibleEngine` replaced, kept literal: `observe`
     changes the engine in place, so a caller forks it with `clone`
-    first, and threats are sorted before the candidate scan."""
+    first, and threats are sorted before the candidate scan.  It takes
+    its pads and candidates in the caller's order, as the engine does."""
 
-    def __init__(self, ground, _history=None, _runs=None):
-        tokens = sorted(set(ground), key=_token_sort_key)
-        if len(tokens) < 2:
-            raise MalformedInputError("ground set needs at least 2 elements")
-        self.ground = tuple(tokens)
+    def __init__(self, pads, _history=None, _runs=None):
+        self.pads = tuple(pads)
         self.history = _history if _history is not None else []
         # runs[p-1]: consecutive positions i ending the history with
         # history[i] == history[i-p]; the p-periodic suffix has length
@@ -777,10 +775,10 @@ class InadmissibleEngineReference:
         for _remaining, _p, letter in self._threats():
             if letter in candidates:
                 return letter
-        pad = _pair_stream_letter(len(self.history), self.ground[0], self.ground[1])
+        pad = _pair_stream_letter(len(self.history), *self.pads)
         if pad in candidates:
             return pad
-        return min(candidates, key=_token_sort_key)
+        return candidates[0]
 
     def observe(self, x):
         n = len(self.history)
@@ -793,5 +791,5 @@ class InadmissibleEngineReference:
 
     def clone(self) -> "InadmissibleEngineReference":
         return InadmissibleEngineReference(
-            self.ground, _history=list(self.history), _runs=list(self.runs)
+            self.pads, _history=list(self.history), _runs=list(self.runs)
         )

@@ -354,7 +354,7 @@ _WIDE_SETS = [wide_sets(80, [1, -1, 2, 79, -80])] + [
 @given(st.one_of(cyclic_sets(), *_WIDE_SETS))
 @example(SymmetrizedSet.of([w("a b a b a b"), w("a b")], cyclic=True))
 @example(SymmetrizedSet.of([w("B C B c", 3), w("c c a c A B a", 3), w("C B B A A C", 3)], cyclic=True))
-def test_window_scan_matches_unfiltered_scan(s):
+def test_window_scan_matches_reference_encoding(s):
     for num, den in LAMBDAS:
         assert _repeated_window(s.base, num, den) == repeated_window_reference(s.base, num, den)
 

@@ -17,7 +17,7 @@ from ts_groups.forests import (
     decompose_pieces,
     verify_forest,
 )
-from ts_groups.groups import FreeOracle, make_oracle
+from ts_groups.groups import make_oracle
 from ts_groups.sequences import InadmissibleEngine
 from ts_groups.tours import (
     RelatedSet,
@@ -195,7 +195,7 @@ def test_mode_p10_walks_the_engine_down_each_root_path(monkeypatch):
     designate = InadmissibleEngine.designate
 
     def recording(engine, candidates):
-        calls.append((engine.history, candidates))
+        calls.append((engine.history, tuple(candidates)))
         return designate(engine, candidates)
 
     monkeypatch.setattr(InadmissibleEngine, "designate", recording)
@@ -222,7 +222,10 @@ def test_mode_p10_walks_the_engine_down_each_root_path(monkeypatch):
                 parent = tree.vertices[v.parent]
                 history.append(diff(parent.entry, v.witness[0]))
                 v = parent
-            expected.append((tuple(reversed(history)), frozenset(diff(vertex.entry, t) for t in near)))
+            # offered in the P10 token order, which on a free group is
+            # the (length, letters) order of sort_key
+            near = sorted({diff(vertex.entry, t) for t in near}, key=FREE2.sort_key)
+            expected.append((tuple(reversed(history)), tuple(near)))
     assert calls == expected
     assert max(len(h) for h, _ in calls) == 2
 
@@ -238,8 +241,8 @@ def test_mode_p10_determinism():
 
 
 def _full_ground(rset):
-    """All n(n - 1) differences x^-1 y of the set, as P10 once grounded
-    its engine."""
+    """All n(n - 1) differences x^-1 y of the set, on which P10 once
+    grounded its engine."""
     o = rset.oracle
     return {o.multiply(o.inverse(x), y) for x in rset.elements for y in rset.elements if x != y}
 
@@ -249,9 +252,36 @@ def _sampled_free_set(style, xi_len, seed, max_size):
     return sample_related_set(FREE2, first_aperiodic_word(2, xi_len), config, 0)
 
 
-_FREE_GROUND_SETS = st.one_of(
+def _sampled_set(descriptor, xi_text, style, seed, max_size):
+    oracle = make_oracle(descriptor)
+    config = SamplerConfig(seed=seed, max_size=max_size, style=style)
+    return sample_related_set(oracle, oracle.parse_element(xi_text), config, 0)
+
+
+_OFF_FREE_XIS = {
+    "abelian:2": ["2,1", "3,0"],
+    "abelian:3": ["1,1,0", "2,0,1"],
+    "prod(free:2,abelian:1)": ["a|1", "a B|0", "b|2"],
+    "f2xz:n=2": ["a|1", "a b|0", "B|2"],
+    "f2xz:n=3": ["a|1", "a b|0", "B|2"],
+}
+
+
+@st.composite
+def _off_free_sets(draw):
+    descriptor = draw(st.sampled_from(sorted(_OFF_FREE_XIS)))
+    xi_text = draw(st.sampled_from(_OFF_FREE_XIS[descriptor]))
+    styles = ["pairs", "chains"] + ["box-pairs"] * descriptor.startswith("abelian")
+    style = draw(st.sampled_from(styles))
+    # the smallest box and its translate hold up to 16 points
+    max_size = draw(st.integers(16 if style == "box-pairs" else 2, 40))
+    return _sampled_set(descriptor, xi_text, style, draw(st.integers(0, 2**16)), max_size)
+
+
+_GROUND_SETS = st.one_of(
     st.builds(_sampled_free_set, st.sampled_from(["pairs", "chains"]), st.sampled_from([5, 9]),
               st.integers(0, 2**16), st.integers(2, 40)),
+    _off_free_sets(),
     st.builds(lambda seed, r, deep, size: cluster_instance(seed, r, deep, size)[0],
               st.integers(0, 50), st.sampled_from([4, 12, 24]), st.booleans(), st.integers(2, 5)),
     st.builds(lambda r, depth: nested_cluster_instance(r, depth)[0],
@@ -259,37 +289,66 @@ _FREE_GROUND_SETS = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(rset=_FREE_GROUND_SETS)
+@settings(max_examples=250, deadline=None)
+@given(rset=_GROUND_SETS)
 def test_p10_ground_keeps_the_two_least_differences(rset):
-    """The engine reads only the two least tokens of its ground; on a free
-    set those of the least-distance differences are those of all of them."""
-    pruned = forests._engine_ground(rset)
-    full = _full_ground(rset)
-    assert pruned <= full
-    assert InadmissibleEngine(pruned).ground[:2] == InadmissibleEngine(full).ground[:2]
+    """The P10 engine's pads, taken from the least-distance pairs, are
+    the two least of all n(n - 1) differences under the same token
+    order, on free sets and on sets in every other supported group."""
+    o = rset.oracle
+    key = lambda t: (o.length(t), o.sort_key(t))  # the length-first P10 order
+    assert forests._engine_pads(rset, key) == tuple(sorted(_full_ground(rset), key=key)[:2])
 
 
-@pytest.mark.parametrize("instance", ["chains", "nested"])
+@pytest.mark.parametrize("descriptor", ["f2xz:n=2", "f2xz:n=3"])
+def test_p10_orders_f2xz_tokens_by_length(monkeypatch, descriptor):
+    """F2xZ's sort_key leads with the letter count plus |z|, not the
+    length.  P10 still takes its pads and offers its candidates by
+    (length, sort_key); on these sets sort_key alone would pick other
+    pads and order a candidate list differently."""
+    calls = []
+    designate = InadmissibleEngine.designate
+
+    def recording(engine, candidates):
+        calls.append((engine.pads, tuple(candidates)))
+        return designate(engine, candidates)
+
+    monkeypatch.setattr(InadmissibleEngine, "designate", recording)
+    rset = _sampled_set(descriptor, "a|1", "chains", 2, 40)
+    build_forest_p10(rset, 8, tsp_heuristic(rset))
+    o = rset.oracle
+    key = lambda t: (o.length(t), o.sort_key(t))
+    pads = tuple(sorted(_full_ground(rset), key=key)[:2])
+    assert calls and all(p == pads and list(c) == sorted(c, key=key) for p, c in calls)
+    assert pads != tuple(sorted(_full_ground(rset), key=o.sort_key)[:2])
+    assert any(list(c) != sorted(c, key=o.sort_key) for _, c in calls)
+
+
+@pytest.mark.parametrize("instance", ["chains", "nested", "prod(free:2,abelian:1)", "f2xz:n=2"])
 def test_p10_products_grow_linearly(monkeypatch, instance):
-    """A P10 build on a free set of n >= 200 points makes O(n) products;
-    its ground alone once made n(n - 1)."""
+    """A P10 build on a set of n >= 200 points makes O(n) products, in
+    free groups and in the others; its ground alone once made
+    n(n - 1)."""
     if instance == "chains":
         rset = _sampled_free_set("chains", 9, 1, 400)
         tour = tsp_exact(rset)
-    else:
+    elif instance == "nested":
         rset, _xi, tour = nested_cluster_instance(8, depth=5)
+    else:
+        rset = _sampled_set(instance, "a|1", "chains", 1, 400)
+        tour = tsp_heuristic(rset)
     n = rset.size
     assert n >= 200
     calls = 0
-    multiply = FreeOracle.multiply
+    cls = type(rset.oracle)
+    multiply = cls.multiply
 
     def counting(oracle, g, h):
         nonlocal calls
         calls += 1
         return multiply(oracle, g, h)
 
-    monkeypatch.setattr(FreeOracle, "multiply", counting)
+    monkeypatch.setattr(cls, "multiply", counting)
     build_forest_p10(rset, 8, tour)
     assert 0 < calls <= 10 * n
 
@@ -304,7 +363,7 @@ def test_mode_p10_bans_live_threats(monkeypatch):
 
     def recording(engine, candidates):
         z = designate(engine, candidates)
-        calls.append((engine.history, candidates, z))
+        calls.append((engine.history, frozenset(candidates), z))
         return z
 
     monkeypatch.setattr(InadmissibleEngine, "designate", recording)
@@ -525,10 +584,9 @@ def test_forests_pinned():
 
 def _forest_sets_off_free_groups():
     """(name, rset, r, tour) over revised sets of at most 15 points in
-    groups that are not free, on their exact tours.  Their engine tokens
-    sort by str, so P10 grounds its engine on every difference; each
-    P10 forest here makes designations, and half of them change if the
-    ground is cut to the least-distance pairs."""
+    groups that are not free, on their exact tours.  Each P10 forest
+    here makes designations, whose tokens take the length-first P10
+    order as on free groups."""
     for descriptor, xi_text, style, seed, r in (
         ("abelian:2", "2,1", "box-pairs", 0, 4),
         ("abelian:2", "3,0", "box-pairs", 3, 8),
@@ -544,27 +602,31 @@ def _forest_sets_off_free_groups():
         yield f"{descriptor}-{seed}-r{r}", rset, r, tsp_exact(rset)
 
 
-# recorded from the builders that grounded P10's engine on every
-# difference of the set, in every group
+# the P pins and two P10 pins were recorded when P10 ordered these
+# tokens by str and grounded its engine on every difference; the other
+# four P10 pins, re-recorded under the length-first order, changed with
+# it
 PINNED_FOREST_DIGESTS_OFF_FREE_GROUPS = {
     "abelian:2-0-r4-P": "e3824971cb3192d7",
-    "abelian:2-0-r4-P10": "a7c2bbd8920342f8",
+    "abelian:2-0-r4-P10": "945a0181a71884f0",
     "abelian:2-3-r8-P": "a80b3636b26f7e12",
     "abelian:2-3-r8-P10": "945f7c1031cc728b",
     "prod(free:2,abelian:1)-0-r8-P": "bc34912d90844050",
     "prod(free:2,abelian:1)-0-r8-P10": "07d654e3fd01cd3e",
     "prod(free:2,abelian:1)-1-r8-P": "e0c0ae14896b7c7a",
-    "prod(free:2,abelian:1)-1-r8-P10": "eb86a1d368204af1",
+    "prod(free:2,abelian:1)-1-r8-P10": "b1a8d2a5e87c1a69",
     "f2xz:n=2-0-r8-P": "2093cb5642dd5b84",
-    "f2xz:n=2-0-r8-P10": "fcf68d8dbb9fdafd",
+    "f2xz:n=2-0-r8-P10": "fa81ce4ba7851933",
     "f2xz:n=2-2-r8-P": "0a4ad4c0ef8e4e76",
-    "f2xz:n=2-2-r8-P10": "629df6bdac2e0251",
+    "f2xz:n=2-2-r8-P10": "7a170e8eadb481d6",
 }
 
 
 def test_forests_pinned_off_free_groups():
-    got = _pinned_digests(_forest_sets_off_free_groups())
-    assert got == PINNED_FOREST_DIGESTS_OFF_FREE_GROUPS
+    forest_sets = list(_forest_sets_off_free_groups())
+    assert _pinned_digests(forest_sets) == PINNED_FOREST_DIGESTS_OFF_FREE_GROUPS
+    for _name, rset, r, tour in forest_sets:
+        assert verify_forest(build_forest_p10(rset, r, tour), rset, r).ok
 
 
 def _reordered(tree, order):

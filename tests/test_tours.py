@@ -199,7 +199,7 @@ def test_pair_out_and_back():
 def test_exact_cap():
     pts = box(4, 4)
     with pytest.raises(ResourceLimitError):
-        tsp_exact(RelatedSet(AB2, None, pts), cap=15)
+        tsp_exact(RelatedSet(AB2, None, pts))
 
 
 def test_exact_matches_brute_force():
