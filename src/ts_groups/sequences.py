@@ -183,7 +183,9 @@ class InadmissibleEngine:
 
     def designate(self, candidates) -> object:
         """The inadmissible element for the current step, drawn from the
-        candidates, a sequence in the caller's token order."""
+        candidates, a non-empty sequence in the caller's token order."""
+        if isinstance(candidates, (set, frozenset)) or not candidates:
+            raise MalformedInputError("the candidates must be a non-empty sequence, in order")
         h, n = self.history, len(self.history)
         # live threats as (letters left to a fifth power, p, continuation
         # letter), where the p-periodic suffix has length p + run; p

@@ -423,7 +423,8 @@ def _euler_tour(root, children):
 
 def mst_bounds(rset: RelatedSet):
     """(lower, upper, witness): MST weight W with W <= L(S) <= 2W; the
-    witness is the doubled-tree closed path of length exactly 2W."""
+    witness is the doubled-tree closed path of length exactly 2W, down
+    each tree edge along one geodesic and back up along its reverse."""
     pts = rset.elements
     o = rset.oracle
     if len(pts) == 1:
@@ -435,9 +436,15 @@ def mst_bounds(rset: RelatedSet):
     for u, v, _ in edges:
         children[u].append(v)
     walk = _euler_tour(0, lambda u: sorted(children[u]))
+    # down[v]: the geodesic from v's parent to v; a step to a key goes up
+    down = {0: None}
     points = [pts[0]]
     for u, v in zip(walk, walk[1:]):
-        points.extend(o.geodesic_points(pts[u], pts[v])[1:])
+        if v in down:
+            points.extend(down[u][-2::-1])
+        else:
+            down[v] = o.geodesic_points(pts[u], pts[v])
+            points.extend(down[v][1:])
     witness = ClosedPath(o, tuple(points))
     if witness.length != 2 * weight:
         raise InternalInvariantError("doubled-tree walk length mismatch")

@@ -601,9 +601,9 @@ def l_prime_free_reference(pts):
 
 
 def mst_witness_reference(rset):
-    """Points of the doubled-tree witness as `tours.mst_bounds` walked
-    them with a recursive closure over sorted MST neighbours, kept
-    literal."""
+    """Points of the doubled-tree witness by a recursive walk over sorted
+    MST neighbours: each edge's geodesic is solved once, before dfs(v, u),
+    and its reverse is extended after it."""
     from ts_groups.tours import _mst_edges
 
     pts = rset.elements
@@ -621,9 +621,10 @@ def mst_witness_reference(rset):
         for v in sorted(adj[u]):
             if v == par:
                 continue
-            points.extend(o.geodesic_points(pts[u], pts[v])[1:])
+            down = o.geodesic_points(pts[u], pts[v])
+            points.extend(down[1:])
             dfs(v, u)
-            points.extend(o.geodesic_points(pts[v], pts[u])[1:])
+            points.extend(down[-2::-1])
 
     dfs(0, -1)
     return tuple(points)

@@ -53,6 +53,30 @@ def test_free_distance_closed_form(u, v):
     assert oracle.distance(u, u) == 0
 
 
+@st.composite
+def _free_pairs(draw):
+    # u and v extend one drawn prefix, or are equal
+    rank = draw(st.integers(1, 3))
+    letters = st.lists(st.sampled_from([s * a for a in range(1, rank + 1) for s in (1, -1)]),
+                       max_size=8)
+    prefix = draw(letters)
+    u = reduce(prefix + draw(letters), rank)
+    v = u if draw(st.booleans()) else reduce(prefix + draw(letters), rank)
+    return make_oracle(f"free:{rank}"), u, v
+
+
+@given(_free_pairs())
+@example((FREE2, parse_word("a b", 2), parse_word("a b A b", 2)))
+@example((FREE2, parse_word("a b a", 2), parse_word("a b b", 2)))
+@example((make_oracle("free:1"), Word((1, 1), 1), Word((1, 1), 1)))
+@example((make_oracle("free:3"), Word((), 3), Word((), 3)))
+def test_free_geodesic_back_is_the_geodesic_reversed(pair):
+    # the tree geodesic is unique, so `tours.mst_bounds` may retrace an
+    # edge's way down to come back up
+    oracle, u, v = pair
+    assert oracle.geodesic_points(v, u) == oracle.geodesic_points(u, v)[::-1]
+
+
 def test_basic_lengths():
     assert FREE2.length(FREE2.parse_element("a b a")) == 3
     assert AB2.length((3, -4)) == 7

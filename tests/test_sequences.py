@@ -510,6 +510,18 @@ def test_engine_pads_are_an_ordered_pair(pads):
         InadmissibleEngine(pads)
 
 
+@pytest.mark.parametrize("candidates", [{"c", "d"}, frozenset("ab"), [], ""],
+                         ids=["set", "frozenset", "empty", "empty-str"])
+def test_engine_candidates_are_a_nonempty_sequence(candidates):
+    # refused on every step, not only on the fallback step (no live
+    # threat, no pad offered) that indexes the candidates: "ab" offers
+    # a pad to both engines
+    fresh = InadmissibleEngine("ab")
+    for engine in (fresh, fresh.observe("a").observe("c")):
+        with pytest.raises(MalformedInputError):
+            engine.designate(candidates)
+
+
 def test_tokens_without_an_order_are_malformed():
     # 1 and "a" do not compare, so no natural order picks the pads or
     # orders a vertex's candidates; the engine takes no set at all

@@ -850,18 +850,36 @@ def test_mst_witness_matches_recursive_walk(descriptor, seed, count):
 
 
 # sha256 of the witness points of 12 seeded sets (sizes 1..12) per
-# group, recorded while every geodesic point was built by `multiply`
+# group, recorded while every geodesic point was built by `multiply`.
+# The six pins off free groups were recorded again, from
+# `mst_witness_reference` on `GroupOracle.geodesic_points`, when the
+# walk began to retrace each edge's geodesic on the way back up; on a
+# free group the reversed geodesic is the geodesic back, so the two
+# free pins did not move.
 WITNESS_DIGESTS = {
     "free:2": "371aa40645f27d1d5bd957f95ca4031e2aae31002c23fc90c93b12530ea26064",
     "free:3": "aa2e59d55bb3a6eae7b52f0b616066b7cad09c22b43fdff2044275a436f1d6d8",
-    "abelian:2": "1ad57e70f61f2246db6356e61cb642f41baa83b2f26e690904e3ef71f693b7d0",
-    "abelian:3": "b08fd5ad2c92476863a7a4724c7f66f597dec1ed0204911062bc8c4b8939a2cb",
-    "prod(free:2,abelian:1)": "2789b2f36403e3f71229c5f6744278423d91e56938705f5e446a1703eef51249",
-    "f2xz:n=2": "6992e300c6d3fe0fe2dbd36a1c2196cd8caa2c7b9a0806ea17cef98db3b2181b",
-    "f2xz:n=3": "c465cf9dc16a8adefa662ac999cfeaa2d44842d66471760d0a3754b03c0386c4",
+    "abelian:2": "0e4d73acae0adf49802c0425df2e1b9fd1ba348bafb45771801049d468acaca5",
+    "abelian:3": "323b8dc99f490d3177cc1f367d56ce12d816a4a2ae809b7c53b72e22a7d843db",
+    "prod(free:2,abelian:1)": "3bbf4fd52b0d9fe91d6121a4fb97ce92953a00a293fb39064c5e2ce48ceccfa2",
+    "f2xz:n=2": "8671be1cfef88cc4ff6301a97a36a599e5807eba59a019961f8182d1dce0c719",
+    "f2xz:n=3": "08ea718ed54861769fa28ac4c4d30a6cbd6ed3a27ce703d92271e7c93317ec5d",
     "prod(prod(free:2,abelian:1),f2xz:n=2)":
-        "4f1869348f3f85cd461bf41b2981dfb9558f4da21b384fae457cf17907c4b6e8",
+        "356e5ab159ee79e30a3a1a7a295fbdac955f7109496c93a9e14f208ea5a65d3c",
 }
+
+
+@pytest.mark.parametrize("descriptor", WITNESS_DIGESTS)
+def test_mst_witness_walks_each_edge_once(descriptor):
+    # one geodesic per tree edge, counted on the set's own oracle, so a
+    # product's calls into its factors are not counted
+    oracle = make_oracle(descriptor)
+    rng = random.Random(7)
+    for count in range(1, 13):
+        rset = RelatedSet(oracle, None, tuple(random_element(oracle, rng, 4) for _ in range(count)))
+        with mock.patch.object(oracle, "geodesic_points", wraps=oracle.geodesic_points) as spy:
+            mst_bounds(rset)
+        assert spy.call_count == len(rset.elements) - 1  # repeated draws are one point
 
 
 @pytest.mark.parametrize("descriptor", WITNESS_DIGESTS)
